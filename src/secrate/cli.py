@@ -121,6 +121,11 @@ EVAL_HEADER = ["p_a", "theta", "r_s", "alpha", "beta", "lambda_cap", "p_to", "p_
                "passive_hi"]
 
 
+# SOP kind -> its theta-derivative (the multi kinds have none)
+_DTHETA = {"active": cf.sop_active_dtheta, "active_imperfect": cf.sop_active_dtheta,
+           "passive": cf.sop_passive_dtheta}
+
+
 def cmd_eval(cfg: dict, pa_mode: str) -> tuple[int, str]:
     params = build_params(cfg)
     mode = cf.resolve_pa_mode(params, pa_mode)
@@ -129,20 +134,14 @@ def cmd_eval(cfg: dict, pa_mode: str) -> tuple[int, str]:
     ratios = cf.derived_ratios(params, p_a, r_s)
     metrics = cf.outage_metrics(params, split, r_s)
     nan = math.nan
-    multi = params.m_active > 1
-    if multi:
-        d_active = d_passive = floor = nan
-        active_iv = opt.theta_interval_active_multi(params, p_a, r_s)
-        passive_iv = opt.theta_interval_passive_multi(params, p_a, r_s)
-    else:
-        d_active = cf.sop_active_dtheta(params, split, r_s)
-        d_passive = cf.sop_passive_dtheta(params, split, r_s)
-        try:
-            floor = opt.theta_floor_active(params, p_a, r_s) if params.rho_ea == 1.0 else nan
-        except AlphaZero:
-            floor = nan
-        active_iv = opt.theta_interval_active_imperfect(params, p_a, r_s)
-        passive_iv = opt.theta_interval_passive(params, p_a, r_s)
+    kinds = cf.scenario_kinds(params)
+    d_active, d_passive = (_DTHETA[k](params, split, r_s) if k in _DTHETA else nan
+                           for k in kinds)
+    try:
+        floor = opt.theta_floor_active(params, p_a, r_s) if kinds[0] == "active" else nan
+    except AlphaZero:
+        floor = nan
+    active_iv, passive_iv = (opt.theta_interval(k, params, p_a, r_s) for k in kinds)
     row = [p_a, theta, r_s, ratios.alpha, ratios.beta, ratios.lambda_cap,
            metrics.p_to, metrics.p_so1, metrics.p_so2, d_active, d_passive, floor,
            nan if active_iv.empty else active_iv.lo,

@@ -74,6 +74,84 @@ def derived_ratios(params: SystemParams, p_a: float, r_s: float) -> DerivedRatio
 
 
 # ---------------------------------------------------------------------------
+# Log-survival kernels
+# ---------------------------------------------------------------------------
+# Each kernel is log P(SNR >= x) at one eavesdropper. ``w_beam`` and ``w_pas``
+# weigh the AN on the active beams and on the passive subspace, and ``s`` is
+# the jamming-to-signal scale at the threshold x. The SOPs pass the AN shares
+# (theta, 1 - theta) with s = alpha or beta, computed once per call; the CDFs
+# pass the split's powers with s = var_j * x / (p_a * var_a). The kernels
+# broadcast over arrays and take plain floats as they are.
+
+def _log_sf_active(w_beam, w_pas, s, n: int, m: int, rho_ea: float):
+    """One active eavesdropper, its beam one of M sharing ``w_beam``. An
+    imperfect estimate (rho_ea < 1, single beam) mispoints the beam and lets
+    passive AN through the estimation error."""
+    log_sf = (2 - m - n) * np.log1p(w_beam / m * s)
+    rho_bar = 1.0 - rho_ea ** 2
+    if rho_bar:
+        log_sf = ((n - 2) * np.log1p(w_beam * rho_bar * s) + log_sf
+                  - (n - 2) * np.log1p(w_pas * rho_bar * s / (n - 2)))
+    return log_sf
+
+
+def _log_sf_passive(w_beam, w_pas, s, n: int, m: int):
+    """One passive eavesdropper: AN from the M beams and from the N-M-1
+    passive-subspace dimensions."""
+    return -m * np.log1p(w_beam / m * s) - (n - m - 1) * np.log1p(w_pas * s / (n - m - 1))
+
+
+def _best_of(log_sf, count: int):
+    """P(the best of ``count`` independent eavesdroppers reaches x)."""
+    with np.errstate(divide="ignore"):
+        return -np.expm1(count * np.log1p(-np.minimum(np.exp(log_sf), 1.0)))
+
+
+# SOP kind -> (on the active link, log-survival of one eavesdropper as
+# f(params, w_beam, w_pas, s), number of eavesdroppers the SOP takes the best
+# of; None: the single active eavesdropper). The CDFs share the kind names.
+_KINDS = {
+    "active": (True, lambda p, *w: _log_sf_active(*w, p.n_antennas, 1, 1.0), None),
+    "active_imperfect": (True, lambda p, *w: _log_sf_active(*w, p.n_antennas, 1, p.rho_ea),
+                         None),
+    "active_multi": (True, lambda p, *w: _log_sf_active(*w, p.n_antennas, p.m_active, 1.0),
+                     lambda p: p.m_active),
+    "passive": (False, lambda p, *w: _log_sf_passive(*w, p.n_antennas, 1),
+                lambda p: p.k_passive),
+    "passive_multi": (False, lambda p, *w: _log_sf_passive(*w, p.n_antennas, p.m_active),
+                      lambda p: p.k_passive),
+}
+
+
+def sop_theta_curve(kind: str, params: SystemParams, p_a: float, r_s):
+    """The SOP of ``kind`` as a function of the AN ratio alone.
+
+    ``kind`` is one of 'active', 'active_imperfect', 'active_multi',
+    'passive', 'passive_multi'. alpha (or beta) is computed once, here; the
+    returned function broadcasts theta against ``r_s``.
+    """
+    active, log_sf, best_of = _KINDS[kind]
+    s = (alpha_ratio if active else beta_ratio)(params, p_a, r_s)
+    if best_of is None:
+        return lambda theta: np.exp(log_sf(params, theta, 1.0 - theta, s))
+    count = best_of(params)
+    return lambda theta: _best_of(log_sf(params, theta, 1.0 - theta, s), count)
+
+
+def _sop(kind: str, params: SystemParams, split: PowerSplit, r_s):
+    return _maybe_float(sop_theta_curve(kind, params, split.p_a, r_s)(split.theta))
+
+
+def _cdf(kind: str, x, params: SystemParams, split: PowerSplit):
+    """CDF of one eavesdropper's SNR: the kernel at the split's AN powers."""
+    active, log_sf, _ = _KINDS[kind]
+    var_j, var_a = ((params.var_jea, params.var_aea) if active
+                    else (params.var_jek, params.var_aek))
+    s = var_j * np.asarray(x, dtype=float) / (split.p_a * var_a)
+    return _maybe_float(-np.expm1(log_sf(params, split.p_ja, split.p_jp, s)))
+
+
+# ---------------------------------------------------------------------------
 # SNR CDFs
 # ---------------------------------------------------------------------------
 
@@ -95,9 +173,7 @@ def cdf_snr_active(x, params: SystemParams, split: PowerSplit):
                       "interference-limited model", DegenerateDistributionWarning,
                       stacklevel=2)
         return _maybe_float(np.zeros_like(np.asarray(x, dtype=float)))
-    n = params.n_antennas
-    t = split.p_ja * params.var_jea * np.asarray(x, dtype=float) / (split.p_a * params.var_aea)
-    return _maybe_float(-np.expm1(-(n - 1) * np.log1p(t)))
+    return _cdf("active", x, params, split)
 
 
 def cdf_snr_passive(x, params: SystemParams, split: PowerSplit):
@@ -107,42 +183,24 @@ def cdf_snr_passive(x, params: SystemParams, split: PowerSplit):
                       "interference-limited model", DegenerateDistributionWarning,
                       stacklevel=2)
         return _maybe_float(np.zeros_like(np.asarray(x, dtype=float)))
-    n = params.n_antennas
-    x = np.asarray(x, dtype=float)
-    scale = split.p_a * params.var_aek
-    t1 = split.p_ja * x * params.var_jek / scale
-    t2 = split.p_jp * x * params.var_jek / ((n - 2) * scale)
-    return _maybe_float(-np.expm1(-np.log1p(t1) - (n - 2) * np.log1p(t2)))
+    return _cdf("passive", x, params, split)
 
 
 def cdf_snr_active_imperfect(x, params: SystemParams, split: PowerSplit):
     """CDF of the active eavesdropper's SNR when its jammer-side estimate has
     correlation rho_ea: the mispointed beam plus passive-AN leakage raise the
     interference floor."""
-    n = params.n_antennas
-    rho_bar = 1.0 - params.rho_ea ** 2
-    x = np.asarray(x, dtype=float)
-    t = split.p_ja * params.var_jea * x / (split.p_a * params.var_aea)
-    tp = split.p_jp * rho_bar * params.var_jea * x / ((n - 2) * split.p_a * params.var_aea)
-    log_sf = (n - 2) * np.log1p(rho_bar * t) - (n - 1) * np.log1p(t) - (n - 2) * np.log1p(tp)
-    return _maybe_float(-np.expm1(log_sf))
+    return _cdf("active_imperfect", x, params, split)
 
 
 def cdf_snr_active_multi(x, params: SystemParams, split: PowerSplit):
     """CDF of one active eavesdropper's SNR with M beams sharing the AN power."""
-    n, m = params.n_antennas, params.m_active
-    t = (split.p_ja / m) * params.var_jea * np.asarray(x, dtype=float) / (split.p_a * params.var_aea)
-    return _maybe_float(-np.expm1(-(m + n - 2) * np.log1p(t)))
+    return _cdf("active_multi", x, params, split)
 
 
 def cdf_snr_passive_multi(x, params: SystemParams, split: PowerSplit):
     """CDF of one passive eavesdropper's SNR with M active beams present."""
-    n, m = params.n_antennas, params.m_active
-    x = np.asarray(x, dtype=float)
-    scale = split.p_a * params.var_aek
-    t1 = split.p_ja * x * params.var_jek / (m * scale)
-    t2 = split.p_jp * x * params.var_jek / ((n - m - 1) * scale)
-    return _maybe_float(-np.expm1(-m * np.log1p(t1) - (n - m - 1) * np.log1p(t2)))
+    return _cdf("passive_multi", x, params, split)
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +276,12 @@ def transmission_outage_for_mode(params: SystemParams, p_a: float, mode: str) ->
 
 def sop_active(params: SystemParams, split: PowerSplit, r_s: float):
     """Secrecy outage at the single active eavesdropper, perfect estimates."""
-    n = params.n_antennas
-    ta = split.theta * alpha_ratio(params, split.p_a, r_s)
-    return _maybe_float(np.exp((1.0 - n) * np.log1p(ta)))
+    return _sop("active", params, split, r_s)
 
 
 def sop_passive(params: SystemParams, split: PowerSplit, r_s: float):
     """Secrecy outage of the best of K passive eavesdroppers."""
-    n, k = params.n_antennas, params.k_passive
-    b = beta_ratio(params, split.p_a, r_s)
-    theta = split.theta
-    with np.errstate(divide="ignore"):
-        log_keep = -np.log1p(b * theta) - (n - 2) * np.log1p(b * (1.0 - theta) / (n - 2))
-        g = np.exp(log_keep)
-        return _maybe_float(-np.expm1(k * np.log1p(-np.minimum(g, 1.0))))
+    return _sop("passive", params, split, r_s)
 
 
 def sop_active_imperfect(params: SystemParams, split: PowerSplit, r_s: float):
@@ -239,37 +289,33 @@ def sop_active_imperfect(params: SystemParams, split: PowerSplit, r_s: float):
 
     Reduces exactly to :func:`sop_active` at rho_ea = 1.
     """
-    n = params.n_antennas
-    a = alpha_ratio(params, split.p_a, r_s)
-    rho_bar = 1.0 - params.rho_ea ** 2
-    theta = split.theta
-    log_p = ((n - 2) * np.log1p(theta * rho_bar * a)
-             - (n - 1) * np.log1p(theta * a)
-             - (n - 2) * np.log1p((1.0 - theta) * rho_bar * a / (n - 2)))
-    return _maybe_float(np.exp(log_p))
+    return _sop("active_imperfect", params, split, r_s)
 
 
 def sop_active_multi(params: SystemParams, split: PowerSplit, r_s: float):
     """Secrecy outage of the best of M active eavesdroppers (selection combining)."""
-    n, m = params.n_antennas, params.m_active
-    x = rate_gap_threshold(params.r_b, r_s)
-    t = (split.p_ja / m) * params.var_jea * np.asarray(x, dtype=float) / (split.p_a * params.var_aea)
-    with np.errstate(divide="ignore"):
-        sf_one = np.exp(-(m + n - 2) * np.log1p(t))  # 1 - F for one eavesdropper
-        # 1 - F^M = 1 - (1 - sf)^M
-        return _maybe_float(-np.expm1(m * np.log1p(-np.minimum(sf_one, 1.0))))
+    return _sop("active_multi", params, split, r_s)
 
 
 def sop_passive_multi(params: SystemParams, split: PowerSplit, r_s: float):
     """Secrecy outage of the best of K passive eavesdroppers with M active beams."""
-    n, m, k = params.n_antennas, params.m_active, params.k_passive
-    x = rate_gap_threshold(params.r_b, r_s)
-    scale = split.p_a * params.var_aek
-    t1 = split.p_ja * np.asarray(x, dtype=float) * params.var_jek / (m * scale)
-    t2 = split.p_jp * np.asarray(x, dtype=float) * params.var_jek / ((n - m - 1) * scale)
-    with np.errstate(divide="ignore"):
-        sf_one = np.exp(-m * np.log1p(t1) - (n - m - 1) * np.log1p(t2))
-        return _maybe_float(-np.expm1(k * np.log1p(-np.minimum(sf_one, 1.0))))
+    return _sop("passive_multi", params, split, r_s)
+
+
+# Scenario families -> SOP kinds of their (active, passive) constraints. The
+# single family reads rho_ea; perfect CSI is its rho_ea = 1 case, where the
+# 'active_imperfect' kernel reduces bit for bit to 'active', whose name the
+# case keeps.
+FAMILIES = {"single": ("active_imperfect", "passive"),
+            "multi": ("active_multi", "passive_multi")}
+
+
+def scenario_kinds(params: SystemParams, family: str | None = None) -> tuple[str, str]:
+    """(active, passive) SOP kinds of ``family``, by default the scenario's own."""
+    active, passive = FAMILIES[family or ("multi" if params.m_active > 1 else "single")]
+    if active == "active_imperfect" and params.rho_ea == 1.0:
+        active = "active"
+    return active, passive
 
 
 @dataclass(frozen=True)
@@ -285,15 +331,7 @@ def outage_metrics(params: SystemParams, split: PowerSplit, r_s: float) -> Outag
         p_to = transmission_outage_an_leakage(params, split.p_a)
     else:
         p_to = transmission_outage(params, split.p_a)
-    if params.m_active > 1:
-        p1 = float(sop_active_multi(params, split, r_s))
-        p2 = float(sop_passive_multi(params, split, r_s))
-    else:
-        if params.rho_ea < 1.0:
-            p1 = float(sop_active_imperfect(params, split, r_s))
-        else:
-            p1 = float(sop_active(params, split, r_s))
-        p2 = float(sop_passive(params, split, r_s))
+    p1, p2 = (float(_sop(kind, params, split, r_s)) for kind in scenario_kinds(params))
     return OutageMetrics(p_to=p_to, p_so1=p1, p_so2=p2)
 
 
@@ -405,13 +443,12 @@ def sop_passive_dtheta(params: SystemParams, split: PowerSplit, r_s: float) -> f
     if b == 0.0:
         return 0.0
     theta = split.theta
-    log_keep = -np.log1p(b * theta) - (n - 2) * np.log1p(b * (1.0 - theta) / (n - 2))
-    g = np.exp(log_keep)
-    outer = k * np.exp((k - 1) * np.log1p(-min(float(g), 1.0))) if k > 1 else 1.0
-    ratio = (b / (1.0 + b * theta)) ** 2
-    inner = np.exp((1.0 - n) * np.log1p(b * (1.0 - theta) / (n - 2)))
-    slope = ((n - 1) * theta - 1.0) / (n - 2)
-    return float(outer * ratio * inner * slope)
+    g = float(np.exp(_log_sf_passive(theta, 1.0 - theta, b, n, 1)))
+    # SOP = 1 - (1-G)^K moves by K (1-G)^(K-1) G d(log G)/d(theta)
+    outer = k * np.exp((k - 1) * np.log1p(-min(g, 1.0))) if k > 1 else 1.0
+    dlog_g = (b * b * ((n - 1) * theta - 1.0)
+              / ((n - 2) * (1.0 + b * theta) * (1.0 + b * (1.0 - theta) / (n - 2))))
+    return float(outer * g * dlog_g)
 
 
 def sop_active_imperfect_drho(params: SystemParams, split: PowerSplit, r_s: float) -> float:
@@ -444,38 +481,9 @@ def sop_grid(params: SystemParams, p_a: float, rs_grid: np.ndarray,
              theta_grid: np.ndarray, which: str) -> np.ndarray:
     """Matrix of a SOP over (rate grid) x (theta grid); rows follow rs_grid.
 
-    ``which`` is one of 'active', 'active_imperfect', 'active_multi',
-    'passive', 'passive_multi'. Shares the scalar formulas' structure and
-    log-space evaluation.
+    ``which`` is one of the SOP kinds of :func:`sop_theta_curve`.
     """
-    n, m, k = params.n_antennas, params.m_active, params.k_passive
-    rs = np.asarray(rs_grid, dtype=float)[:, None]
-    th = np.asarray(theta_grid, dtype=float)[None, :]
-    x = np.expm1(_LN2 * (params.r_b - rs))
-    residual_ratio = params.p_max / p_a - 1.0
-    if which == "active":
-        av = residual_ratio * params.var_jea * x / params.var_aea
-        return np.exp((1.0 - n) * np.log1p(th * av))
-    if which == "active_imperfect":
-        av = residual_ratio * params.var_jea * x / params.var_aea
-        rho_bar = 1.0 - params.rho_ea ** 2
-        return np.exp((n - 2) * np.log1p(th * rho_bar * av)
-                      - (n - 1) * np.log1p(th * av)
-                      - (n - 2) * np.log1p((1.0 - th) * rho_bar * av / (n - 2)))
-    if which == "active_multi":
-        av = residual_ratio * params.var_jea * x / params.var_aea
-        with np.errstate(divide="ignore"):
-            sf = np.exp((2.0 - m - n) * np.log1p(th * av / m))
-            return -np.expm1(m * np.log1p(-np.minimum(sf, 1.0)))
-    if which == "passive":
-        bv = residual_ratio * params.var_jek * x / params.var_aek
-        with np.errstate(divide="ignore"):
-            g = np.exp(-np.log1p(bv * th) - (n - 2) * np.log1p(bv * (1.0 - th) / (n - 2)))
-            return -np.expm1(k * np.log1p(-np.minimum(g, 1.0)))
-    if which == "passive_multi":
-        bv = residual_ratio * params.var_jek * x / params.var_aek
-        with np.errstate(divide="ignore"):
-            g = np.exp(-m * np.log1p(bv * th / m)
-                       - (n - m - 1) * np.log1p(bv * (1.0 - th) / (n - m - 1)))
-            return -np.expm1(k * np.log1p(-np.minimum(g, 1.0)))
-    raise ValueError(f"unknown grid kind {which!r}")
+    if which not in _KINDS:
+        raise ValueError(f"unknown grid kind {which!r}")
+    curve = sop_theta_curve(which, params, p_a, np.asarray(rs_grid, dtype=float)[:, None])
+    return curve(np.asarray(theta_grid, dtype=float)[None, :])

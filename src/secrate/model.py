@@ -5,7 +5,9 @@ dB values appear only at the config boundary.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
+from numbers import Integral
 
 from .errors import AntennaCountTooSmall, NonPositive, RangeError
 
@@ -67,6 +69,10 @@ def validate(params: SystemParams) -> SystemParams:
 
     Raises AntennaCountTooSmall, NonPositive, or RangeError otherwise.
     """
+    for name in ("n_antennas", "k_passive", "m_active"):
+        value = getattr(params, name)
+        if not isinstance(value, Integral):
+            raise RangeError(f"{name} must be an integer, got {value!r}")
     n, m, k = params.n_antennas, params.m_active, params.k_passive
     if m < 1:
         raise RangeError(f"m_active must be >= 1, got {m}")
@@ -83,6 +89,8 @@ def validate(params: SystemParams) -> SystemParams:
         value = getattr(params, name)
         if not value > 0.0:
             raise NonPositive(f"{name} must be strictly positive, got {value}")
+        if not math.isfinite(value):
+            raise RangeError(f"{name} must be finite, got {value}")
     for name in ("delta", "epsilon"):
         value = getattr(params, name)
         if not 0.0 < value < 1.0:
@@ -105,7 +113,3 @@ def make_split(params: SystemParams, p_a: float, theta: float) -> PowerSplit:
     residual = params.p_max - p_a
     return PowerSplit(p_a=p_a, theta=theta, p_ja=theta * residual, p_jp=(1.0 - theta) * residual)
 
-
-def with_overrides(params: SystemParams, **fields) -> SystemParams:
-    """Return a copy of ``params`` with the given fields replaced (revalidated)."""
-    return validate(replace(params, **fields))

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
+from . import closedform as cf
 from .closedform import (
-    cdf_snr_active, cdf_snr_active_imperfect, cdf_snr_active_multi, cdf_snr_bob,
-    cdf_snr_passive, cdf_snr_passive_multi, outage_metrics, rate_gap_threshold,
-    transmission_outage, transmission_outage_an_leakage,
+    cdf_snr_bob, outage_metrics, rate_gap_threshold, transmission_outage,
+    transmission_outage_an_leakage,
 )
 from .errors import DegenerateDistributionWarning, RangeError
 from .model import PowerSplit, SystemParams
@@ -422,7 +422,6 @@ def verification_rows(params: SystemParams, split: PowerSplit, r_s: float, trial
     The ``corrupt`` hook perturbs one named closed form so detector failure
     paths can be exercised.
     """
-    m = params.m_active
     samples = snr_samples(params, split, trials, seed)
     rows: list[dict] = []
 
@@ -448,22 +447,12 @@ def verification_rows(params: SystemParams, split: PowerSplit, r_s: float, trial
                      "estimate": est.p_hat, "std_err": se, "z_score": z,
                      "ks_stat": float("nan"), "threshold": Z_THRESHOLD, "passed": passed})
 
+    kinds = cf.scenario_kinds(params)
     if params.rho_b == 1.0:
         cdf_row("cdf_snr_bob", samples["bob"], lambda x: cdf_snr_bob(x, params, split.p_a))
-    if m == 1:
-        if params.rho_ea == 1.0:
-            cdf_row("cdf_snr_active", samples["active"][:, 0],
-                    lambda x: cdf_snr_active(x, params, split))
-        else:
-            cdf_row("cdf_snr_active_imperfect", samples["active"][:, 0],
-                    lambda x: cdf_snr_active_imperfect(x, params, split))
-        cdf_row("cdf_snr_passive", samples["passive"][:, 0],
-                lambda x: cdf_snr_passive(x, params, split))
-    else:
-        cdf_row("cdf_snr_active_multi", samples["active"][:, 0],
-                lambda x: cdf_snr_active_multi(x, params, split))
-        cdf_row("cdf_snr_passive_multi", samples["passive"][:, 0],
-                lambda x: cdf_snr_passive_multi(x, params, split))
+    for kind, data in zip(kinds, (samples["active"][:, 0], samples["passive"][:, 0])):
+        cdf = getattr(cf, f"cdf_snr_{kind}")
+        cdf_row(f"cdf_snr_{kind}", data, lambda x, cdf=cdf: cdf(x, params, split))
 
     estimates = estimate_outages(params, split, r_s, trials, seed)
     metrics = outage_metrics(params, split, r_s)
@@ -473,9 +462,6 @@ def verification_rows(params: SystemParams, split: PowerSplit, r_s: float, trial
     else:
         point_row("transmission_outage_an_leakage", "bound",
                   transmission_outage_an_leakage(params, split.p_a), estimates["p_to"])
-    active_name = ("sop_active_multi" if m > 1 else
-                   "sop_active_imperfect" if params.rho_ea < 1.0 else "sop_active")
-    point_row(active_name, "outage", metrics.p_so1, estimates["p_so1"])
-    passive_name = "sop_passive_multi" if m > 1 else "sop_passive"
-    point_row(passive_name, "outage", metrics.p_so2, estimates["p_so2"])
+    point_row(f"sop_{kinds[0]}", "outage", metrics.p_so1, estimates["p_so1"])
+    point_row(f"sop_{kinds[1]}", "outage", metrics.p_so2, estimates["p_so2"])
     return rows

@@ -15,17 +15,19 @@ logic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import closedform as cf
 from .errors import AlphaZero, RangeError
-from .model import SystemParams, make_split
+from .model import SystemParams
 
 ALGORITHMS = ("perfect", "imperfect", "multi")
 _ALGORITHM_ALIASES = {"alg1": "perfect", "alg2": "imperfect", "perfect": "perfect",
                       "imperfect": "imperfect", "multi": "multi"}
+# algorithm -> the scenario family it reads; 'perfect' reads rho_ea as 1
+_FAMILY = {"perfect": "single", "imperfect": "single", "multi": "multi"}
 
 _BISECT_TOL = 1e-13
 
@@ -37,10 +39,17 @@ def resolve_algorithm(name: str) -> str:
         raise RangeError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}") from None
 
 
+def _kinds(params: SystemParams, algorithm: str) -> tuple[str, str]:
+    """(active, passive) SOP kinds that ``algorithm`` reads the scenario with."""
+    if algorithm == "perfect":
+        params = replace(params, rho_ea=1.0)
+    return cf.scenario_kinds(params, _FAMILY[algorithm])
+
+
 def default_algorithm(params: SystemParams) -> str:
-    if params.m_active > 1:
-        return "multi"
-    return "imperfect" if params.rho_ea < 1.0 else "perfect"
+    """The first algorithm that reads the scenario's own SOP kinds."""
+    own = cf.scenario_kinds(params)
+    return next(a for a in ALGORITHMS if _kinds(params, a) == own)
 
 
 @dataclass(frozen=True)
@@ -105,25 +114,41 @@ def theta_floor_active(params: SystemParams, p_a: float, r_s: float) -> float:
     return float(np.expm1(np.log(params.epsilon) / (1.0 - n)) / alpha)
 
 
+def _floor_interval(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
+    """[floor, 1] for the perfect-estimate active SOP (empty above 1)."""
+    try:
+        floor = theta_floor_active(params, p_a, r_s)
+    except AlphaZero:
+        return ThetaInterval.nothing()
+    return ThetaInterval.nothing() if floor > 1.0 else ThetaInterval(lo=max(0.0, floor), hi=1.0)
+
+
+def _crossings(kind: str, params: SystemParams, p_a: float, r_s: float,
+               minimizer: float) -> ThetaInterval:
+    """AN ratios where the SOP of ``kind`` is at most epsilon.
+
+    The SOP is unimodal in theta with its minimum at ``minimizer`` (1.0 for
+    one that decreases throughout), so the admissible set is the interval
+    between the epsilon crossings on either side of it, each bisected on a
+    theta-curve whose alpha/beta is fixed; empty when even the minimum
+    exceeds epsilon.
+    """
+    eps = params.epsilon
+    sop = cf.sop_theta_curve(kind, params, p_a, r_s)
+    if sop(minimizer) > eps:
+        return ThetaInterval.nothing()
+    lo = 0.0 if sop(0.0) <= eps else _bisect(sop, 0.0, minimizer, eps)
+    hi = 1.0 if sop(1.0) <= eps else _bisect(sop, minimizer, 1.0, eps)
+    return ThetaInterval(lo=lo, hi=hi)
+
+
 def theta_interval_passive(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
     """AN ratios meeting the passive-eavesdropper secrecy target.
 
     The passive SOP is unimodal in theta (log-convex per eavesdropper) with
-    its minimum at 1/(N-1); it is convex only where SOP <= 1-(1-1/K)^K. The
-    admissible set is the (possibly clipped) interval between the two
-    crossings of epsilon, empty when even the minimum exceeds epsilon.
+    its minimum at 1/(N-1); it is convex only where SOP <= 1-(1-1/K)^K.
     """
-    eps = params.epsilon
-    theta_min = 1.0 / (params.n_antennas - 1)
-
-    def p2(theta: float) -> float:
-        return float(cf.sop_passive(params, make_split(params, p_a, theta), r_s))
-
-    if p2(theta_min) > eps:
-        return ThetaInterval.nothing()
-    lo = 0.0 if p2(0.0) <= eps else _bisect(p2, 0.0, theta_min, eps)
-    hi = 1.0 if p2(1.0) <= eps else _bisect(p2, theta_min, 1.0, eps)
-    return ThetaInterval(lo=lo, hi=hi)
+    return _crossings("passive", params, p_a, r_s, _theta_reference(params, "passive"))
 
 
 def theta_interval_active_imperfect(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
@@ -133,114 +158,88 @@ def theta_interval_active_imperfect(params: SystemParams, p_a: float, r_s: float
     down to the quadratic's positive root and increases beyond it, so the
     admissible set is an interval around that root (clipped to [0,1]).
     """
-    eps = params.epsilon
-    alpha = float(cf.alpha_ratio(params, p_a, r_s))
-    if alpha == 0.0:
-        return ThetaInterval.nothing()
-
     if params.rho_ea == 1.0:
-        floor = theta_floor_active(params, p_a, r_s)
-        if floor > 1.0:
-            return ThetaInterval.nothing()
-        return ThetaInterval(lo=max(0.0, floor), hi=1.0)
-
-    def p1(theta: float) -> float:
-        return float(cf.sop_active_imperfect(params, make_split(params, p_a, theta), r_s))
-
+        return _floor_interval(params, p_a, r_s)
+    if float(cf.alpha_ratio(params, p_a, r_s)) == 0.0:
+        return ThetaInterval.nothing()
     if params.rho_ea == 0.0:
-        theta_pos = 1.0 / (params.n_antennas - 1)  # quadratic root is exact here
+        root = 1.0 / (params.n_antennas - 1)  # quadratic root is exact here
     else:
-        theta_pos = cf.active_sop_theta_profile(params, p_a, r_s).theta_pos
-
-    if theta_pos > 1.0:  # SOP strictly decreasing on [0,1]
-        if p1(1.0) > eps:
-            return ThetaInterval.nothing()
-        lo = 0.0 if p1(0.0) <= eps else _bisect(p1, 0.0, 1.0, eps)
-        return ThetaInterval(lo=lo, hi=1.0)
-
-    if p1(theta_pos) > eps:
-        return ThetaInterval.nothing()
-    lo = 0.0 if p1(0.0) <= eps else _bisect(p1, 0.0, theta_pos, eps)
-    hi = 1.0 if p1(1.0) <= eps else _bisect(p1, theta_pos, 1.0, eps)
-    return ThetaInterval(lo=lo, hi=hi)
-
-
-def _interval_from_shape(f, eps: float, minimizer: float) -> ThetaInterval:
-    """Admissible set of a function on [0,1] whose minimum sits at ``minimizer``.
-
-    Brackets the epsilon crossings on a coarse grid (with the minimizer
-    inserted), then bisects each boundary; used where no closed-form inverse
-    exists.
-    """
-    grid = np.unique(np.append(np.linspace(0.0, 1.0, 65), minimizer))
-    ok = np.array([f(t) for t in grid]) <= eps
-    if not ok.any():
-        return ThetaInterval.nothing()
-    first, last = int(np.argmax(ok)), int(len(ok) - 1 - np.argmax(ok[::-1]))
-    lo = grid[first]
-    if first > 0:
-        lo = _bisect(f, grid[first - 1], grid[first], eps)
-    hi = grid[last]
-    if last < len(grid) - 1:
-        hi = _bisect(f, grid[last], grid[last + 1], eps)
-    return ThetaInterval(lo=float(lo), hi=float(hi))
+        root = cf.active_sop_theta_profile(params, p_a, r_s).theta_pos
+    return _crossings("active_imperfect", params, p_a, r_s, min(root, 1.0))
 
 
 def theta_interval_active_multi(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
     """Admissible AN ratios for the best-of-M active eavesdroppers constraint
     (their SOP decreases with theta)."""
-    def p1(theta: float) -> float:
-        return float(cf.sop_active_multi(params, make_split(params, p_a, theta), r_s))
-    return _interval_from_shape(p1, params.epsilon, minimizer=1.0)
+    return _crossings("active_multi", params, p_a, r_s, 1.0)
 
 
 def theta_interval_passive_multi(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
     """Admissible AN ratios for the passive constraint with M active beams
     (unimodal, log-convex per eavesdropper, minimum at M/(N-1); convex where
     SOP <= 1-(1-1/K)^K)."""
-    center = params.m_active / (params.n_antennas - 1)
+    return _crossings("passive_multi", params, p_a, r_s, _theta_reference(params, "passive_multi"))
 
-    def p2(theta: float) -> float:
-        return float(cf.sop_passive_multi(params, make_split(params, p_a, theta), r_s))
-    return _interval_from_shape(p2, params.epsilon, minimizer=center)
+
+def _theta_reference(params: SystemParams, passive_kind: str) -> float:
+    """The passive SOP's minimizer M/(N-1), M the beams its kernel counts."""
+    beams = params.m_active if passive_kind == "passive_multi" else 1
+    return beams / (params.n_antennas - 1)
+
+
+def _floor_trace(params: SystemParams, p_a: float, r_s: float) -> dict:
+    try:
+        return {"theta_floor": theta_floor_active(params, p_a, r_s)}
+    except AlphaZero:
+        return {}
+
+
+def _profile_trace(params: SystemParams, p_a: float, r_s: float) -> dict:
+    if params.rho_ea == 0.0:
+        return {}
+    profile = cf.active_sop_theta_profile(params, p_a, r_s)
+    return {"theta_pos": profile.theta_pos, "decreasing_on_unit": profile.decreasing_on_unit}
+
+
+# SOP kind -> (theta-interval solver, trace entries at the optimum). The
+# solvers are looked up when called, so a replaced module attribute is used.
+_SOLVERS = {
+    "active": (lambda *a: _floor_interval(*a), _floor_trace),
+    "active_imperfect": (lambda *a: theta_interval_active_imperfect(*a), _profile_trace),
+    "active_multi": (lambda *a: theta_interval_active_multi(*a), None),
+    "passive": (lambda *a: theta_interval_passive(*a), None),
+    "passive_multi": (lambda *a: theta_interval_passive_multi(*a), None),
+}
+
+
+def theta_interval(kind: str, params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
+    """AN ratios meeting the secrecy target of one SOP kind."""
+    return _SOLVERS[kind][0](params, p_a, r_s)
 
 
 # ---------------------------------------------------------------------------
 # Rate maximization
 # ---------------------------------------------------------------------------
 
-def _feasible_interval(params: SystemParams, p_a: float, r_s: float, algorithm: str) -> ThetaInterval:
-    if algorithm == "perfect":
-        try:
-            floor = theta_floor_active(params, p_a, r_s)
-        except AlphaZero:
-            return ThetaInterval.nothing()
-        if floor > 1.0:
-            return ThetaInterval.nothing()
-        active = ThetaInterval(lo=max(0.0, floor), hi=1.0)
-        return active.intersect(theta_interval_passive(params, p_a, r_s))
-    if algorithm == "imperfect":
-        active = theta_interval_active_imperfect(params, p_a, r_s)
-        return active.intersect(theta_interval_passive(params, p_a, r_s))
-    active = theta_interval_active_multi(params, p_a, r_s)
-    return active.intersect(theta_interval_passive_multi(params, p_a, r_s))
-
-
-def _theta_reference(params: SystemParams, algorithm: str) -> float:
-    if algorithm == "multi":
-        return params.m_active / (params.n_antennas - 1)
-    return 1.0 / (params.n_antennas - 1)
+def _feasible_interval(params: SystemParams, p_a: float, r_s: float,
+                       kinds: tuple[str, str]) -> ThetaInterval:
+    active = theta_interval(kinds[0], params, p_a, r_s)
+    if active.empty:
+        return active
+    return active.intersect(theta_interval(kinds[1], params, p_a, r_s))
 
 
 def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str) -> OptResult:
-    if step <= 0.0:
-        raise RangeError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise RangeError(f"step must be positive and finite, got {step}")
     mode = cf.resolve_pa_mode(params, pa_mode)
     p_req = cf.min_pa(params, mode)
     if p_req > params.p_max:
         return OptResult(feasible=False, r_s_star=0.0, theta_star=math.nan,
                          p_a_star=p_req, steps=0, infeasibility_reason="PA_EXCEEDS_PMAX",
                          trace={"pa_mode": mode, "algorithm": algorithm})
+    kinds = _kinds(params, algorithm)
     best = None
     steps = 0
     i = 0
@@ -249,7 +248,7 @@ def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str) -
         if r_s >= params.r_b - 1e-12:
             break
         steps += 1
-        interval = _feasible_interval(params, p_req, r_s, algorithm)
+        interval = _feasible_interval(params, p_req, r_s, kinds)
         if interval.empty:
             break
         best = (r_s, interval)
@@ -261,19 +260,13 @@ def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str) -
                          p_a_star=p_req, steps=steps,
                          infeasibility_reason="NO_THETA_AT_RS0", trace=trace)
     r_star, interval = best
-    reference = _theta_reference(params, algorithm)
+    reference = _theta_reference(params, kinds[1])
     theta_star = interval.clip(reference)
     trace["theta_interval"] = (interval.lo, interval.hi)
     trace["theta_reference"] = reference
-    if algorithm == "perfect":
-        try:
-            trace["theta_floor"] = theta_floor_active(params, p_req, r_star)
-        except AlphaZero:
-            pass
-    if algorithm == "imperfect" and 0.0 < params.rho_ea < 1.0:
-        profile = cf.active_sop_theta_profile(params, p_req, r_star)
-        trace["theta_pos"] = profile.theta_pos
-        trace["decreasing_on_unit"] = profile.decreasing_on_unit
+    active_trace = _SOLVERS[kinds[0]][1]
+    if active_trace is not None:
+        trace.update(active_trace(params, p_req, r_star))
     return OptResult(feasible=True, r_s_star=r_star, theta_star=theta_star,
                      p_a_star=p_req, steps=steps, infeasibility_reason="NONE", trace=trace)
 
@@ -308,18 +301,6 @@ def maximize_for(params: SystemParams, algorithm: str | None = None, step: float
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _sop_pair_grids(params: SystemParams, p_a: float, rs_grid: np.ndarray,
-                    theta_grid: np.ndarray, algorithm: str) -> tuple[np.ndarray, np.ndarray]:
-    if algorithm == "perfect":
-        return (cf.sop_grid(params, p_a, rs_grid, theta_grid, "active"),
-                cf.sop_grid(params, p_a, rs_grid, theta_grid, "passive"))
-    if algorithm == "imperfect":
-        return (cf.sop_grid(params, p_a, rs_grid, theta_grid, "active_imperfect"),
-                cf.sop_grid(params, p_a, rs_grid, theta_grid, "passive"))
-    return (cf.sop_grid(params, p_a, rs_grid, theta_grid, "active_multi"),
-            cf.sop_grid(params, p_a, rs_grid, theta_grid, "passive_multi"))
-
-
 def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
                        theta_grid_points: int = 1000, algorithm: str | None = None,
                        pa_mode: str = "auto") -> OptResult:
@@ -340,7 +321,8 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
                          trace={"oracle": True, "pa_mode": mode})
     rs_grid = np.linspace(0.0, params.r_b, rs_grid_points, endpoint=False)
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)
-    p1, p2 = _sop_pair_grids(params, p_req, rs_grid, theta_grid, algorithm)
+    kinds = _kinds(params, algorithm)
+    p1, p2 = (cf.sop_grid(params, p_req, rs_grid, theta_grid, kind) for kind in kinds)
     feasible = (p1 <= params.epsilon) & (p2 <= params.epsilon)
     any_theta = feasible.any(axis=1)
     trace = {"oracle": True, "pa_mode": mode, "algorithm": algorithm}
@@ -350,7 +332,7 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
                          infeasibility_reason="NO_THETA_AT_RS0", trace=trace)
     row = int(np.max(np.nonzero(any_theta)[0]))
     mask = feasible[row]
-    reference = _theta_reference(params, algorithm)
+    reference = _theta_reference(params, kinds[1])
     candidates = theta_grid[mask]
     theta_star = float(candidates[np.argmin(np.abs(candidates - reference))])
     return OptResult(feasible=True, r_s_star=float(rs_grid[row]), theta_star=theta_star,
@@ -365,6 +347,6 @@ def feasible_any_theta(params: SystemParams, p_a: float, r_s: float,
         return False
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)
     rs_grid = np.array([r_s])
-    p1, p2 = _sop_pair_grids(params, p_a, rs_grid, theta_grid,
-                             resolve_algorithm(algorithm))
+    kinds = _kinds(params, resolve_algorithm(algorithm))
+    p1, p2 = (cf.sop_grid(params, p_a, rs_grid, theta_grid, kind) for kind in kinds)
     return bool(((p1 <= params.epsilon) & (p2 <= params.epsilon)).any())

@@ -198,3 +198,58 @@ def test_shipped_figure_configs_parse():
         assert "axis" in cfg and "values" in cfg
         values = cli._parse_values(cfg["values"], "values")
         assert values == sorted(values)
+
+
+def _eval_row(tmp_path, capsys, text):
+    code, out, _ = _run(["eval", "--config", _write(tmp_path, text)], capsys)
+    assert code == 0
+    header, row = out.strip().split("\n")
+    return dict(zip(header.split(","), row.split(",")))
+
+
+def _assert_interval(values, prefix, interval):
+    for end in ("lo", "hi"):
+        if interval.empty:
+            assert values[f"{prefix}_{end}"] == "nan"
+        else:
+            assert float(values[f"{prefix}_{end}"]) == pytest.approx(
+                getattr(interval, end), rel=1e-11, abs=1e-300)
+
+
+@pytest.mark.parametrize("extra,kinds", [
+    ("m_active=2\n", ("active_multi", "passive_multi")),
+    ("rho_ea=0.6\n", ("active_imperfect", "passive")),
+])
+def test_eval_row_matches_library_per_family(tmp_path, capsys, extra, kinds):
+    # p_a=2000, r_s=7 puts interior endpoints into both intervals of both rows
+    text = BASE_CFG.replace("m_active=1\n", "") + extra + "p_a=2000\ntheta=0.3\nr_s=7\n"
+    values = _eval_row(tmp_path, capsys, text)
+    params = cli.build_params(cli.parse_config(text))
+    import secrate.closedform as cf
+    from secrate.model import make_split
+    split = make_split(params, 2000.0, 0.3)
+    active, passive = kinds
+    assert float(values["p_so1"]) == pytest.approx(
+        float(getattr(cf, f"sop_{active}")(params, split, 7.0)), rel=1e-11)
+    assert float(values["p_so2"]) == pytest.approx(
+        float(getattr(cf, f"sop_{passive}")(params, split, 7.0)), rel=1e-11)
+    active_iv = getattr(opt, f"theta_interval_{active}")(params, 2000.0, 7.0)
+    passive_iv = getattr(opt, f"theta_interval_{passive}")(params, 2000.0, 7.0)
+    assert 0.0 < active_iv.lo < active_iv.hi and 0.0 < passive_iv.hi < 1.0
+    _assert_interval(values, "active", active_iv)
+    _assert_interval(values, "passive", passive_iv)
+    assert values["theta_floor_active"] == "nan"
+    if params.m_active > 1:
+        assert values["dsop_active_dtheta"] == values["dsop_passive_dtheta"] == "nan"
+    else:
+        assert float(values["dsop_active_dtheta"]) == pytest.approx(
+            cf.sop_active_dtheta(params, split, 7.0), rel=1e-11)
+        assert float(values["dsop_passive_dtheta"]) == pytest.approx(
+            cf.sop_passive_dtheta(params, split, 7.0), rel=1e-11)
+
+
+def test_optimize_nan_step_exits_2(tmp_path, capsys):
+    code, out, err = _run(["optimize", "--config", _write(tmp_path, BASE_CFG),
+                           "--step", "nan"], capsys)
+    assert code == 2 and out == ""
+    assert "step" in err

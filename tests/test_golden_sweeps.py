@@ -1,0 +1,55 @@
+"""The shipped sweep configs reproduce the benchmark's reference CSVs.
+
+Every third row of each config in ``configs/`` runs as a one-row sweep and
+must print the reference row of ``perfbench/reference/sweep`` in every column
+but ``steps`` (a work counter whose meaning may change).
+"""
+from pathlib import Path
+
+import pytest
+
+import secrate.cli as cli
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
+STRIDE = 3
+
+
+def _one_row_configs(cfg: dict) -> list[dict]:
+    """One single-row config per (overlay value, axis value), in sweep order."""
+    values = cli._parse_values(cfg["values"], "values")
+    overlay_key, overlay_values = "", [None]
+    if "overlay" in cfg:
+        name, _, tail = cfg["overlay"].partition(":")
+        overlay_key, overlay_values = name.strip(), cli._parse_values(tail, "overlay")
+    rows = []
+    for overlay_value in overlay_values:
+        for value in values:
+            row = dict(cfg, values=repr(value))
+            if overlay_key:
+                row["overlay"] = f"{overlay_key}:{overlay_value!r}"
+            rows.append(row)
+    return rows
+
+
+def test_shipped_configs_have_references():
+    assert len(CONFIGS) == 7
+    for path in CONFIGS:
+        assert (ROOT / "perfbench" / "reference" / "sweep" / f"{path.stem}.csv").is_file()
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_sweep_rows_match_reference(path):
+    lines = (ROOT / "perfbench" / "reference" / "sweep" / f"{path.stem}.csv").read_text(
+        encoding="utf-8").splitlines()
+    header, reference = lines[0], lines[1:]
+    rows = _one_row_configs(cli.load_config(str(path)))
+    assert len(rows) == len(reference)
+    steps = header.split(",").index("steps")
+    for index in range(0, len(rows), STRIDE):
+        code, text = cli.cmd_sweep(rows[index], None, "auto")
+        got_header, got = text.splitlines()
+        assert code == 0 and got_header == header
+        got_fields, want_fields = got.split(","), reference[index].split(",")
+        del got_fields[steps], want_fields[steps]
+        assert got_fields == want_fields, f"{path.stem} row {index}"

@@ -61,6 +61,8 @@ def test_validate_rejects_nonpositive(field):
 @pytest.mark.parametrize("field,value", [
     ("delta", 0.0), ("delta", 1.0), ("epsilon", 0.0), ("epsilon", 1.0),
     ("rho_b", -0.1), ("rho_b", 1.1), ("rho_ea", 1.0001),
+    ("p_max", float("inf")), ("var_jek", float("inf")), ("r_b", float("inf")),
+    ("n_antennas", 6.5), ("k_passive", 2.5), ("m_active", 1.5),
 ])
 def test_validate_rejects_out_of_range(field, value):
     with pytest.raises(RangeError):

@@ -328,6 +328,12 @@ def test_theta_star_tracks_active_minimizer_when_passive_slack():
     assert abs(result.r_s_star - oracle.r_s_star) <= 0.0005 + 0.01 + 1e-12
 
 
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1.0])
+def test_maximize_rejects_bad_step(baseline_params, step):
+    with pytest.raises(RangeError, match="step"):
+        opt.maximize_for(baseline_params, step=step, pa_mode="noise_limited")
+
+
 def test_oracle_requires_minimum_grid():
     rng = np.random.default_rng(53)
     params = random_params(rng)
