@@ -23,7 +23,7 @@ from .errors import (
 )
 from .model import PowerSplit, SystemParams, db_to_linear, make_split, validate
 from .montecarlo import (
-    ChannelDraw, McEstimate, estimate_outages, ks_statistic, sample_channels,
+    McEstimate, estimate_outages, ks_statistic, sample_channels,
     snr_active, snr_bob, snr_passive, snr_samples, verification_rows,
 )
 from .optimizer import (

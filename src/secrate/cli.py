@@ -112,6 +112,8 @@ def _operating_point(params: SystemParams, cfg: dict, pa_mode: str):
         raise AlphaZero(f"required Alice power {p_a:.6g} exceeds p_max={params.p_max:.6g}")
     theta = cfg.get("theta", params.m_active / (params.n_antennas - 1))
     r_s = cfg.get("r_s", params.r_b / 2.0)
+    if not 0.0 <= r_s <= params.r_b:
+        raise ConfigError(f"r_s must lie in [0, r_b={params.r_b:.6g}], got {r_s!r}")
     return p_a, theta, r_s
 
 
@@ -187,6 +189,8 @@ def _apply_field(cfg: dict, key: str, value: float) -> None:
     if key.endswith("_db"):
         cfg[base] = float(db_to_linear(value))
     elif base in _INT_KEYS:
+        if not float(value).is_integer():
+            raise ConfigError(f"{key!r} needs integer values, got {value!r}")
         cfg[base] = int(value)
     else:
         cfg[base] = value

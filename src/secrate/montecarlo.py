@@ -15,7 +15,8 @@ and imaginary parts of variance s2/2 each.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -65,7 +66,11 @@ def _standard_normals(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelBatch:
-    """Channel realizations for a contiguous range of trials (leading axis)."""
+    """Channel realizations for a contiguous range of trials (leading axis).
+
+    :func:`sample_channels` returns one realization as the same fields
+    without the trial axis.
+    """
 
     g_b: np.ndarray        # (T, N) true jammer->Bob
     g_b_est: np.ndarray    # (T, N) estimated jammer->Bob
@@ -79,22 +84,27 @@ class ChannelBatch:
     h_aea: np.ndarray      # (T, M) Alice->active
     h_aek: np.ndarray      # (T, K) Alice->passive
 
+    @cached_property
+    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(unit g_b_est direction, beams (T,N,M), orthonormalized beams (T,N,M)).
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One channel realization (single-trial view of :class:`ChannelBatch`)."""
-
-    g_b: np.ndarray
-    g_b_est: np.ndarray
-    e_b: np.ndarray
-    g_ea: np.ndarray
-    g_ea_est: np.ndarray
-    e_ea: np.ndarray
-    g_ek: np.ndarray
-    h_ab: complex
-    f_eab: complex
-    h_aea: np.ndarray
-    h_aek: np.ndarray
+        Beams are the per-eavesdropper unit MRT directions inside the
+        complement of the estimated legitimate channel (projector identities;
+        no explicit null basis); the orthonormalized copy spans the same
+        subspace for projection-power identities. Built once per batch.
+        """
+        q_b = _unit(self.g_b_est)
+        g = self.g_ea_est
+        inner = np.einsum("tn,tnm->tm", q_b.conj(), g)
+        projected = g - q_b[:, :, None] * inner[:, None, :]
+        beams = projected / np.linalg.norm(projected, axis=1, keepdims=True)
+        ortho = np.empty_like(beams)
+        for j in range(beams.shape[2]):
+            v = beams[:, :, j]
+            for i in range(j):
+                v = v - ortho[:, :, i] * np.einsum("tn,tn->t", ortho[:, :, i].conj(), v)[:, None]
+            ortho[:, :, j] = _unit(v)
+        return q_b, beams, ortho
 
 
 def draw_batch(params: SystemParams, seed: int, start: int, stop: int) -> ChannelBatch:
@@ -132,19 +142,14 @@ def draw_batch(params: SystemParams, seed: int, start: int, stop: int) -> Channe
     )
 
 
-def sample_channels(params: SystemParams, seed: int, trial_index: int) -> ChannelDraw:
+def sample_channels(params: SystemParams, seed: int, trial_index: int) -> ChannelBatch:
     """One deterministic channel realization keyed by (seed, trial_index)."""
     b = draw_batch(params, seed, trial_index, trial_index + 1)
-    return ChannelDraw(
-        g_b=b.g_b[0], g_b_est=b.g_b_est[0], e_b=b.e_b[0],
-        g_ea=b.g_ea[0], g_ea_est=b.g_ea_est[0], e_ea=b.e_ea[0],
-        g_ek=b.g_ek[0], h_ab=complex(b.h_ab[0]), f_eab=complex(b.f_eab[0]),
-        h_aea=b.h_aea[0], h_aek=b.h_aek[0],
-    )
+    return ChannelBatch(**{f.name: getattr(b, f.name)[0] for f in fields(b)})
 
 
 # ---------------------------------------------------------------------------
-# Beam geometry on batches (projector identities; no explicit null basis)
+# SNR kernels on batches
 # ---------------------------------------------------------------------------
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -155,50 +160,41 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _batch_beams(batch: ChannelBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(unit g_b_est direction, beams (T,N,M), orthonormalized beams (T,N,M)).
-
-    Beams are the per-eavesdropper unit MRT directions inside the complement
-    of the estimated legitimate channel; the orthonormalized copy spans the
-    same subspace for projection-power identities.
-    """
-    q_b = _unit(batch.g_b_est)
-    g = batch.g_ea_est
-    inner = np.einsum("tn,tnm->tm", q_b.conj(), g)
-    projected = g - q_b[:, :, None] * inner[:, None, :]
-    beams = projected / np.linalg.norm(projected, axis=1, keepdims=True)
-    m = beams.shape[2]
-    ortho = np.empty_like(beams)
-    for j in range(m):
-        v = beams[:, :, j]
-        for i in range(j):
-            v = v - ortho[:, :, i] * np.einsum("tn,tn->t", ortho[:, :, i].conj(), v)[:, None]
-        ortho[:, :, j] = _unit(v)
-    return q_b, beams, ortho
-
-
 def _complement_power(v: np.ndarray, q_b: np.ndarray, ortho: np.ndarray) -> np.ndarray:
-    """||projection of v onto the complement of span{q_b, beams}||^2."""
+    """(T, J): ||projection of each column of v (T, N, J) onto the complement
+    of span{q_b, beams}||^2."""
     total = np.sum(_abs2(v), axis=1)
-    total = total - _abs2(np.einsum("tn,tn->t", q_b.conj(), v))
-    total = total - np.sum(_abs2(np.einsum("tn,tnm->tm", v.conj(), ortho)), axis=1)
+    total = total - _abs2(np.einsum("tn,tnj->tj", q_b.conj(), v))
+    total = total - np.sum(_abs2(np.einsum("tnj,tnm->tjm", v.conj(), ortho)), axis=2)
     return np.maximum(total, 0.0)
+
+
+def _an_den(params: SystemParams, split: PowerSplit, beam: np.ndarray, null: np.ndarray,
+            include_noise: bool) -> np.ndarray:
+    """Interference-plus-noise power: AN through the M beams and the N-M-1 null dimensions."""
+    n, m = params.n_antennas, params.m_active
+    noise = 1.0 if include_noise else 0.0
+    return (split.p_ja / m) * beam + (split.p_jp / (n - m - 1)) * null + noise
+
+
+def _beam_and_null(batch: ChannelBatch, v: np.ndarray, basis: np.ndarray):
+    """Per column of v (T, N, J): (power along the columns of basis, complement power)."""
+    q_b, _, ortho = batch.geometry
+    beam = np.sum(_abs2(np.einsum("tnj,tnm->tjm", v.conj(), basis)), axis=2)
+    return beam, _complement_power(v, q_b, ortho)
 
 
 def _snr_bob_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
                    regime: str, include_noise: bool,
                    include_active_jamming: bool) -> np.ndarray:
     num = split.p_a * _abs2(batch.h_ab)
-    noise = 1.0 if include_noise else 0.0
     if regime == "interference_limited":
-        den = params.p_ea * _abs2(batch.f_eab) + noise
+        den = params.p_ea * _abs2(batch.f_eab) + (1.0 if include_noise else 0.0)
         return num / np.maximum(den, _DEN_FLOOR)
     # an_leakage: AN reaches Bob only through the estimation error.
-    n, m = params.n_antennas, params.m_active
-    q_b, beams, ortho = _batch_beams(batch)
-    active_leak = np.sum(_abs2(np.einsum("tn,tnm->tm", batch.e_b.conj(), beams)), axis=1)
-    passive_leak = _complement_power(batch.e_b, q_b, ortho)
-    den = (split.p_ja / m) * active_leak + (split.p_jp / (n - m - 1)) * passive_leak + noise
+    _, beams, _ = batch.geometry
+    beam, null = _beam_and_null(batch, batch.e_b[:, :, None], beams)
+    den = _an_den(params, split, beam[:, 0], null[:, 0], include_noise)
     if include_active_jamming:
         den = den + params.p_ea * _abs2(batch.f_eab)
     return num / np.maximum(den, _DEN_FLOOR)
@@ -213,16 +209,11 @@ def _snr_active_batch(params: SystemParams, batch: ChannelBatch, split: PowerSpl
     plus whatever passive AN reaches the channel through estimation error.
     With perfect estimates the passive term is an exact zero.
     """
-    n, m = params.n_antennas, params.m_active
-    q_b, beams, ortho = _batch_beams(batch)
+    q_b, beams, ortho = batch.geometry
     cross = _abs2(np.einsum("tnj,tnm->tjm", batch.g_ea.conj(), beams))  # j channels x m beams
-    active_term = np.sum(cross, axis=1)  # (T, M): column sums over channels
-    passive_term = np.stack(
-        [_complement_power(batch.g_ea[:, :, j], q_b, ortho) for j in range(m)], axis=1)
-    noise = 1.0 if include_noise else 0.0
-    den = (split.p_ja / m) * active_term + (split.p_jp / (n - m - 1)) * passive_term + noise
-    num = split.p_a * _abs2(batch.h_aea)
-    return num / np.maximum(den, _DEN_FLOOR)
+    den = _an_den(params, split, np.sum(cross, axis=1),
+                  _complement_power(batch.g_ea, q_b, ortho), include_noise)
+    return split.p_a * _abs2(batch.h_aea) / np.maximum(den, _DEN_FLOOR)
 
 
 def _snr_passive_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
@@ -236,50 +227,40 @@ def _snr_passive_batch(params: SystemParams, batch: ChannelBatch, split: PowerSp
     """
     if beam_leakage not in ("subspace", "per_beam"):
         raise RangeError(f"unknown beam_leakage mode {beam_leakage!r}")
-    n, m, k = params.n_antennas, params.m_active, params.k_passive
-    q_b, beams, ortho = _batch_beams(batch)
+    _, beams, ortho = batch.geometry
     basis = ortho if beam_leakage == "subspace" else beams
-    noise = 1.0 if include_noise else 0.0
-    out = np.empty((batch.g_ek.shape[0], k))
-    num = split.p_a * _abs2(batch.h_aek)
-    for j in range(k):
-        g = batch.g_ek[:, :, j]
-        active_leak = np.sum(_abs2(np.einsum("tn,tnm->tm", g.conj(), basis)), axis=1)
-        passive_leak = _complement_power(g, q_b, ortho)
-        den = (split.p_ja / m) * active_leak + (split.p_jp / (n - m - 1)) * passive_leak + noise
-        out[:, j] = num[:, j] / np.maximum(den, _DEN_FLOOR)
-    return out
+    den = _an_den(params, split, *_beam_and_null(batch, batch.g_ek, basis), include_noise)
+    return split.p_a * _abs2(batch.h_aek) / np.maximum(den, _DEN_FLOOR)
 
 
 # ---------------------------------------------------------------------------
 # Single-draw reference operations
 # ---------------------------------------------------------------------------
 
-def _as_batch(draw: ChannelDraw) -> ChannelBatch:
-    return ChannelBatch(
-        g_b=draw.g_b[None], g_b_est=draw.g_b_est[None], e_b=draw.e_b[None],
-        g_ea=draw.g_ea[None], g_ea_est=draw.g_ea_est[None], e_ea=draw.e_ea[None],
-        g_ek=draw.g_ek[None], h_ab=np.array([draw.h_ab]), f_eab=np.array([draw.f_eab]),
-        h_aea=draw.h_aea[None], h_aek=draw.h_aek[None],
-    )
+def _as_batch(draw: ChannelBatch) -> ChannelBatch:
+    return ChannelBatch(**{f.name: getattr(draw, f.name)[None] for f in fields(draw)})
 
 
-def snr_bob(params: SystemParams, draw: ChannelDraw, split: PowerSplit,
-            regime: str = "auto", include_noise: bool = False,
-            include_active_jamming: bool = False) -> float:
-    """Bob's instantaneous SNR under the chosen impairment regime."""
+def _bob_regime(params: SystemParams, regime: str) -> str:
     if regime == "auto":
-        regime = "an_leakage" if params.rho_b < 1.0 else "interference_limited"
+        return "an_leakage" if params.rho_b < 1.0 else "interference_limited"
     if regime not in ("interference_limited", "an_leakage"):
         raise RangeError(f"unknown Bob SNR regime {regime!r}")
     if regime == "an_leakage" and params.rho_b >= 1.0:
         warnings.warn("rho_b = 1 leaks no AN to Bob; denominator is floored",
-                      DegenerateDistributionWarning, stacklevel=2)
-    return float(_snr_bob_batch(params, _as_batch(draw), split, regime,
+                      DegenerateDistributionWarning, stacklevel=3)
+    return regime
+
+
+def snr_bob(params: SystemParams, draw: ChannelBatch, split: PowerSplit,
+            regime: str = "auto", include_noise: bool = False,
+            include_active_jamming: bool = False) -> float:
+    """Bob's instantaneous SNR under the chosen impairment regime."""
+    return float(_snr_bob_batch(params, _as_batch(draw), split, _bob_regime(params, regime),
                                 include_noise, include_active_jamming)[0])
 
 
-def snr_active(params: SystemParams, draw: ChannelDraw, split: PowerSplit,
+def snr_active(params: SystemParams, draw: ChannelBatch, split: PowerSplit,
                include_noise: bool = False) -> np.ndarray:
     """Per-active-eavesdropper SNR vector (length M).
 
@@ -289,7 +270,7 @@ def snr_active(params: SystemParams, draw: ChannelDraw, split: PowerSplit,
     return _snr_active_batch(params, _as_batch(draw), split, include_noise)[0]
 
 
-def snr_passive(params: SystemParams, draw: ChannelDraw, split: PowerSplit,
+def snr_passive(params: SystemParams, draw: ChannelBatch, split: PowerSplit,
                 beam_leakage: str = "subspace", include_noise: bool = False) -> np.ndarray:
     """Per-passive-eavesdropper SNR vector (length K)."""
     return _snr_passive_batch(params, _as_batch(draw), split, beam_leakage,
@@ -327,12 +308,15 @@ def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int,
                 include_noise: bool = False) -> dict[str, np.ndarray]:
     """Raw SNR samples: 'bob' (T,), 'active' (T, M), 'passive' (T, K).
 
-    Active and passive columns share each trial's channels (the physical
-    coupling); independent-branch selection combining is handled by
+    This is the one pass over trials [0, T): the outage estimators count
+    from these samples instead of drawing the block again. Active and
+    passive columns share each trial's channels (the physical coupling);
+    independent-branch selection combining is handled by
     :func:`estimate_outages`.
     """
-    if bob_regime == "auto":
-        bob_regime = "an_leakage" if params.rho_b < 1.0 else "interference_limited"
+    if trials < 1:
+        raise RangeError("need at least one trial")
+    bob_regime = _bob_regime(params, bob_regime)
     bob, active, passive = [], [], []
     for start, stop in _chunks(trials):
         batch = draw_batch(params, seed, start, stop)
@@ -341,6 +325,31 @@ def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int,
         passive.append(_snr_passive_batch(params, batch, split, beam_leakage, include_noise))
     return {"bob": np.concatenate(bob), "active": np.concatenate(active),
             "passive": np.concatenate(passive)}
+
+
+def _count_outages(params: SystemParams, split: PowerSplit, r_s: float,
+                   samples: dict[str, np.ndarray], seed: int, independent_actives: bool,
+                   include_noise: bool) -> dict[str, McEstimate]:
+    """The three outage estimates from :func:`snr_samples` output.
+
+    Independent branch 0 is the sampled block itself; branches 1..M-1 draw
+    their own blocks and compute only the active SNRs.
+    """
+    trials = samples["bob"].shape[0]
+    threshold_so = rate_gap_threshold(params.r_b, r_s)
+    if independent_actives and params.m_active > 1:
+        max_active = samples["active"][:, 0].copy()
+        for branch in range(1, params.m_active):
+            for start, stop in _chunks(trials):
+                batch = draw_batch(params, seed, branch * trials + start, branch * trials + stop)
+                col = _snr_active_batch(params, batch, split, include_noise)[:, branch]
+                np.maximum(max_active[start:stop], col, out=max_active[start:stop])
+    else:
+        max_active = samples["active"].max(axis=1)
+    hits = {"p_to": samples["bob"] < rate_gap_threshold(params.r_b, 0.0),
+            "p_so1": max_active >= threshold_so,
+            "p_so2": samples["passive"].max(axis=1) >= threshold_so}
+    return {name: _make_estimate(int(np.count_nonzero(h)), trials) for name, h in hits.items()}
 
 
 def estimate_outages(params: SystemParams, split: PowerSplit, r_s: float, trials: int,
@@ -355,37 +364,10 @@ def estimate_outages(params: SystemParams, split: PowerSplit, r_s: float, trials
     shared channel vectors, which the independence-based closed form does not
     model. Set ``independent_actives=False`` for the coupled variant.
     """
-    if trials < 1:
-        raise RangeError("need at least one trial")
-    m = params.m_active
-    threshold_to = rate_gap_threshold(params.r_b, 0.0)
-    threshold_so = rate_gap_threshold(params.r_b, r_s)
-    hits_to = 0
-    hits_so2 = 0
-    max_active = np.full(trials, -np.inf)
-    bob_regime = "an_leakage" if params.rho_b < 1.0 else "interference_limited"
-    for start, stop in _chunks(trials):
-        batch = draw_batch(params, seed, start, stop)
-        bob = _snr_bob_batch(params, batch, split, bob_regime, include_noise, False)
-        hits_to += int(np.count_nonzero(bob < threshold_to))
-        passive = _snr_passive_batch(params, batch, split, beam_leakage, include_noise)
-        hits_so2 += int(np.count_nonzero(passive.max(axis=1) >= threshold_so))
-        if not (independent_actives and m > 1):
-            active = _snr_active_batch(params, batch, split, include_noise)
-            max_active[start:stop] = active.max(axis=1)
-    if independent_actives and m > 1:
-        for branch in range(m):
-            for start, stop in _chunks(trials):
-                batch = draw_batch(params, seed, branch * trials + start, branch * trials + stop)
-                active = _snr_active_batch(params, batch, split, include_noise)
-                col = active[:, branch]
-                np.maximum(max_active[start:stop], col, out=max_active[start:stop])
-    hits_so1 = int(np.count_nonzero(max_active >= threshold_so))
-    return {
-        "p_to": _make_estimate(hits_to, trials),
-        "p_so1": _make_estimate(hits_so1, trials),
-        "p_so2": _make_estimate(hits_so2, trials),
-    }
+    samples = snr_samples(params, split, trials, seed, beam_leakage=beam_leakage,
+                          include_noise=include_noise)
+    return _count_outages(params, split, r_s, samples, seed, independent_actives,
+                          include_noise)
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -416,6 +398,9 @@ def _corrupted(value: float, name: str, corrupt: str | None) -> float:
 def verification_rows(params: SystemParams, split: PowerSplit, r_s: float, trials: int,
                       seed: int, corrupt: str | None = None) -> list[dict]:
     """Compare every applicable closed form against its sampling estimate.
+
+    One :func:`snr_samples` pass feeds both the CDF rows and the outage
+    counts; only independent active branches 1..M-1 draw further blocks.
 
     Returns ordered row dicts with keys: name, kind ('cdf'|'outage'|'bound'),
     closed_form, estimate, std_err, z_score, ks_stat, threshold, passed.
@@ -454,7 +439,8 @@ def verification_rows(params: SystemParams, split: PowerSplit, r_s: float, trial
         cdf = getattr(cf, f"cdf_snr_{kind}")
         cdf_row(f"cdf_snr_{kind}", data, lambda x, cdf=cdf: cdf(x, params, split))
 
-    estimates = estimate_outages(params, split, r_s, trials, seed)
+    estimates = _count_outages(params, split, r_s, samples, seed,
+                               independent_actives=True, include_noise=False)
     metrics = outage_metrics(params, split, r_s)
     if params.rho_b == 1.0:
         point_row("transmission_outage", "outage",

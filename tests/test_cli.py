@@ -253,3 +253,25 @@ def test_optimize_nan_step_exits_2(tmp_path, capsys):
                            "--step", "nan"], capsys)
     assert code == 2 and out == ""
     assert "step" in err
+
+
+@pytest.mark.parametrize("extra", ["axis=n_antennas\nvalues=5.5,6.7\n",
+                                   "axis=n_antennas\nvalues=6\noverlay=k_passive:1,2.5\n"])
+def test_sweep_rejects_non_integral_counts(tmp_path, capsys, extra):
+    code, out, err = _run(["sweep", "--config", _write(tmp_path, BASE_CFG + extra)], capsys)
+    assert code == 2 and out == ""
+    assert "integer" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+@pytest.mark.parametrize("r_s", ["9", "-1", "nan", "inf"])
+def test_operating_point_rejects_r_s_outside_0_r_b(tmp_path, capsys, command, r_s):
+    path = _write(tmp_path, BASE_CFG + f"p_a=242\ntheta=0.3\nr_s={r_s}\n")
+    code, out, err = _run([command, "--config", path, "--trials", "20000"], capsys)
+    assert code == 2 and out == ""
+    assert "r_s" in err
+
+
+def test_eval_at_r_s_equal_r_b_is_certain_outage(tmp_path, capsys):
+    values = _eval_row(tmp_path, capsys, BASE_CFG + "p_a=242\ntheta=0.3\nr_s=8\n")
+    assert values["p_so1"] == values["p_so2"] == "1"

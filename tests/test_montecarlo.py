@@ -3,7 +3,7 @@ import pytest
 
 import secrate.closedform as cf
 import secrate.montecarlo as mc
-from secrate.errors import DegenerateDistributionWarning
+from secrate.errors import DegenerateDistributionWarning, RangeError
 from secrate.model import SystemParams, make_split, validate
 
 from conftest import random_params
@@ -235,3 +235,37 @@ def test_verification_rows_deterministic():
     a = mc.verification_rows(params, split, 0.6 * params.r_b, 20_000, seed=7)
     b = mc.verification_rows(params, split, 0.6 * params.r_b, 20_000, seed=7)
     assert repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("m_active", [1, 3])
+def test_verification_draws_each_trial_block_once(monkeypatch, m_active):
+    # branch 0 of the independent-branch estimate is the sampled block itself;
+    # branch m >= 1 draws trials [m*T, (m+1)*T) and nothing is drawn twice
+    params = _params(m_active=m_active, n_antennas=8, rho_b=0.9)
+    split = make_split(params, 150.0, 0.5)
+    trials = 20_000
+    blocks = []
+    original = mc.draw_batch
+
+    def counting(params, seed, start, stop):
+        blocks.append((start, stop))
+        return original(params, seed, start, stop)
+
+    monkeypatch.setattr(mc, "draw_batch", counting)
+    mc.verification_rows(params, split, 3.0, trials, seed=3)
+    assert sum(stop - start for start, stop in blocks) == m_active * trials
+    drawn = np.zeros(m_active * trials, dtype=int)
+    for start, stop in blocks:
+        drawn[start:stop] += 1
+    assert np.all(drawn == 1)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda params, split: mc.snr_samples(params, split, 0, seed=1),
+    lambda params, split: mc.estimate_outages(params, split, 1.0, 0, seed=1),
+    lambda params, split: mc.verification_rows(params, split, 1.0, 0, seed=1),
+], ids=["snr_samples", "estimate_outages", "verification_rows"])
+def test_zero_trials_raise_range_error(entry):
+    params = _params()
+    with pytest.raises(RangeError):
+        entry(params, make_split(params, 100.0, 0.5))
