@@ -128,8 +128,14 @@ def sop_theta_curve(kind: str, params: SystemParams, p_a: float, r_s):
 
     ``kind`` is one of 'active', 'active_imperfect', 'active_multi',
     'passive', 'passive_multi'. alpha (or beta) is computed once, here; the
-    returned function broadcasts theta against ``r_s``.
+    returned function broadcasts theta against ``r_s``, which must lie in
+    [0, r_b] (RangeError otherwise; at r_s = r_b every SOP is 1).
     """
+    rates = np.asarray(r_s, dtype=float)
+    outside = ~((rates >= 0.0) & (rates <= params.r_b))
+    if outside.any():
+        raise RangeError(f"r_s must lie in [0, r_b = {params.r_b!r}], "
+                         f"got {float(rates[outside][0])!r}")
     active, log_sf, best_of = _KINDS[kind]
     s = (alpha_ratio if active else beta_ratio)(params, p_a, r_s)
     if best_of is None:

@@ -1,12 +1,16 @@
 """Feasible AN-ratio intervals and secrecy-rate maximization.
 
 The rate sweep fixes Alice's power at the minimum meeting the outage target
-(both secrecy outages only worsen with more Alice power), then walks the
-secrecy rate upward in steps of ``step`` while any AN ratio satisfies both
-secrecy constraints. Feasibility is checked on the full interval
-intersection, which strengthens the one-sided endpoint comparison: the
-returned theta is the feasible point closest to the passive-SOP minimizer,
-maximizing constraint slack.
+(both secrecy outages only worsen with more Alice power), then finds the
+largest secrecy rate on the grid ``0, step, 2*step, ...`` below r_b at which
+some AN ratio satisfies both secrecy constraints. Every SOP rises with the
+rate at fixed theta, so the feasible grid rates form a prefix of the grid
+and a bisection over the grid index finds its end in about
+log2(r_b/step) + 1 interval solves; ``OptResult.steps`` counts those
+solves. Feasibility is checked on the full interval intersection, which
+strengthens the one-sided endpoint comparison: the returned theta is the
+feasible point closest to the passive-SOP minimizer, maximizing constraint
+slack.
 
 ``grid_search_oracle`` is the brute-force cross-check used by the tests; it
 shares only the closed-form grid kernels with the sweep, not its interval
@@ -82,7 +86,7 @@ class OptResult:
     r_s_star: float
     theta_star: float
     p_a_star: float
-    steps: int
+    steps: int  # rate points whose theta-interval was solved
     infeasibility_reason: str = "NONE"  # PA_EXCEEDS_PMAX | NO_THETA_AT_RS0 | NONE
     trace: dict = field(default_factory=dict)
 
@@ -233,6 +237,9 @@ def _feasible_interval(params: SystemParams, p_a: float, r_s: float,
 def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str) -> OptResult:
     if not (math.isfinite(step) and step > 0.0):
         raise RangeError(f"step must be positive and finite, got {step}")
+    span = params.r_b / step
+    if not math.isfinite(span):
+        raise RangeError(f"step {step!r} is too small for r_b = {params.r_b!r}")
     mode = cf.resolve_pa_mode(params, pa_mode)
     p_req = cf.min_pa(params, mode)
     if p_req > params.p_max:
@@ -240,19 +247,29 @@ def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str) -
                          p_a_star=p_req, steps=0, infeasibility_reason="PA_EXCEEDS_PMAX",
                          trace={"pa_mode": mode, "algorithm": algorithm})
     kinds = _kinds(params, algorithm)
-    best = None
     steps = 0
-    i = 0
-    while True:
+
+    def probe(i: int):
+        """(r_s, interval) at grid index i, or None where the rate is capped
+        by r_b or no theta meets both targets."""
+        nonlocal steps
         r_s = i * step
-        if r_s >= params.r_b - 1e-12:
-            break
+        if not r_s < params.r_b - 1e-12:
+            return None
         steps += 1
         interval = _feasible_interval(params, p_req, r_s, kinds)
-        if interval.empty:
-            break
-        best = (r_s, interval)
-        i += 1
+        return None if interval.empty else (r_s, interval)
+
+    # the feasible indices are a prefix: lo stays feasible, hi past the prefix
+    best = probe(0)
+    lo, hi = 0, math.ceil(span) + 1
+    while best is not None and hi - lo > 1:
+        mid = (lo + hi) // 2
+        found = probe(mid)
+        if found is None:
+            hi = mid
+        else:
+            lo, best = mid, found
     trace: dict = {"pa_mode": mode, "algorithm": algorithm,
                    "p_to": cf.transmission_outage_for_mode(params, p_req, mode)}
     if best is None:

@@ -6,6 +6,16 @@ import pytest
 
 from secrate.model import SystemParams, db_to_linear, make_split, validate
 
+try:
+    from hypothesis import settings
+except ImportError:  # test_properties skips itself without hypothesis
+    pass
+else:
+    # the same examples on every run, with no example database on disk
+    settings.register_profile("secrate", derandomize=True, deadline=None,
+                              max_examples=100, database=None)
+    settings.load_profile("secrate")
+
 
 def random_params(rng: np.random.Generator, m_active: int = 1, rho_b: float = 1.0,
                   rho_ea: float = 1.0, n_lo: int = 3, n_hi: int = 8,

@@ -255,6 +255,13 @@ def test_optimize_nan_step_exits_2(tmp_path, capsys):
     assert "step" in err
 
 
+def test_optimize_step_overflowing_grid_exits_2(tmp_path, capsys):
+    code, out, err = _run(["optimize", "--config", _write(tmp_path, BASE_CFG),
+                           "--step", "5e-324"], capsys)
+    assert code == 2 and out == ""
+    assert "step" in err
+
+
 @pytest.mark.parametrize("extra", ["axis=n_antennas\nvalues=5.5,6.7\n",
                                    "axis=n_antennas\nvalues=6\noverlay=k_passive:1,2.5\n"])
 def test_sweep_rejects_non_integral_counts(tmp_path, capsys, extra):

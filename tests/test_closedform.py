@@ -256,6 +256,28 @@ def test_sop_grid_matches_scalars():
                         rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("fn", [cf.sop_active, cf.sop_active_imperfect, cf.sop_active_multi,
+                                cf.sop_passive, cf.sop_passive_multi])
+def test_sop_rejects_rate_outside_zero_r_b(fn):
+    params = random_params(np.random.default_rng(83), m_active=2, rho_ea=0.7)
+    split = make_split(params, 0.5 * params.p_max, 0.4)
+    # r_s = r_b leaves no secrecy margin: certain outage, not an error
+    assert fn(params, split, params.r_b) == 1.0
+    for r_s in (np.nextafter(params.r_b, np.inf), params.r_b + 1.0, -1e-12, np.nan):
+        with pytest.raises(RangeError, match="r_s"):
+            fn(params, split, r_s)
+
+
+def test_sop_grid_rejects_rate_outside_zero_r_b():
+    params = random_params(np.random.default_rng(89))
+    th_grid = np.linspace(0.0, 1.0, 5)
+    edge = cf.sop_grid(params, 10.0, np.array([0.0, params.r_b]), th_grid, "passive")
+    assert np.all(edge[1] == 1.0)
+    for bad in (params.r_b * 1.5, -0.5):
+        with pytest.raises(RangeError, match="r_s"):
+            cf.sop_grid(params, 10.0, np.array([0.0, 1.0, bad]), th_grid, "passive")
+
+
 # ---------------------------------------------------------------------------
 # Derivatives
 # ---------------------------------------------------------------------------

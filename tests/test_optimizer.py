@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -332,6 +335,125 @@ def test_theta_star_tracks_active_minimizer_when_passive_slack():
 def test_maximize_rejects_bad_step(baseline_params, step):
     with pytest.raises(RangeError, match="step"):
         opt.maximize_for(baseline_params, step=step, pa_mode="noise_limited")
+
+
+def _solve_bound(params, step):
+    """Interval solves a bisection over the grid indices below r_b may spend."""
+    return math.ceil(math.log2(params.r_b / step + 2)) + 1
+
+
+def test_maximize_rejects_step_with_unbounded_grid(baseline_params):
+    # r_b / step overflows: the grid has no last index to bisect from
+    with pytest.raises(RangeError, match="step"):
+        opt.maximize_for(baseline_params, step=5e-324, pa_mode="noise_limited")
+
+
+@pytest.mark.parametrize("step, max_solves", [(1e-9, 40), (1e-300, 1001)])
+def test_maximize_tiny_step_ends_in_log_time(baseline_params, step, max_solves):
+    coarse = opt.maximize_for(baseline_params, step=1e-3, pa_mode="noise_limited")
+    result = opt.maximize_for(baseline_params, step=step, pa_mode="noise_limited")
+    assert result.feasible
+    assert result.steps <= min(max_solves, _solve_bound(baseline_params, step))
+    # a finer grid can only refine the coarse answer, by less than one coarse step
+    assert coarse.r_s_star <= result.r_s_star < coarse.r_s_star + 1e-3
+    assert result.r_s_star < baseline_params.r_b
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5, 1e6])
+def test_maximize_step_past_r_b_solves_only_zero_rate(baseline_params, scale):
+    result = opt.maximize_for(baseline_params, step=scale * baseline_params.r_b,
+                              pa_mode="noise_limited")
+    assert result.feasible and result.r_s_star == 0.0
+    assert result.steps == 1
+
+
+# ---------------------------------------------------------------------------
+# The bisection against the linear walk it replaces
+# ---------------------------------------------------------------------------
+
+def _linear_walk(params, algorithm, step, pa_mode):
+    """The paper's rate search: step r_s = 0, step, 2 step, ... upward until no
+    theta meets both targets, then build the result from the last feasible
+    rate. ``steps`` counts the rates solved."""
+    mode = cf.resolve_pa_mode(params, pa_mode)
+    p_req = cf.min_pa(params, mode)
+    if p_req > params.p_max:
+        return opt.OptResult(feasible=False, r_s_star=0.0, theta_star=math.nan,
+                             p_a_star=p_req, steps=0, infeasibility_reason="PA_EXCEEDS_PMAX",
+                             trace={"pa_mode": mode, "algorithm": algorithm})
+    kinds = opt._kinds(params, algorithm)
+    best = None
+    steps = i = 0
+    while i * step < params.r_b - 1e-12:
+        steps += 1
+        interval = opt._feasible_interval(params, p_req, i * step, kinds)
+        if interval.empty:
+            break
+        best = (i * step, interval)
+        i += 1
+    trace = {"pa_mode": mode, "algorithm": algorithm,
+             "p_to": cf.transmission_outage_for_mode(params, p_req, mode)}
+    if best is None:
+        return opt.OptResult(feasible=False, r_s_star=0.0, theta_star=math.nan,
+                             p_a_star=p_req, steps=steps,
+                             infeasibility_reason="NO_THETA_AT_RS0", trace=trace)
+    r_star, interval = best
+    reference = opt._theta_reference(params, kinds[1])
+    trace["theta_interval"] = (interval.lo, interval.hi)
+    trace["theta_reference"] = reference
+    active_trace = opt._SOLVERS[kinds[0]][1]
+    if active_trace is not None:
+        trace.update(active_trace(params, p_req, r_star))
+    return opt.OptResult(feasible=True, r_s_star=r_star, theta_star=interval.clip(reference),
+                         p_a_star=p_req, steps=steps, trace=trace)
+
+
+def _criterion_5_scenario(rng, algorithm):
+    """The acceptance suite's criterion-5 generator, infeasible draws kept."""
+    if algorithm == "multi":
+        return random_params(rng, m_active=int(rng.integers(2, 4)), n_lo=4,
+                             r_b_lo=2.0, r_b_hi=6.0)
+    if algorithm == "imperfect":
+        return random_params(rng, rho_ea=float(rng.uniform(0.05, 0.95)),
+                             r_b_lo=2.0, r_b_hi=6.0)
+    return random_params(rng, r_b_lo=2.0, r_b_hi=6.0)
+
+
+def _assert_matches_linear_walk(params, algorithm, step, pa_mode="noise_limited"):
+    result = opt.maximize_for(params, algorithm=algorithm, step=step, pa_mode=pa_mode)
+    walk = _linear_walk(params, algorithm, step, pa_mode)
+    # repr compares floats bit for bit, NaN included, and the trace in order
+    assert repr(replace(result, steps=0)) == repr(replace(walk, steps=0))
+    assert result.steps <= _solve_bound(params, step)
+    return result, walk
+
+
+@pytest.mark.parametrize("step", [0.01, 0.003])
+@pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
+def test_bisection_matches_linear_walk(algorithm, step):
+    rng = np.random.default_rng({"perfect": 601, "imperfect": 602, "multi": 603}[algorithm])
+    reasons = set()
+    for _ in range(30):
+        result, walk = _assert_matches_linear_walk(
+            _criterion_5_scenario(rng, algorithm), algorithm, step)
+        reasons.add(result.infeasibility_reason)
+        if result.feasible:
+            assert result.steps < walk.steps
+    assert "NONE" in reasons
+
+
+def test_bisection_matches_linear_walk_when_infeasible(baseline_params):
+    no_theta = validate(SystemParams(
+        n_antennas=4, k_passive=1, m_active=1,
+        var_ab=10.0, var_aea=10.0, var_aek=10.0, var_eab=1.0,
+        var_jb=1.0, var_jea=1e-7, var_jek=1e-7,
+        p_max=200.0, p_ea=1.0, r_b=6.0, delta=0.2, epsilon=1e-3,
+    ))
+    over_budget = replace(baseline_params, delta=1e-9, p_max=10.0, r_b=12.0)
+    for params, reason in ((no_theta, "NO_THETA_AT_RS0"), (over_budget, "PA_EXCEEDS_PMAX")):
+        for algorithm in opt.ALGORITHMS:
+            result, _ = _assert_matches_linear_walk(params, algorithm, 0.01)
+            assert result.infeasibility_reason == reason
 
 
 def test_oracle_requires_minimum_grid():
