@@ -15,10 +15,6 @@ import numpy as np
 from .errors import DegenerateChannel, DimensionMismatch, RankDeficient, ZeroVector
 from .model import PowerSplit
 
-# Null-space membership / orthonormality tolerance, scaled by operand norms.
-ORTHO_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class BeamformerSet:
     """Unit beams toward the active eavesdroppers and the passive-AN basis.
@@ -83,41 +79,13 @@ def multi_mrt_beams(g_b: np.ndarray, g_actives: np.ndarray) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _gram_schmidt(columns: np.ndarray, against: np.ndarray | None = None,
-                  drop_tol: float = 1e-8) -> np.ndarray:
-    """Orthonormalize ``columns`` (optionally against an orthonormal ``against``).
-
-    Columns whose residual falls below ``drop_tol`` times their norm are
-    dropped. Deterministic; two projection passes per column for numerical
-    orthogonality near machine precision.
-    """
-    kept: list[np.ndarray] = []
-    base = [] if against is None else [against[:, j] for j in range(against.shape[1])]
-    for j in range(columns.shape[1]):
-        v = columns[:, j].astype(complex)
-        scale = float(np.linalg.norm(v))
-        if scale == 0.0:
-            continue
-        for _ in range(2):
-            for q in base:
-                v = v - q * np.vdot(q, v)
-            for q in kept:
-                v = v - q * np.vdot(q, v)
-        norm = float(np.linalg.norm(v))
-        if norm > drop_tol * scale:
-            kept.append(v / norm)
-    if not kept:
-        return np.zeros((columns.shape[0], 0), dtype=complex)
-    return np.column_stack(kept)
-
-
 def passive_null_basis(g_b: np.ndarray, w_active: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the complement of span{g_b, active beams}.
 
-    Built by Gram-Schmidt on [g_b | w_active] extended with the standard
-    basis, then re-orthogonalized; returns exactly N-M-1 columns. Any
-    orthonormal completion spans the same subspace, which is all the outage
-    analysis depends on.
+    One full SVD of [g_b | w_active] gives both the rank check and the
+    completion: its last N-M-1 left singular vectors. Any orthonormal
+    completion spans the same subspace, which is all the outage analysis
+    depends on.
     """
     g_b = np.asarray(g_b, dtype=complex)
     w_active = np.asarray(w_active, dtype=complex)
@@ -128,16 +96,10 @@ def passive_null_basis(g_b: np.ndarray, w_active: np.ndarray) -> np.ndarray:
     if w_active.shape[0] != n:
         raise DimensionMismatch(f"beam rows {w_active.shape[0]} != channel length {n}")
     spanned = np.column_stack([g_b, w_active])
-    singular = np.linalg.svd(spanned, compute_uv=False)
+    u, singular, _ = np.linalg.svd(spanned, full_matrices=True)
     if singular[-1] < 1e-10 * singular[0]:
         raise RankDeficient("legitimate channel and active beams are not linearly independent")
-    q_span = _gram_schmidt(spanned)
-    basis = _gram_schmidt(np.eye(n, dtype=complex), against=q_span)
-    if basis.shape[1] != n - m - 1:
-        raise RankDeficient(
-            f"null-space completion produced {basis.shape[1]} columns, expected {n - m - 1}"
-        )
-    return basis
+    return u[:, m + 1:]
 
 
 def make_beamformer_set(g_b: np.ndarray, g_actives: np.ndarray) -> BeamformerSet:

@@ -19,6 +19,7 @@ Mode names for the minimum Alice power:
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -38,8 +39,21 @@ def _maybe_float(x):
 
 
 def rate_gap_threshold(r_b: float, r_s) -> float:
-    """SNR threshold 2**(r_b - r_s) - 1 for the secrecy-rate margin."""
-    return _maybe_float(np.expm1(_LN2 * (r_b - np.asarray(r_s, dtype=float))))
+    """SNR threshold 2**(r_b - r_s) - 1 for the secrecy-rate margin.
+
+    ``r_s`` (a float or an array) must lie in [0, r_b]: RangeError otherwise,
+    NaN included; at r_s = r_b the threshold is 0.
+    """
+    if isinstance(r_s, float):
+        if not 0.0 <= r_s <= r_b:
+            raise RangeError(f"r_s must lie in [0, r_b = {r_b!r}], got {r_s!r}")
+        return float(np.expm1(_LN2 * (r_b - r_s)))
+    rates = np.asarray(r_s, dtype=float)
+    outside = ~((rates >= 0.0) & (rates <= r_b))
+    if outside.any():
+        raise RangeError(f"r_s must lie in [0, r_b = {r_b!r}], "
+                         f"got {float(rates[outside][0])!r}")
+    return _maybe_float(np.expm1(_LN2 * (r_b - rates)))
 
 
 @dataclass(frozen=True)
@@ -129,19 +143,46 @@ def sop_theta_curve(kind: str, params: SystemParams, p_a: float, r_s):
     ``kind`` is one of 'active', 'active_imperfect', 'active_multi',
     'passive', 'passive_multi'. alpha (or beta) is computed once, here; the
     returned function broadcasts theta against ``r_s``, which must lie in
-    [0, r_b] (RangeError otherwise; at r_s = r_b every SOP is 1).
+    [0, r_b] (RangeError from :func:`rate_gap_threshold` otherwise; at
+    r_s = r_b every SOP is 1).
     """
-    rates = np.asarray(r_s, dtype=float)
-    outside = ~((rates >= 0.0) & (rates <= params.r_b))
-    if outside.any():
-        raise RangeError(f"r_s must lie in [0, r_b = {params.r_b!r}], "
-                         f"got {float(rates[outside][0])!r}")
     active, log_sf, best_of = _KINDS[kind]
     s = (alpha_ratio if active else beta_ratio)(params, p_a, r_s)
     if best_of is None:
         return lambda theta: np.exp(log_sf(params, theta, 1.0 - theta, s))
     count = best_of(params)
     return lambda theta: _best_of(log_sf(params, theta, 1.0 - theta, s), count)
+
+
+def secrecy_level(epsilon: float, count: int) -> float:
+    """log(1 - (1 - epsilon)**(1/count)): the best of ``count`` independent
+    eavesdroppers has SOP <= epsilon exactly when one eavesdropper's
+    log-survival is at most this level (log epsilon for a single one).
+
+    Each branch takes the log of the factor that is at most 1/2, so the level
+    keeps its relative accuracy as epsilon goes to 0 or to 1.
+    """
+    if count == 1:
+        return math.log(epsilon)
+    u = math.log1p(-epsilon) / count  # log of (1 - epsilon)**(1/count)
+    if u > -_LN2:
+        g = -math.expm1(u)
+        # an epsilon so small that g underflows: the level is log(epsilon/count)
+        return math.log(g) if g > 0.0 else math.log(epsilon) - math.log(count)
+    return math.log1p(-math.exp(u))
+
+
+def log_sf_theta_curve(kind: str, params: SystemParams, p_a: float, r_s: float, eps: float):
+    """(theta -> log-survival of one eavesdropper of ``kind``, level).
+
+    The SOP of ``kind`` (see :func:`sop_theta_curve`) is at most ``eps``
+    exactly where the curve is at most the level, which is computed once here
+    (:func:`secrecy_level`).
+    """
+    active, log_sf, best_of = _KINDS[kind]
+    s = (alpha_ratio if active else beta_ratio)(params, p_a, r_s)
+    level = secrecy_level(eps, 1 if best_of is None else best_of(params))
+    return (lambda theta: log_sf(params, theta, 1.0 - theta, s)), level
 
 
 def _sop(kind: str, params: SystemParams, split: PowerSplit, r_s):
@@ -254,7 +295,9 @@ def min_pa(params: SystemParams, mode: str = "auto") -> float:
     """
     mode = resolve_pa_mode(params, mode)
     x = rate_gap_threshold(params.r_b, 0.0)
-    log_keep = np.log1p(-params.delta)  # ln(1 - delta), negative
+    # ln(1 - delta) < 0, a plain float: a power beyond the float range is inf,
+    # never a numpy overflow warning
+    log_keep = float(np.log1p(-params.delta))
     if mode == "noise_limited":
         return float(x / (-log_keep * params.var_ab))
     if mode == "interference_limited":

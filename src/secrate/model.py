@@ -91,6 +91,9 @@ def validate(params: SystemParams) -> SystemParams:
             raise NonPositive(f"{name} must be strictly positive, got {value}")
         if not math.isfinite(value):
             raise RangeError(f"{name} must be finite, got {value}")
+    if not params.r_b < 1024.0:
+        raise RangeError(f"r_b must be below 1024: the SNR threshold 2**r_b - 1 "
+                         f"overflows a float, got {params.r_b}")
     for name in ("delta", "epsilon"):
         value = getattr(params, name)
         if not 0.0 < value < 1.0:

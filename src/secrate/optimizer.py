@@ -12,9 +12,16 @@ strengthens the one-sided endpoint comparison: the returned theta is the
 feasible point closest to the passive-SOP minimizer, maximizing constraint
 slack.
 
+Each interval solve bisects one eavesdropper's log-survival in theta
+against a level computed once per curve: the best of K eavesdroppers meets
+SOP <= epsilon exactly where that log-survival is at most
+log(1 - (1-epsilon)^(1/K)). On the kinds where the log-survival is convex,
+secant steps first certify a band around each crossing, and the bisection
+evaluates only the midpoints inside it, with the same result bit for bit.
+
 ``grid_search_oracle`` is the brute-force cross-check used by the tests; it
 shares only the closed-form grid kernels with the sweep, not its interval
-logic.
+logic, and compares SOPs with epsilon, not log-survivals with the level.
 """
 from __future__ import annotations
 
@@ -34,6 +41,16 @@ _ALGORITHM_ALIASES = {"alg1": "perfect", "alg2": "imperfect", "perfect": "perfec
 _FAMILY = {"perfect": "single", "imperfect": "single", "multi": "multi"}
 
 _BISECT_TOL = 1e-13
+# A log-survival this far (relative to 1 + |level|) from the level is on its
+# side of the level whatever the rounding: an evaluation errs by a few ulps
+# of its magnitude.
+_MARGIN = 1e-12
+# secant steps per crossing (about 10 are taken); the bisection covers the rest
+_SECANT_STEPS = 16
+# Kinds whose log-survival is convex in theta (monotone on each side of its
+# minimizer): the passive kernels, and the perfect-estimate active kernels,
+# -(M+N-2) log1p(theta s / M). The imperfect-estimate one is not.
+_CONVEX = ("active", "active_multi", "passive", "passive_multi")
 
 
 def resolve_algorithm(name: str) -> str:
@@ -91,19 +108,65 @@ class OptResult:
     trace: dict = field(default_factory=dict)
 
 
-def _bisect(f, lo: float, hi: float, target: float) -> float:
-    """Root of f - target on [lo, hi]; assumes exactly one sign change."""
-    f_lo = f(lo) - target
+def _bisect(gap, lo: float, hi: float, lo_above: bool,
+            band: tuple[float, float] = (-math.inf, math.inf)) -> float:
+    """Bisect [lo, hi] down to _BISECT_TOL for the one point where
+    ``gap > 0`` changes from ``lo_above`` (its value at lo); returns the
+    midpoint of the last bracket.
+
+    ``band`` = (a, b) says that ``gap > 0`` is ``lo_above`` at every point up
+    to a and the opposite from b on; only the midpoints strictly inside it
+    are evaluated, so the bisection takes the same steps with fewer calls.
+    """
+    a, b = band
     for _ in range(200):
         if hi - lo <= _BISECT_TOL:
             break
         mid = 0.5 * (lo + hi)
-        f_mid = f(mid) - target
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+        if mid <= a or (mid < b and (gap(mid) > 0.0) == lo_above):
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _secant_band(gap, lo: float, hi: float, gap_lo: float, gap_hi: float,
+                 margin: float) -> tuple[float, float]:
+    """A band (a, b) for :func:`_bisect` around the one root of ``gap`` on
+    [lo, hi], where ``gap`` is monotone and changes sign from positive to
+    non-positive; a is lo or a point with gap > margin, b is hi or a point
+    with gap < -margin.
+
+    Safeguarded secant steps (a step leaving the band halves it instead)
+    close in on the root; once a gap is within the margin, two probes a few
+    margins to either side of it certify a tight band. The band is valid
+    whatever the steps do: only certified points narrow it.
+    """
+    a, b = lo, hi
+    x0, g0, x1, g1 = lo, gap_lo, hi, gap_hi
+    for _ in range(_SECANT_STEPS):
+        x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else math.nan
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        g = gap(x)
+        if g > margin:
+            a = x
+        elif g < -margin:
+            b = x
+        else:  # at the root to within the margin (or a NaN gap)
+            slope = abs((g - g1) / (x - x1)) if x != x1 else 0.0
+            if 0.0 < slope < math.inf:
+                width = 4.0 * margin / slope
+                for probe in (x - width, x + width):
+                    if a < probe < b:
+                        g_probe = gap(probe)
+                        if g_probe > margin:
+                            a = probe
+                        elif g_probe < -margin:
+                            b = probe
+            break
+        x0, g0, x1, g1 = x1, g1, x, g
+    return a, b
 
 
 def theta_floor_active(params: SystemParams, p_a: float, r_s: float) -> float:
@@ -131,18 +194,37 @@ def _crossings(kind: str, params: SystemParams, p_a: float, r_s: float,
                minimizer: float) -> ThetaInterval:
     """AN ratios where the SOP of ``kind`` is at most epsilon.
 
-    The SOP is unimodal in theta with its minimum at ``minimizer`` (1.0 for
-    one that decreases throughout), so the admissible set is the interval
-    between the epsilon crossings on either side of it, each bisected on a
-    theta-curve whose alpha/beta is fixed; empty when even the minimum
-    exceeds epsilon.
+    The SOP is at most epsilon exactly where one eavesdropper's log-survival
+    is at most a level computed once per curve (cf.log_sf_theta_curve), so
+    the solver compares log-survivals with that level and never forms an
+    SOP. The log-survival is unimodal in theta with its minimum at
+    ``minimizer`` (1.0 for one that decreases throughout), so the admissible
+    set is the interval between the level crossings on either side of it,
+    each bisected on a theta-curve whose alpha/beta is fixed; empty when even
+    the minimum exceeds the level. On the ``_CONVEX`` kinds the bisection
+    evaluates only inside the band that :func:`_secant_band` certifies.
     """
-    eps = params.epsilon
-    sop = cf.sop_theta_curve(kind, params, p_a, r_s)
-    if sop(minimizer) > eps:
+    log_sf, level = cf.log_sf_theta_curve(kind, params, p_a, r_s, params.epsilon)
+
+    def gap(theta: float) -> float:
+        return float(log_sf(theta)) - level
+
+    g_min = gap(minimizer)
+    if g_min > 0.0:
         return ThetaInterval.nothing()
-    lo = 0.0 if sop(0.0) <= eps else _bisect(sop, 0.0, minimizer, eps)
-    hi = 1.0 if sop(1.0) <= eps else _bisect(sop, minimizer, 1.0, eps)
+    margin = _MARGIN * (1.0 + abs(level))
+
+    def crossing(lo: float, hi: float, g_lo: float, g_hi: float, sign: float) -> float:
+        """The one crossing on [lo, hi]; ``sign`` orients the gap to fall."""
+        band = (-math.inf, math.inf)
+        if kind in _CONVEX:
+            band = _secant_band(lambda t: sign * gap(t), lo, hi, sign * g_lo, sign * g_hi,
+                                margin)
+        return _bisect(gap, lo, hi, sign > 0.0, band)
+
+    g_0, g_1 = gap(0.0), gap(1.0)
+    lo = 0.0 if g_0 <= 0.0 else crossing(0.0, minimizer, g_0, g_min, 1.0)
+    hi = 1.0 if g_1 <= 0.0 else crossing(minimizer, 1.0, g_min, g_1, -1.0)
     return ThetaInterval(lo=lo, hi=hi)
 
 

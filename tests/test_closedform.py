@@ -278,6 +278,42 @@ def test_sop_grid_rejects_rate_outside_zero_r_b():
             cf.sop_grid(params, 10.0, np.array([0.0, 1.0, bad]), th_grid, "passive")
 
 
+@pytest.mark.parametrize("count", [1, 2, 5, 64])
+@pytest.mark.parametrize("eps", [1e-12, 1e-3, 0.2, 1.0 - 1e-9])
+def test_secrecy_level_matches_mpmath(count, eps):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        exact = mpmath.log(1 - (1 - mpmath.mpf(eps)) ** (mpmath.mpf(1) / count))
+        got = cf.secrecy_level(eps, count)
+        assert abs(got - exact) <= 1e-14 * abs(exact), (got, exact)
+
+
+def test_secrecy_level_survives_a_subnormal_epsilon():
+    assert cf.secrecy_level(5e-324, 64) == pytest.approx(np.log(5e-324) - np.log(64.0))
+
+
+KINDS = ("active", "active_imperfect", "active_multi", "passive", "passive_multi")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_log_survival_level_agrees_with_sop(kind):
+    # SOP <= epsilon exactly where the log-survival is at most the level,
+    # wherever rounding cannot decide the comparison either way
+    rng = np.random.default_rng(97)
+    thetas = np.linspace(0.0, 1.0, 201)
+    decided = 0
+    for _ in range(40):
+        params = random_params(rng, m_active=int(rng.integers(1, 4)), n_lo=5,
+                               rho_ea=float(rng.uniform(0.05, 0.95)))
+        p_a, _, r_s = random_point(rng, params)
+        sop = cf.sop_theta_curve(kind, params, p_a, r_s)(thetas)
+        log_sf, level = cf.log_sf_theta_curve(kind, params, p_a, r_s, params.epsilon)
+        clear = np.abs(sop - params.epsilon) > 1e-9 * params.epsilon
+        assert np.array_equal((sop <= params.epsilon)[clear], (log_sf(thetas) <= level)[clear])
+        decided += int(np.count_nonzero(clear & (sop <= params.epsilon)))
+    assert decided > 0
+
+
 # ---------------------------------------------------------------------------
 # Derivatives
 # ---------------------------------------------------------------------------

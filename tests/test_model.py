@@ -5,6 +5,7 @@ import pytest
 
 from secrate.errors import AntennaCountTooSmall, NonPositive, RangeError
 from secrate.model import SystemParams, db_to_linear, make_split, validate
+from secrate.optimizer import maximize_for
 
 from conftest import random_params
 
@@ -109,3 +110,21 @@ def test_params_frozen():
     params = _params()
     with pytest.raises(dataclasses.FrozenInstanceError):
         params.n_antennas = 8
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_rejects_r_b_whose_threshold_overflows():
+    # 2**r_b - 1 is the SNR threshold every closed form starts from
+    for r_b in (1024.0, 1030.0, 1e6):
+        with pytest.raises(RangeError, match="r_b"):
+            validate(_params(r_b=r_b))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pa_mode", ["auto", "noise_limited", "interference_limited"])
+@pytest.mark.parametrize("rho_b", [1.0, 0.9])
+def test_huge_r_b_needs_infinite_power_without_warning(pa_mode, rho_b):
+    params = validate(_params(r_b=np.nextafter(1024.0, 0.0), var_ab=1.0, rho_b=rho_b))
+    result = maximize_for(params, pa_mode=pa_mode)
+    assert not result.feasible
+    assert result.infeasibility_reason in ("PA_EXCEEDS_PMAX", "NO_THETA_AT_RS0")

@@ -456,6 +456,65 @@ def test_bisection_matches_linear_walk_when_infeasible(baseline_params):
             assert result.infeasibility_reason == reason
 
 
+# ---------------------------------------------------------------------------
+# The log-survival theta-solver against the SOP-scale solver it replaces
+# ---------------------------------------------------------------------------
+
+def _sop_scale_crossings(kind, params, p_a, r_s, minimizer):
+    """The theta-solver on the SOP scale: every SOP against epsilon, each
+    crossing bisected on the SOP itself down to the solver's tolerance."""
+    eps = params.epsilon
+    sop = cf.sop_theta_curve(kind, params, p_a, r_s)
+
+    def bisect(lo, hi):
+        lo_above = sop(lo) > eps
+        while hi - lo > opt._BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            if (sop(mid) > eps) == lo_above:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    if sop(minimizer) > eps:
+        return opt.ThetaInterval.nothing()
+    lo = 0.0 if sop(0.0) <= eps else bisect(0.0, minimizer)
+    hi = 1.0 if sop(1.0) <= eps else bisect(minimizer, 1.0)
+    return opt.ThetaInterval(lo=lo, hi=hi)
+
+
+def _minimizer(kind, params, p_a, r_s):
+    if kind in ("passive", "passive_multi"):
+        return opt._theta_reference(params, kind)
+    if kind == "active_imperfect":
+        return min(cf.active_sop_theta_profile(params, p_a, r_s).theta_pos, 1.0)
+    return 1.0
+
+
+def test_log_survival_crossings_match_sop_scale():
+    rng = np.random.default_rng(607)
+    kinds = ("active", "active_imperfect", "active_multi", "passive", "passive_multi")
+    seen = {"empty": 0, "interior": 0}
+    for _ in range(100):
+        params = _criterion_5_scenario(rng, str(rng.choice(opt.ALGORITHMS)))
+        params = replace(params, m_active=max(params.m_active, 2), n_antennas=max(
+            params.n_antennas, 4), rho_ea=float(rng.uniform(0.05, 0.95)))
+        p_a = min(cf.min_pa(params), 0.9 * params.p_max)
+        for kind in kinds:
+            for share in (0.05, 0.3, 0.6, 0.9):
+                r_s = share * params.r_b
+                args = (kind, params, p_a, r_s, _minimizer(kind, params, p_a, r_s))
+                got, want = opt._crossings(*args), _sop_scale_crossings(*args)
+                assert got.empty == want.empty, args
+                if want.empty:
+                    seen["empty"] += 1
+                    continue
+                assert abs(got.lo - want.lo) <= 2 * opt._BISECT_TOL, args
+                assert abs(got.hi - want.hi) <= 2 * opt._BISECT_TOL, args
+                seen["interior"] += 0.0 < want.lo or want.hi < 1.0
+    assert min(seen.values()) > 50, seen
+
+
 def test_oracle_requires_minimum_grid():
     rng = np.random.default_rng(53)
     params = random_params(rng)

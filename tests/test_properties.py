@@ -4,6 +4,7 @@ The hypothesis profile in ``conftest.py`` derandomizes the examples, so every
 run checks the same scenarios.
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import secrate.closedform as cf  # noqa: E402
 import secrate.optimizer as opt  # noqa: E402
+from secrate.errors import RangeError  # noqa: E402
 from secrate.model import SystemParams, make_split, validate  # noqa: E402
 
 KINDS = ("active", "active_imperfect", "active_multi", "passive", "passive_multi")
@@ -94,3 +96,34 @@ def test_sweep_matches_oracle_within_one_step(params):
         oracle.infeasibility_reason == "PA_EXCEEDS_PMAX")
     if result.feasible and oracle.feasible:
         assert abs(result.r_s_star - oracle.r_s_star) <= step + 1e-12
+
+
+@given(scenarios(), st.floats(1e-6, 1.0), st.floats(1.0, 2.0, exclude_min=True))
+def test_rate_above_r_b_is_rejected_by_every_kind(params, power_share, rate_scale):
+    p_a = power_share * params.p_max
+    r_s = rate_scale * params.r_b
+    for fn in (cf.alpha_ratio, cf.beta_ratio, cf.derived_ratios):
+        with pytest.raises(RangeError, match="r_s"):
+            fn(params, p_a, r_s)
+    for kind in KINDS:
+        with pytest.raises(RangeError, match="r_s"):
+            cf.sop_theta_curve(kind, params, p_a, r_s)
+        with pytest.raises(RangeError, match="r_s"):
+            cf.log_sf_theta_curve(kind, params, p_a, r_s, params.epsilon)
+        with pytest.raises(RangeError, match="r_s"):
+            opt.theta_interval(kind, params, p_a, r_s)
+
+
+@given(scenarios(), st.floats(1e-6, 1.0), st.floats(0.0, 1.0))
+def test_secant_band_changes_no_bit_of_the_bisection(params, power_share, rate_share):
+    # the band only skips midpoints whose side it has certified, so the
+    # crossings equal those of the plain bisection bit for bit
+    p_a = power_share * params.p_max
+    r_s = rate_share * params.r_b
+    for kind in opt._CONVEX:
+        minimizer = (opt._theta_reference(params, kind) if kind.startswith("passive")
+                     else 1.0)
+        banded = opt._crossings(kind, params, p_a, r_s, minimizer)
+        with mock.patch.object(opt, "_CONVEX", ()):
+            plain = opt._crossings(kind, params, p_a, r_s, minimizer)
+        assert repr(banded) == repr(plain), kind
