@@ -100,12 +100,24 @@ def derived_ratios(params: SystemParams, p_a: float, r_s: float) -> DerivedRatio
 def _log_sf_active(w_beam, w_pas, s, n: int, m: int, rho_ea: float):
     """One active eavesdropper, its beam one of M sharing ``w_beam``. An
     imperfect estimate (rho_ea < 1, single beam) mispoints the beam and lets
-    passive AN through the estimation error."""
-    log_sf = (2 - m - n) * np.log1p(w_beam / m * s)
+    passive AN through the estimation error.
+
+    The imperfect terms would read inf - inf at an s that overflowed to inf
+    (alpha beyond the float range); such an s takes the limit s -> inf
+    instead: -inf, or 0 where no AN reaches the eavesdropper.
+    """
     rho_bar = 1.0 - rho_ea ** 2
+    overflow = None
+    if rho_bar and not (isinstance(s, float) and s < math.inf):
+        overflow = np.asarray(s) == math.inf
+        s = np.where(overflow, 1.0, s)
+    log_sf = (2 - m - n) * np.log1p(w_beam / m * s)
     if rho_bar:
         log_sf = ((n - 2) * np.log1p(w_beam * rho_bar * s) + log_sf
                   - (n - 2) * np.log1p(w_pas * rho_bar * s / (n - 2)))
+    if overflow is not None and overflow.any():  # no full-grid pass without one
+        jammed = (w_beam > 0.0) | (w_pas > 0.0)
+        log_sf = np.where(overflow, np.where(jammed, -np.inf, 0.0), log_sf)
     return log_sf
 
 
@@ -292,6 +304,11 @@ def min_pa(params: SystemParams, mode: str = "auto") -> float:
 
     Returns the required power even when it exceeds p_max; callers decide
     feasibility (the optimizer reports PA_EXCEEDS_PMAX).
+
+    ``auto`` is discontinuous at rho_b = 1: ``an_leakage`` drops the
+    thermal-noise floor that ``noise_limited`` keeps, so on the shipped
+    ``sweep_antennas.cfg`` scenario the power is 242.03 at rho_b = 1 but
+    0.0077 at rho_b = 1 - 1e-9 and 7.7e-9 at rho_b = 1 - 1e-15.
     """
     mode = resolve_pa_mode(params, mode)
     x = rate_gap_threshold(params.r_b, 0.0)

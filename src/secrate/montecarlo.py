@@ -7,6 +7,14 @@ slots. Identical (seed, trial_index) therefore produce bit-identical draws
 no matter how trials are batched, ordered, or threaded, and whole batches
 vectorize into single numpy passes.
 
+Draws are lazy per field. :func:`draw_batch` takes the Philox uniforms of
+its whole trial range at once; a field table fixes each field's slot
+columns in stream order, and a field is Box-Mullered and scaled on its own
+columns only when an SNR kernel first reads it. A field of zero variance
+(an exact estimate) is an exact zero and is never transformed. A field's
+values do not depend on which other fields are read, so a block that
+computes only active SNRs transforms only the fields those read.
+
 SNRs are interference-limited to match the closed forms (receiver noise is
 excluded unless ``include_noise`` is set, which is a sensitivity option
 only). Complex Gaussians follow the convention CN(0, s2) = independent real
@@ -14,8 +22,9 @@ and imaginary parts of variance s2/2 each.
 """
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -38,14 +47,27 @@ _CHUNK_TRIALS = 16384
 # Counter-based channel sampling
 # ---------------------------------------------------------------------------
 
-def _complex_count(params: SystemParams) -> int:
+def _field_table(params: SystemParams) -> tuple:
+    """(name, trailing shape, variance) of each drawn field, in stream order.
+
+    A field takes prod(shape) complex entries of every trial, 4 uniform
+    slots each; an (N, J) field is drawn column by column.
+    """
     n, m, k = params.n_antennas, params.m_active, params.k_passive
-    return 2 * n + 2 * n * m + n * k + 2 + m + k
+    return (("g_b_est", (n,), params.var_jb),
+            ("e_b", (n,), (1.0 - params.rho_b ** 2) * params.var_jb),
+            ("g_ea_est", (n, m), params.var_jea),
+            ("e_ea", (n, m), (1.0 - params.rho_ea ** 2) * params.var_jea),
+            ("g_ek", (n, k), params.var_jek),
+            ("h_ab", (), params.var_ab),
+            ("f_eab", (), params.var_eab),
+            ("h_aea", (m,), params.var_aea),
+            ("h_aek", (k,), params.var_aek))
 
 
 def slots_per_trial(params: SystemParams) -> int:
     """Uniform slots one trial consumes (2 per Gaussian, 4 per complex entry)."""
-    return 4 * _complex_count(params)
+    return 4 * sum(math.prod(shape) for _, shape, _ in _field_table(params))
 
 
 def _uniform_slots(seed: int, start_slot: int, count: int) -> np.ndarray:
@@ -64,25 +86,35 @@ def _standard_normals(u: np.ndarray) -> np.ndarray:
     return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
 
 
-@dataclass(frozen=True)
 class ChannelBatch:
     """Channel realizations for a contiguous range of trials (leading axis).
+
+    Each field is computed by ``source(batch, name)`` on first access and
+    then cached (the source gets the batch as an argument, so it need hold no
+    reference to it, and a dropped batch is freed at once):
+
+    - ``g_b`` (T, N) true jammer->Bob, ``g_b_est`` (T, N) its estimate,
+      ``e_b`` (T, N) the estimation error, g_b = rho_b*g_b_est + e_b;
+    - ``g_ea``, ``g_ea_est``, ``e_ea`` (T, N, M): the same for jammer->active;
+    - ``g_ek`` (T, N, K) jammer->passive;
+    - ``h_ab`` (T,) Alice->Bob, ``f_eab`` (T,) active eavesdropper->Bob;
+    - ``h_aea`` (T, M) Alice->active, ``h_aek`` (T, K) Alice->passive.
 
     :func:`sample_channels` returns one realization as the same fields
     without the trial axis.
     """
 
-    g_b: np.ndarray        # (T, N) true jammer->Bob
-    g_b_est: np.ndarray    # (T, N) estimated jammer->Bob
-    e_b: np.ndarray        # (T, N) estimation error, g_b = rho_b*g_b_est + e_b
-    g_ea: np.ndarray       # (T, N, M) true jammer->active
-    g_ea_est: np.ndarray   # (T, N, M)
-    e_ea: np.ndarray       # (T, N, M)
-    g_ek: np.ndarray       # (T, N, K) jammer->passive
-    h_ab: np.ndarray       # (T,) Alice->Bob
-    f_eab: np.ndarray      # (T,) active eavesdropper->Bob
-    h_aea: np.ndarray      # (T, M) Alice->active
-    h_aek: np.ndarray      # (T, K) Alice->passive
+    FIELDS = ("g_b", "g_b_est", "e_b", "g_ea", "g_ea_est", "e_ea", "g_ek",
+              "h_ab", "f_eab", "h_aea", "h_aek")
+
+    def __init__(self, source):
+        self._source = source
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        if name not in ChannelBatch.FIELDS:
+            raise AttributeError(name)
+        value = self.__dict__[name] = self._source(self, name)
+        return value
 
     @cached_property
     def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,44 +140,41 @@ class ChannelBatch:
 
 
 def draw_batch(params: SystemParams, seed: int, start: int, stop: int) -> ChannelBatch:
-    """Draw trials [start, stop); bit-identical per trial regardless of batching."""
-    n, m, k = params.n_antennas, params.m_active, params.k_passive
+    """Draw trials [start, stop); bit-identical per trial regardless of batching.
+
+    Only the Philox uniforms are drawn here; each field is transformed from
+    its own slot columns when first read.
+    """
     count = stop - start
     slots = slots_per_trial(params)
     u = _uniform_slots(seed, start * slots, count * slots).reshape(count, slots)
-    z = _standard_normals(u)
-    c = (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)  # unit-variance complex
+    columns, first = {}, 0
+    for name, shape, var in _field_table(params):
+        width = math.prod(shape)
+        columns[name] = (first, width, shape, var)
+        first += 4 * width
 
-    pos = 0
+    def field(batch: ChannelBatch, name: str) -> np.ndarray:
+        if name == "g_b":
+            return params.rho_b * batch.g_b_est + batch.e_b
+        if name == "g_ea":
+            return params.rho_ea * batch.g_ea_est + batch.e_ea
+        first, width, shape, var = columns[name]
+        if var == 0.0:
+            c = np.zeros((count, width), dtype=complex)
+        else:
+            z = _standard_normals(u[:, first:first + 4 * width])
+            c = (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0) * np.sqrt(var)
+        # the stream holds an (N, J) field column by column: (T, J, N) -> (T, N, J)
+        return c.reshape(count, *shape[::-1]).transpose(0, *range(len(shape), 0, -1))
 
-    def take(width: int) -> np.ndarray:
-        nonlocal pos
-        out = c[:, pos:pos + width]
-        pos += width
-        return out
-
-    rho_b, rho_ea = params.rho_b, params.rho_ea
-    g_b_est = take(n) * np.sqrt(params.var_jb)
-    e_b = take(n) * np.sqrt((1.0 - rho_b ** 2) * params.var_jb)
-    g_ea_est = take(n * m).reshape(count, m, n).swapaxes(1, 2) * np.sqrt(params.var_jea)
-    e_ea = take(n * m).reshape(count, m, n).swapaxes(1, 2) * np.sqrt(
-        (1.0 - rho_ea ** 2) * params.var_jea)
-    g_ek = take(n * k).reshape(count, k, n).swapaxes(1, 2) * np.sqrt(params.var_jek)
-    h_ab = take(1)[:, 0] * np.sqrt(params.var_ab)
-    f_eab = take(1)[:, 0] * np.sqrt(params.var_eab)
-    h_aea = take(m) * np.sqrt(params.var_aea)
-    h_aek = take(k) * np.sqrt(params.var_aek)
-    return ChannelBatch(
-        g_b=rho_b * g_b_est + e_b, g_b_est=g_b_est, e_b=e_b,
-        g_ea=rho_ea * g_ea_est + e_ea, g_ea_est=g_ea_est, e_ea=e_ea,
-        g_ek=g_ek, h_ab=h_ab, f_eab=f_eab, h_aea=h_aea, h_aek=h_aek,
-    )
+    return ChannelBatch(field)
 
 
 def sample_channels(params: SystemParams, seed: int, trial_index: int) -> ChannelBatch:
     """One deterministic channel realization keyed by (seed, trial_index)."""
     b = draw_batch(params, seed, trial_index, trial_index + 1)
-    return ChannelBatch(**{f.name: getattr(b, f.name)[0] for f in fields(b)})
+    return ChannelBatch(lambda _, name: getattr(b, name)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +230,8 @@ def _snr_bob_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
 
 
 def _snr_active_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
-                      include_noise: bool) -> np.ndarray:
-    """(T, M) SNRs at the active eavesdroppers.
+                      include_noise: bool, cols: slice = slice(None)) -> np.ndarray:
+    """(T, M) SNRs at the active eavesdroppers; ``cols`` keeps only those columns.
 
     Beam m is weighed against every true active channel (its own gives the
     MRT gain; the others are the cross-eavesdropper couplings of that beam),
@@ -210,10 +239,13 @@ def _snr_active_batch(params: SystemParams, batch: ChannelBatch, split: PowerSpl
     With perfect estimates the passive term is an exact zero.
     """
     q_b, beams, ortho = batch.geometry
-    cross = _abs2(np.einsum("tnj,tnm->tjm", batch.g_ea.conj(), beams))  # j channels x m beams
-    den = _an_den(params, split, np.sum(cross, axis=1),
-                  _complement_power(batch.g_ea, q_b, ortho), include_noise)
-    return split.p_a * _abs2(batch.h_aea) / np.maximum(den, _DEN_FLOOR)
+    g = batch.g_ea
+    cross = _abs2(np.einsum("tnj,tnm->tjm", g.conj(), beams[:, :, cols]))  # j channels x m beams
+    # summed channel by channel, so one column adds in the order all M do
+    beam = sum(cross[:, j] for j in range(cross.shape[1]))
+    den = _an_den(params, split, beam, _complement_power(g[:, :, cols], q_b, ortho),
+                  include_noise)
+    return split.p_a * _abs2(batch.h_aea[:, cols]) / np.maximum(den, _DEN_FLOOR)
 
 
 def _snr_passive_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
@@ -238,7 +270,7 @@ def _snr_passive_batch(params: SystemParams, batch: ChannelBatch, split: PowerSp
 # ---------------------------------------------------------------------------
 
 def _as_batch(draw: ChannelBatch) -> ChannelBatch:
-    return ChannelBatch(**{f.name: getattr(draw, f.name)[None] for f in fields(draw)})
+    return ChannelBatch(lambda _, name: getattr(draw, name)[None])
 
 
 def _bob_regime(params: SystemParams, regime: str) -> str:
@@ -332,8 +364,8 @@ def _count_outages(params: SystemParams, split: PowerSplit, r_s: float,
                    include_noise: bool) -> dict[str, McEstimate]:
     """The three outage estimates from :func:`snr_samples` output.
 
-    Independent branch 0 is the sampled block itself; branches 1..M-1 draw
-    their own blocks and compute only the active SNRs.
+    Independent branch 0 is the sampled block itself; branch b in 1..M-1
+    draws its own block and computes only active SNR column b.
     """
     trials = samples["bob"].shape[0]
     threshold_so = rate_gap_threshold(params.r_b, r_s)
@@ -342,7 +374,8 @@ def _count_outages(params: SystemParams, split: PowerSplit, r_s: float,
         for branch in range(1, params.m_active):
             for start, stop in _chunks(trials):
                 batch = draw_batch(params, seed, branch * trials + start, branch * trials + stop)
-                col = _snr_active_batch(params, batch, split, include_noise)[:, branch]
+                col = _snr_active_batch(params, batch, split, include_noise,
+                                        slice(branch, branch + 1))[:, 0]
                 np.maximum(max_active[start:stop], col, out=max_active[start:stop])
     else:
         max_active = samples["active"].max(axis=1)

@@ -246,10 +246,12 @@ def theta_interval_active_imperfect(params: SystemParams, p_a: float, r_s: float
     """
     if params.rho_ea == 1.0:
         return _floor_interval(params, p_a, r_s)
-    if float(cf.alpha_ratio(params, p_a, r_s)) == 0.0:
+    alpha = float(cf.alpha_ratio(params, p_a, r_s))
+    if alpha == 0.0:
         return ThetaInterval.nothing()
-    if params.rho_ea == 0.0:
-        root = 1.0 / (params.n_antennas - 1)  # quadratic root is exact here
+    if params.rho_ea == 0.0 or alpha == math.inf:
+        # the quadratic root is exact here, and its limit as alpha overflows
+        root = 1.0 / (params.n_antennas - 1)
     else:
         root = cf.active_sop_theta_profile(params, p_a, r_s).theta_pos
     return _crossings("active_imperfect", params, p_a, r_s, min(root, 1.0))

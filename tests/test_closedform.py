@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -545,3 +547,129 @@ def test_sop_active_imperfect_monotone_in_rho_above_knee():
             SystemParams(**{**base.__dict__, "rho_ea": r}), split, r_s)
             for r in rhos]
         assert np.all(np.diff(values) <= 1e-12)
+
+
+def test_imperfect_log_survival_takes_its_limit_when_alpha_overflows():
+    # s = inf used to give (n-2)*log1p(inf) + (-inf) = NaN with a RuntimeWarning
+    n, rho = 6, 0.5
+    for theta in (0.0, 0.3, 1.0):
+        assert cf._log_sf_active(theta, 1.0 - theta, float("inf"), n, 1, rho) == -np.inf
+    assert cf._log_sf_active(0.0, 0.0, float("inf"), n, 1, rho) == 0.0  # no AN at all
+    s = np.array([0.5, np.inf, 3e300])
+    got = cf._log_sf_active(0.3, 0.7, s, n, 1, rho)
+    assert got[1] == -np.inf
+    for i in (0, 2):  # finite entries keep the scalar path's floats
+        assert got[i] == cf._log_sf_active(0.3, 0.7, float(s[i]), n, 1, rho)
+    params = _raw_params(n_antennas=n, var_jea=1e300, rho_ea=rho)
+    split = make_split(params, 0.5 * params.p_max, 0.4)
+    assert cf.cdf_snr_active_imperfect(np.inf, params, split) == 1.0
+    assert cf.cdf_snr_active_imperfect(np.array([1e-10, np.inf]), params, split).tolist() == [
+        cf.cdf_snr_active_imperfect(1e-10, params, split), 1.0]
+    huge = _raw_params(n_antennas=n, var_jea=1e300, var_aea=1e-300, rho_ea=rho, r_b=1000.0)
+    assert cf.alpha_ratio(huge, 10.0, 0.0) == np.inf
+    assert cf.sop_active_imperfect(huge, make_split(huge, 10.0, 0.4), 0.0) == 0.0
+
+
+_TAIL_SOPS = {"active": cf.sop_active, "active_imperfect": cf.sop_active_imperfect,
+              "active_multi": cf.sop_active_multi, "passive": cf.sop_passive,
+              "passive_multi": cf.sop_passive_multi}
+_TAIL_CDFS = {"active": cf.cdf_snr_active, "active_imperfect": cf.cdf_snr_active_imperfect,
+              "active_multi": cf.cdf_snr_active_multi, "passive": cf.cdf_snr_passive,
+              "passive_multi": cf.cdf_snr_passive_multi}
+_TAIL_TARGETS = (1e-300, 1e-100, 1e-12, 0.5, 1.0 - 1e-12)
+_BELOW_NORMAL = 1e-310  # a value that underflows the doubles may read 0
+
+
+def _mp_log_survival(mp, kind, params, w_beam, w_pas, s):
+    """log P(SNR >= x) of one eavesdropper from the closed forms, in mpmath."""
+    n = params.n_antennas
+    m = params.m_active if kind.endswith("multi") else 1
+    w_beam, w_pas = mp.mpf(w_beam), mp.mpf(w_pas)
+    if kind.startswith("passive"):
+        return -m * mp.log1p(w_beam * s / m) - (n - m - 1) * mp.log1p(w_pas * s / (n - m - 1))
+    log_g = (2 - m - n) * mp.log1p(w_beam * s / m)
+    if kind == "active_imperfect":
+        rho_bar = 1 - mp.mpf(params.rho_ea) ** 2
+        log_g += (n - 2) * (mp.log1p(w_beam * rho_bar * s)
+                            - mp.log1p(w_pas * rho_bar * s / (n - 2)))
+    return log_g
+
+
+def _mp_scale(mp, kind, params, p_a, x):
+    """s = var_j * x / (p_a * var_a) of ``kind``'s link."""
+    var_j, var_a = ((params.var_jea, params.var_aea) if kind.startswith("active")
+                    else (params.var_jek, params.var_aek))
+    return mp.mpf(var_j) * x / (mp.mpf(p_a) * mp.mpf(var_a))
+
+
+def _straddle(fn, lo, hi, target, log_scale):
+    """(a, b) adjacent to float resolution with fn(a) < target <= fn(b), for an
+    increasing fn; None when fn(lo) already reaches the target."""
+    if fn(lo) >= target:
+        return None
+    for _ in range(2100):
+        mid = math.sqrt(lo) * math.sqrt(hi) if log_scale else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        lo, hi = (mid, hi) if fn(mid) < target else (lo, mid)
+    return lo, hi
+
+
+def _tail_scenario(rng, kind):
+    """N = K = 64; M up to N - 2 for the multi kinds; rho_ea and theta drawn so
+    that the imperfect kind reaches its deep tail too (rho_ea near 1, theta = 1)."""
+    m = int(rng.choice([2, int(rng.integers(2, 62)), 62])) if kind.endswith("multi") else 1
+    rho = 1.0
+    if kind == "active_imperfect":
+        rho = float(rng.choice([rng.uniform(0.05, 0.95), 1.0 - 10.0 ** -rng.uniform(2.0, 6.0)]))
+    var = lambda: float(10.0 ** rng.uniform(-1.0, 1.0))  # noqa: E731
+    params = _raw_params(n_antennas=64, k_passive=64, m_active=m, rho_ea=rho, r_b=1000.0,
+                         var_aea=var(), var_aek=var(), var_jea=var(), var_jek=var())
+    theta = float(rng.choice([rng.uniform(0.01, 0.99), 1.0]))
+    return params, make_split(params, float(rng.uniform(0.05, 0.95)) * params.p_max, theta)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_wide_counts_match_mpmath_in_both_tails(kind):
+    # N = K = 64 and M up to N - 2 against 50-digit mpmath, at points on both
+    # sides of SOP and CDF values from 1e-300 to 1 - 1e-12
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(list(KINDS).index(kind) + 227)
+    reached = {"sop": set(), "cdf": set()}
+    with mp.workdps(50):
+        for _ in range(12):
+            params, split = _tail_scenario(rng, kind)
+            count = {"active_multi": params.m_active, "passive": params.k_passive,
+                     "passive_multi": params.k_passive}.get(kind, 1)
+
+            def sop(r_s):
+                return float(_TAIL_SOPS[kind](params, split, r_s))
+
+            def cdf(x):
+                return float(_TAIL_CDFS[kind](x, params, split))
+
+            rates = [float(rng.uniform(0.0, params.r_b))]
+            levels = [float(10.0 ** rng.uniform(-300.0, 300.0))]
+            for target in _TAIL_TARGETS:
+                pair = _straddle(sop, 0.0, params.r_b, target, False)
+                if pair:
+                    reached["sop"].add(target)
+                    rates.extend(pair)
+                pair = _straddle(cdf, 1e-305, 1e305, target, True)
+                if pair:
+                    reached["cdf"].add(target)
+                    levels.extend(pair)
+            for r_s in rates:
+                x = mp.mpf(2) ** (mp.mpf(params.r_b) - mp.mpf(r_s)) - 1
+                s = _mp_scale(mp, kind, params, split.p_a, x) * (
+                    mp.mpf(params.p_max) - mp.mpf(split.p_a))
+                g = mp.exp(_mp_log_survival(mp, kind, params, split.theta, 1.0 - split.theta, s))
+                exact = -mp.expm1(count * mp.log1p(-g))  # 1 - (1 - g)**count
+                got = sop(r_s)
+                assert abs(got - exact) <= 1e-9 * exact + _BELOW_NORMAL, (r_s, got, exact)
+            for x in levels:
+                s = _mp_scale(mp, kind, params, split.p_a, mp.mpf(x))
+                exact = -mp.expm1(_mp_log_survival(mp, kind, params, split.p_ja, split.p_jp, s))
+                got = cdf(x)
+                assert abs(got - exact) <= 1e-9 * exact + _BELOW_NORMAL, (x, got, exact)
+    assert reached == {"sop": set(_TAIL_TARGETS), "cdf": set(_TAIL_TARGETS)}

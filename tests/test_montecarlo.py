@@ -269,3 +269,136 @@ def test_zero_trials_raise_range_error(entry):
     params = _params()
     with pytest.raises(RangeError):
         entry(params, make_split(params, 100.0, 0.5))
+
+
+def _eager_fields(params, seed, start, stop):
+    """The all-at-once draw: Box-Muller over every slot of every trial, then the
+    fields taken from the unit-variance entries in stream order."""
+    n, m, k = params.n_antennas, params.m_active, params.k_passive
+    count = stop - start
+    slots = mc.slots_per_trial(params)
+    u = mc._uniform_slots(seed, start * slots, count * slots).reshape(count, slots)
+    z = mc._standard_normals(u)
+    c = (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
+    pos = 0
+
+    def take(width):
+        nonlocal pos
+        pos += width
+        return c[:, pos - width:pos]
+
+    rho_b, rho_ea = params.rho_b, params.rho_ea
+    out = {"g_b_est": take(n) * np.sqrt(params.var_jb),
+           "e_b": take(n) * np.sqrt((1.0 - rho_b ** 2) * params.var_jb)}
+    out["g_ea_est"] = take(n * m).reshape(count, m, n).swapaxes(1, 2) * np.sqrt(params.var_jea)
+    out["e_ea"] = take(n * m).reshape(count, m, n).swapaxes(1, 2) * np.sqrt(
+        (1.0 - rho_ea ** 2) * params.var_jea)
+    out["g_ek"] = take(n * k).reshape(count, k, n).swapaxes(1, 2) * np.sqrt(params.var_jek)
+    out["h_ab"] = take(1)[:, 0] * np.sqrt(params.var_ab)
+    out["f_eab"] = take(1)[:, 0] * np.sqrt(params.var_eab)
+    out["h_aea"] = take(m) * np.sqrt(params.var_aea)
+    out["h_aek"] = take(k) * np.sqrt(params.var_aek)
+    assert pos == c.shape[1]
+    out["g_b"] = rho_b * out["g_b_est"] + out["e_b"]
+    out["g_ea"] = rho_ea * out["g_ea_est"] + out["e_ea"]
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def test_lazy_fields_bit_identical_to_eager_draw():
+    # each field is transformed from its own slot columns, in any read order;
+    # a zero-variance error field is an exact (+0) zero where the eager
+    # draw scaled its entries by 0.0
+    rng = np.random.default_rng(211)
+    for _ in range(40):
+        n = int(rng.integers(3, 13))
+        m = int(rng.integers(1, n - 1))
+        params = _params(n_antennas=n, m_active=m, k_passive=int(rng.integers(1, 5)),
+                         rho_b=float(rng.choice([1.0, rng.uniform(0.1, 0.99)])),
+                         rho_ea=float(rng.choice([1.0, rng.uniform(0.1, 0.99)])))
+        start = int(rng.integers(0, 10_000))
+        stop = start + int(rng.integers(1, 300))
+        eager = _eager_fields(params, 13, start, stop)
+        batch = mc.draw_batch(params, 13, start, stop)
+        for name in rng.permutation(mc.ChannelBatch.FIELDS):
+            lazy, want = getattr(batch, name), eager[name]
+            assert lazy.shape == want.shape, name
+            rho = params.rho_b if name == "e_b" else params.rho_ea
+            if name in ("e_b", "e_ea") and rho == 1.0:
+                assert np.all(lazy == 0.0) and not np.any(np.signbit(lazy.real))
+                assert np.array_equal(lazy, want)
+            else:
+                assert np.array_equal(_bits(lazy), _bits(want)), name
+            assert getattr(batch, name) is lazy  # cached
+
+
+def test_branch_active_column_bit_identical_to_full_kernel():
+    # M >= 8 included: the channel sum then has as many terms as numpy's
+    # pairwise summation unrolls, where a per-column reduction could reorder it
+    rng = np.random.default_rng(223)
+    for m in (1, 2, 3, 5, 8, 9, 11):
+        n = m + int(rng.integers(2, 5))
+        params = _params(n_antennas=n, m_active=m,
+                         rho_ea=float(rng.choice([1.0, rng.uniform(0.2, 0.95)])))
+        split = make_split(params, 120.0, float(rng.uniform(0.1, 0.9)))
+        start = int(rng.integers(0, 5_000))
+        full = mc._snr_active_batch(params, mc.draw_batch(params, 5, start, start + 400),
+                                    split, False)
+        for b in range(m):
+            batch = mc.draw_batch(params, 5, start, start + 400)
+            col = mc._snr_active_batch(params, batch, split, False, slice(b, b + 1))
+            assert col.shape == (400, 1)
+            assert np.array_equal(_bits(col[:, 0]), _bits(full[:, b])), (m, b)
+
+
+def test_verification_transforms_each_field_once(monkeypatch):
+    # M = 3, rho_ea = 1, rho_b < 1: the main block transforms, once, every
+    # field but the zero e_ea and f_eab (the AN-leakage Bob SNR leaves it out);
+    # branch blocks transform only what their active column reads
+    params = _params(m_active=3, n_antennas=8, rho_b=0.9)
+    split = make_split(params, 150.0, 0.5)
+    trials = 5_000
+    slots = mc.slots_per_trial(params)
+    n, m, k = params.n_antennas, params.m_active, params.k_passive
+    widths = {"g_b_est": n, "e_b": n, "g_ea_est": n * m, "e_ea": n * m, "g_ek": n * k,
+              "h_ab": 1, "f_eab": 1, "h_aea": m, "h_aek": k}
+    field_at, first = {}, 0
+    for name, width in widths.items():
+        field_at[first] = name
+        first += 4 * width
+    assert first == slots
+    blocks, transformed = [], []
+    uniform_slots, standard_normals = mc._uniform_slots, mc._standard_normals
+
+    def recording_uniforms(seed, start_slot, count):
+        u = uniform_slots(seed, start_slot, count)
+        blocks.append((start_slot // slots, u))
+        return u
+
+    def recording_normals(u):
+        address = u.__array_interface__["data"][0]
+        for first_trial, block in blocks:
+            offset = address - block.__array_interface__["data"][0]
+            if 0 <= offset < block.nbytes:
+                name = field_at[offset // block.itemsize]
+                assert u.shape[1] == 4 * widths[name]
+                transformed.append((first_trial, name))
+                break
+        else:
+            raise AssertionError("normals drawn from no recorded block")
+        return standard_normals(u)
+
+    monkeypatch.setattr(mc, "_uniform_slots", recording_uniforms)
+    monkeypatch.setattr(mc, "_standard_normals", recording_normals)
+    mc.verification_rows(params, split, 3.0, trials, seed=3)
+    assert len(transformed) == len(set(transformed))
+    per_block = {}
+    for first_trial, name in transformed:
+        per_block.setdefault(first_trial, set()).add(name)
+    assert sorted(per_block) == [0, trials, 2 * trials]
+    assert per_block[0] == set(widths) - {"e_ea", "f_eab"}
+    for branch in (1, 2):
+        assert per_block[branch * trials] == {"g_b_est", "g_ea_est", "h_aea"}

@@ -528,3 +528,22 @@ def test_algorithm_aliases():
     assert opt.resolve_algorithm("multi") == "multi"
     with pytest.raises(RangeError):
         opt.resolve_algorithm("nope")
+
+
+def test_imperfect_search_survives_an_overflowing_alpha():
+    # alpha = inf at low rates: the imperfect log-survival takes its limit
+    # (-inf, no NaN, no RuntimeWarning) and the quadratic root its limit
+    # 1/(N-1), so the search finds what the perfect-CSI search finds
+    params = validate(SystemParams(
+        n_antennas=6, k_passive=2, m_active=1,
+        var_ab=1e300, var_aea=2.0, var_aek=2.0, var_eab=1.5,
+        var_jb=1.2, var_jea=1e300, var_jek=3.0,
+        p_max=1e4, p_ea=10.0, r_b=1000.0, delta=0.1, epsilon=0.01, rho_ea=0.5))
+    p_a = cf.min_pa(params, "noise_limited")
+    assert cf.alpha_ratio(params, p_a, 0.0) == math.inf
+    interval = opt.theta_interval_active_imperfect(params, p_a, 0.0)
+    assert (interval.lo, interval.hi) == (0.0, 1.0)
+    imperfect = opt.maximize_for(params, algorithm="imperfect", pa_mode="noise_limited")
+    perfect = opt.maximize_for(params, algorithm="perfect", pa_mode="noise_limited")
+    assert imperfect.feasible and imperfect.infeasibility_reason == "NONE"
+    assert (imperfect.r_s_star, imperfect.theta_star) == (perfect.r_s_star, perfect.theta_star)
