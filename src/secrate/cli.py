@@ -1,17 +1,26 @@
 """Command-line surface: evaluate closed forms, optimize, sweep, verify.
 
-Config files are flat ``key=value`` text with ``#`` comments. Any scenario
-key may carry a ``_db`` suffix (value in dB, converted on load). Exit codes:
-0 success, 2 config error, 3 infeasible optimization, 4 verification failure.
-``SECRATE_SEED`` overrides ``--seed``; ``SECRATE_CORRUPT`` names a closed
-form to perturb inside ``verify`` (test hook for the failure path).
+Config files are flat ``key=value`` text with ``#`` comments. The scenario
+keys, their types and which of them are required are the fields of
+:class:`SystemParams`; the run keys are ``p_a``, ``theta``, ``r_s``, ``step``,
+``algorithm`` and, for sweeps, ``axis``, ``values``, ``also_set`` and
+``overlay``. One conversion types every value, from a config line or from a
+sweep axis, ``also_set`` or overlay name alike: a variance or power key
+(``var_*``, ``p_max``, ``p_ea``, ``p_a``) may carry a ``_db`` suffix (value in
+dB, converted on load), and a count takes any integral number. The pa-mode
+is set by ``--pa-mode`` only. Exit codes: 0 success, 2 config error, 3
+infeasible optimization, 4 verification failure. ``SECRATE_SEED`` overrides
+``--seed``; ``SECRATE_CORRUPT`` names a closed form to perturb inside
+``verify`` (test hook for the failure path).
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
+import typing
 
 from . import closedform as cf
 from . import montecarlo as mc
@@ -19,17 +28,14 @@ from . import optimizer as opt
 from .errors import AlphaZero, ConfigError, SecrateError
 from .model import SystemParams, db_to_linear, make_split, validate
 
-_INT_KEYS = ("n_antennas", "k_passive", "m_active")
-_FLOAT_KEYS = ("var_ab", "var_aea", "var_aek", "var_eab", "var_jb", "var_jea",
-               "var_jek", "p_max", "p_ea", "r_b", "delta", "epsilon", "rho_b",
-               "rho_ea", "p_a", "theta", "r_s", "step")
-_DB_BASE_KEYS = ("var_ab", "var_aea", "var_aek", "var_eab", "var_jb", "var_jea",
-                 "var_jek", "p_max", "p_ea", "p_a")
-_STR_KEYS = ("algorithm", "pa_mode", "axis", "also_set", "overlay", "values")
-_PARAM_FIELDS = ("n_antennas", "k_passive", "m_active", "var_ab", "var_aea", "var_aek",
-                 "var_eab", "var_jb", "var_jea", "var_jek", "p_max", "p_ea", "r_b",
-                 "delta", "epsilon", "rho_b", "rho_ea")
-_OPTIONAL_PARAM_FIELDS = ("m_active", "rho_b", "rho_ea")
+# scenario field -> type, in SystemParams order; fields without a default are required
+_SCENARIO = typing.get_type_hints(SystemParams)
+_REQUIRED = [f.name for f in dataclasses.fields(SystemParams)
+             if f.default is dataclasses.MISSING]
+_KEY_TYPES = {**_SCENARIO, "p_a": float, "theta": float, "r_s": float, "step": float,
+              **dict.fromkeys(("algorithm", "axis", "also_set", "overlay", "values"), str)}
+# the variances and powers: the keys that take a _db suffix
+_DB_KEYS = tuple(k for k in _KEY_TYPES if k.startswith(("var_", "p_")))
 
 
 def _fmt(value) -> str:
@@ -42,6 +48,27 @@ def _fmt(value) -> str:
     return "%.12g" % value
 
 
+def _typed(key: str, value) -> tuple[str, object]:
+    """(field, typed value) that ``key`` set to ``value`` (text or a number) means."""
+    db = key.endswith("_db") and key[:-3] in _DB_KEYS
+    field = key[:-3] if db else key
+    kind = _KEY_TYPES.get(field)
+    if kind is None:
+        raise ConfigError(f"unknown key {key!r}")
+    if kind is str:
+        return field, value
+    try:
+        number = float(value)
+    except ValueError:
+        number = None
+    if number is None or kind is int and not number.is_integer():
+        raise ConfigError(f"key {key!r} needs {'an integer' if kind is int else 'a number'}, "
+                          f"got {value!r}")
+    if db:
+        return field, float(db_to_linear(number))
+    return field, int(number) if kind is int else number
+
+
 def parse_config(text: str) -> dict:
     """Parse key=value lines into typed values; errors carry line numbers."""
     out: dict = {}
@@ -52,30 +79,13 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        db_suffix = key.endswith("_db")
-        base = key[:-3] if db_suffix else key
-        if db_suffix and base not in _DB_BASE_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if base not in _INT_KEYS + _FLOAT_KEYS + _STR_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if base in out:
-            raise ConfigError(f"line {lineno}: duplicate key {base!r}")
-        if base in _INT_KEYS:
-            try:
-                out[base] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: key {key!r} needs an integer, "
-                                  f"got {value!r}") from None
-        elif base in _FLOAT_KEYS:
-            try:
-                parsed = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: key {key!r} needs a number, "
-                                  f"got {value!r}") from None
-            out[base] = float(db_to_linear(parsed)) if db_suffix else parsed
-        else:
-            out[base] = value
+        try:
+            field, typed = _typed(key.strip(), value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
+        if field in out:
+            raise ConfigError(f"line {lineno}: duplicate key {field!r}")
+        out[field] = typed
     return out
 
 
@@ -88,12 +98,10 @@ def load_config(path: str) -> dict:
 
 
 def build_params(cfg: dict) -> SystemParams:
-    missing = [f for f in _PARAM_FIELDS
-               if f not in cfg and f not in _OPTIONAL_PARAM_FIELDS]
+    missing = [f for f in _REQUIRED if f not in cfg]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
-    fields = {f: cfg[f] for f in _PARAM_FIELDS if f in cfg}
-    return validate(SystemParams(**fields))
+    return validate(SystemParams(**{f: cfg[f] for f in _SCENARIO if f in cfg}))
 
 
 def _csv(header: list[str], rows: list[list]) -> str:
@@ -102,19 +110,17 @@ def _csv(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _operating_point(params: SystemParams, cfg: dict, pa_mode: str):
-    """(p_a, theta, r_s) from the config, with documented defaults."""
-    if "p_a" in cfg:
-        p_a = cfg["p_a"]
-    else:
-        p_a = cf.min_pa(params, pa_mode)
+def _operating_point(cfg: dict, pa_mode: str):
+    """(params, split, r_s) from the config, with documented defaults."""
+    params = build_params(cfg)
+    p_a = cfg["p_a"] if "p_a" in cfg else cf.min_pa(params, pa_mode)
     if p_a > params.p_max:
         raise AlphaZero(f"required Alice power {p_a:.6g} exceeds p_max={params.p_max:.6g}")
     theta = cfg.get("theta", params.m_active / (params.n_antennas - 1))
     r_s = cfg.get("r_s", params.r_b / 2.0)
     if not 0.0 <= r_s <= params.r_b:
         raise ConfigError(f"r_s must lie in [0, r_b={params.r_b:.6g}], got {r_s!r}")
-    return p_a, theta, r_s
+    return params, make_split(params, p_a, theta), r_s
 
 
 EVAL_HEADER = ["p_a", "theta", "r_s", "alpha", "beta", "lambda_cap", "p_to", "p_so1",
@@ -129,10 +135,8 @@ _DTHETA = {"active": cf.sop_active_dtheta, "active_imperfect": cf.sop_active_dth
 
 
 def cmd_eval(cfg: dict, pa_mode: str) -> tuple[int, str]:
-    params = build_params(cfg)
-    mode = cf.resolve_pa_mode(params, pa_mode)
-    p_a, theta, r_s = _operating_point(params, cfg, mode)
-    split = make_split(params, p_a, theta)
+    params, split, r_s = _operating_point(cfg, pa_mode)
+    p_a = split.p_a
     ratios = cf.derived_ratios(params, p_a, r_s)
     metrics = cf.outage_metrics(params, split, r_s)
     nan = math.nan
@@ -144,7 +148,7 @@ def cmd_eval(cfg: dict, pa_mode: str) -> tuple[int, str]:
     except AlphaZero:
         floor = nan
     active_iv, passive_iv = (opt.theta_interval(k, params, p_a, r_s) for k in kinds)
-    row = [p_a, theta, r_s, ratios.alpha, ratios.beta, ratios.lambda_cap,
+    row = [p_a, split.theta, r_s, ratios.alpha, ratios.beta, ratios.lambda_cap,
            metrics.p_to, metrics.p_so1, metrics.p_so2, d_active, d_passive, floor,
            nan if active_iv.empty else active_iv.lo,
            nan if active_iv.empty else active_iv.hi,
@@ -182,18 +186,11 @@ def _parse_values(text: str, key: str) -> list[float]:
 
 
 def _apply_field(cfg: dict, key: str, value: float) -> None:
-    """Assign a sweep/overlay value to a scenario field, honoring _db suffixes."""
-    base = key[:-3] if key.endswith("_db") else key
-    if base not in _PARAM_FIELDS:
+    """Assign a sweep, also_set or overlay value to the scenario field ``key`` names."""
+    if key.removesuffix("_db") not in _SCENARIO:
         raise ConfigError(f"{key!r} does not name a scenario field")
-    if key.endswith("_db"):
-        cfg[base] = float(db_to_linear(value))
-    elif base in _INT_KEYS:
-        if not float(value).is_integer():
-            raise ConfigError(f"{key!r} needs integer values, got {value!r}")
-        cfg[base] = int(value)
-    else:
-        cfg[base] = value
+    field, cfg_value = _typed(key, value)
+    cfg[field] = cfg_value
 
 
 def cmd_sweep(cfg: dict, step: float | None, pa_mode: str) -> tuple[int, str]:
@@ -237,10 +234,7 @@ def cmd_verify(cfg: dict, trials: int, seed: int, pa_mode: str,
                corrupt: str | None) -> tuple[int, str]:
     if trials < 10_000:
         raise ConfigError("verification needs at least 10000 trials")
-    params = build_params(cfg)
-    mode = cf.resolve_pa_mode(params, pa_mode)
-    p_a, theta, r_s = _operating_point(params, cfg, mode)
-    split = make_split(params, p_a, theta)
+    params, split, r_s = _operating_point(cfg, pa_mode)
     rows = mc.verification_rows(params, split, r_s, trials, seed, corrupt=corrupt)
     table = [[r["name"], r["kind"], r["closed_form"], r["estimate"], r["std_err"],
               r["z_score"], r["ks_stat"], r["threshold"], r["passed"]] for r in rows]

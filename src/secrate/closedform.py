@@ -391,12 +391,17 @@ class OutageMetrics:
     p_so2: float
 
 
+def bob_regime(params: SystemParams) -> str:
+    """What limits Bob in the outage metrics and the Monte Carlo oracle: AN
+    leaking through the imperfect jammer->Bob estimate when rho_b < 1, else
+    the active eavesdropper's jamming. (The ``auto`` pa-mode is another rule:
+    it is noise-limited at rho_b = 1.)"""
+    return "an_leakage" if params.rho_b < 1.0 else "interference_limited"
+
+
 def outage_metrics(params: SystemParams, split: PowerSplit, r_s: float) -> OutageMetrics:
     """All three outage probabilities using the forms the scenario calls for."""
-    if params.rho_b < 1.0:
-        p_to = transmission_outage_an_leakage(params, split.p_a)
-    else:
-        p_to = transmission_outage(params, split.p_a)
+    p_to = transmission_outage_for_mode(params, split.p_a, bob_regime(params))
     p1, p2 = (float(_sop(kind, params, split, r_s)) for kind in scenario_kinds(params))
     return OutageMetrics(p_to=p_to, p_so1=p1, p_so2=p2)
 
@@ -421,13 +426,22 @@ def _quadratic_coeffs(n: int, alpha: float, rho: float) -> tuple[float, float, f
 
 
 def _quadratic_roots(n: int, alpha: float, rho: float) -> tuple[float, float, float]:
-    """(negative root, positive root, vertex value); roots always straddle 0."""
+    """(negative root, positive root, vertex value); roots always straddle 0.
+
+    Beyond alpha ~ 1e154, b * b overflows; the monic quadratic (b/a, c/a) has
+    the same roots, and the vertex value is then formed as c - b * (b / 4a).
+    """
     a, b, c = _quadratic_coeffs(n, alpha, rho)
     disc = b * b - 4.0 * a * c
+    vertex = c - b * b / (4.0 * a)
+    if disc == math.inf:
+        vertex = c - b * (b / (4.0 * a))
+        a, b, c = 1.0, b / a, c / a
+        disc = b * b - 4.0 * c
     sq = float(np.sqrt(disc))
     q = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
     r1, r2 = q / a, c / q
-    return min(r1, r2), max(r1, r2), c - b * b / (4.0 * a)
+    return min(r1, r2), max(r1, r2), vertex
 
 
 @dataclass(frozen=True)

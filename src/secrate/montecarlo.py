@@ -31,10 +31,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import closedform as cf
-from .closedform import (
-    cdf_snr_bob, outage_metrics, rate_gap_threshold, transmission_outage,
-    transmission_outage_an_leakage,
-)
+from .closedform import cdf_snr_bob, outage_metrics, rate_gap_threshold
 from .errors import DegenerateDistributionWarning, RangeError
 from .model import PowerSplit, SystemParams
 
@@ -71,6 +68,8 @@ def slots_per_trial(params: SystemParams) -> int:
 
 
 def _uniform_slots(seed: int, start_slot: int, count: int) -> np.ndarray:
+    if not 0 <= seed < 2 ** 128:
+        raise RangeError(f"seed must lie in [0, 2**128) (the Philox key), got {seed!r}")
     if start_slot % _PHILOX_BLOCK:
         raise ValueError("slot ranges must start on a Philox block boundary")
     bits = Philox(key=seed)
@@ -275,7 +274,7 @@ def _as_batch(draw: ChannelBatch) -> ChannelBatch:
 
 def _bob_regime(params: SystemParams, regime: str) -> str:
     if regime == "auto":
-        return "an_leakage" if params.rho_b < 1.0 else "interference_limited"
+        return cf.bob_regime(params)
     if regime not in ("interference_limited", "an_leakage"):
         raise RangeError(f"unknown Bob SNR regime {regime!r}")
     if regime == "an_leakage" and params.rho_b >= 1.0:
@@ -336,23 +335,24 @@ def _chunks(trials: int):
 
 
 def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int,
-                bob_regime: str = "auto", beam_leakage: str = "subspace",
+                beam_leakage: str = "subspace",
                 include_noise: bool = False) -> dict[str, np.ndarray]:
     """Raw SNR samples: 'bob' (T,), 'active' (T, M), 'passive' (T, K).
 
     This is the one pass over trials [0, T): the outage estimators count
-    from these samples instead of drawing the block again. Active and
+    from these samples instead of drawing the block again. Bob's SNR is
+    limited as :func:`secrate.closedform.bob_regime` says. Active and
     passive columns share each trial's channels (the physical coupling);
     independent-branch selection combining is handled by
     :func:`estimate_outages`.
     """
     if trials < 1:
         raise RangeError("need at least one trial")
-    bob_regime = _bob_regime(params, bob_regime)
+    regime = cf.bob_regime(params)
     bob, active, passive = [], [], []
     for start, stop in _chunks(trials):
         batch = draw_batch(params, seed, start, stop)
-        bob.append(_snr_bob_batch(params, batch, split, bob_regime, include_noise, False))
+        bob.append(_snr_bob_batch(params, batch, split, regime, include_noise, False))
         active.append(_snr_active_batch(params, batch, split, include_noise))
         passive.append(_snr_passive_batch(params, batch, split, beam_leakage, include_noise))
     return {"bob": np.concatenate(bob), "active": np.concatenate(active),
@@ -466,7 +466,8 @@ def verification_rows(params: SystemParams, split: PowerSplit, r_s: float, trial
                      "ks_stat": float("nan"), "threshold": Z_THRESHOLD, "passed": passed})
 
     kinds = cf.scenario_kinds(params)
-    if params.rho_b == 1.0:
+    leakage = cf.bob_regime(params) == "an_leakage"
+    if not leakage:
         cdf_row("cdf_snr_bob", samples["bob"], lambda x: cdf_snr_bob(x, params, split.p_a))
     for kind, data in zip(kinds, (samples["active"][:, 0], samples["passive"][:, 0])):
         cdf = getattr(cf, f"cdf_snr_{kind}")
@@ -475,12 +476,9 @@ def verification_rows(params: SystemParams, split: PowerSplit, r_s: float, trial
     estimates = _count_outages(params, split, r_s, samples, seed,
                                independent_actives=True, include_noise=False)
     metrics = outage_metrics(params, split, r_s)
-    if params.rho_b == 1.0:
-        point_row("transmission_outage", "outage",
-                  transmission_outage(params, split.p_a), estimates["p_to"])
-    else:
-        point_row("transmission_outage_an_leakage", "bound",
-                  transmission_outage_an_leakage(params, split.p_a), estimates["p_to"])
+    # the AN-leakage form bounds the outage from above (Jensen)
+    point_row("transmission_outage_an_leakage" if leakage else "transmission_outage",
+              "bound" if leakage else "outage", metrics.p_to, estimates["p_to"])
     point_row(f"sop_{kinds[0]}", "outage", metrics.p_so1, estimates["p_so1"])
     point_row(f"sop_{kinds[1]}", "outage", metrics.p_so2, estimates["p_so2"])
     return rows

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 import secrate.cli as cli
 import secrate.optimizer as opt
 from secrate.errors import ConfigError
+from secrate.model import SystemParams
 
 BASE_CFG = """\
 # antenna-sweep scenario at N=6
@@ -282,3 +284,58 @@ def test_operating_point_rejects_r_s_outside_0_r_b(tmp_path, capsys, command, r_
 def test_eval_at_r_s_equal_r_b_is_certain_outage(tmp_path, capsys):
     values = _eval_row(tmp_path, capsys, BASE_CFG + "p_a=242\ntheta=0.3\nr_s=8\n")
     assert values["p_so1"] == values["p_so2"] == "1"
+
+
+def test_pa_mode_config_line_exits_2_naming_the_key(tmp_path, capsys):
+    # only --pa-mode sets the pa-mode
+    path = _write(tmp_path, BASE_CFG + "pa_mode=interference_limited\n")
+    code, out, err = _run(["eval", "--config", path, "--pa-mode", "interference_limited"],
+                          capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("secrate:") and "'pa_mode'" in err
+
+
+@pytest.mark.parametrize("extra", ["axis=r_b_db\nvalues=8\n",
+                                   "axis=n_antennas\nvalues=6\noverlay=rho_b_db:-1\n",
+                                   "axis=var_jea\nvalues=5\nalso_set=epsilon_db\n"])
+def test_sweep_names_take_db_only_on_variances_and_powers(tmp_path, capsys, extra):
+    code, out, err = _run(["sweep", "--config", _write(tmp_path, BASE_CFG + extra)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("secrate:") and "_db'" in err
+
+
+def test_integral_count_parses_to_int():
+    cfg = cli.parse_config("n_antennas=6.0\nk_passive=2\nm_active=1e0\n")
+    assert cfg == {"n_antennas": 6, "k_passive": 2, "m_active": 1}
+    assert all(type(value) is int for value in cfg.values())
+
+
+_DB_FIELDS = ("var_ab", "var_aea", "var_aek", "var_eab", "var_jb", "var_jea", "var_jek",
+              "p_max", "p_ea")
+
+
+@pytest.mark.parametrize("key", [f.name + suffix for f in dataclasses.fields(SystemParams)
+                                 for suffix in ("", "_db")])
+def test_config_line_and_sweep_value_type_alike(key):
+    swept: dict = {}
+    if key.endswith("_db") and key[:-3] not in _DB_FIELDS:
+        with pytest.raises(ConfigError, match=f"line 1.*'{key}'"):
+            cli.parse_config(f"{key}=3.0\n")
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            cli._apply_field(swept, key, 3.0)
+        return
+    line = cli.parse_config(f"{key}=3.0\n")
+    cli._apply_field(swept, key, 3.0)
+    assert line == swept and len(line) == 1
+    assert [type(v) for v in line.values()] == [type(v) for v in swept.values()]
+
+
+@pytest.mark.parametrize("flag,env", [("-1", None), (str(2 ** 128), None), ("0", "-1")],
+                         ids=["negative", "2**128", "env-negative"])
+def test_verify_rejects_out_of_range_seed(tmp_path, capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("SECRATE_SEED", env)
+    code, out, err = _run(["verify", "--config", _write(tmp_path, BASE_CFG),
+                           "--trials", "10000", "--seed", flag], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("secrate:") and "seed" in err

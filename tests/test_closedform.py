@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -673,3 +674,21 @@ def test_wide_counts_match_mpmath_in_both_tails(kind):
                 got = cdf(x)
                 assert abs(got - exact) <= 1e-9 * exact + _BELOW_NORMAL, (x, got, exact)
     assert reached == {"sop": set(_TAIL_TARGETS), "cdf": set(_TAIL_TARGETS)}
+
+
+@pytest.mark.parametrize("alpha", [1e155, 1e200, 1e300])
+def test_theta_profile_root_survives_an_overflowing_b_squared(alpha):
+    # b * b overflows beyond alpha ~ 1e154; the positive root tends to 1/(N-1)
+    n, rho = 6, 0.5
+    params = _raw_params(n_antennas=n, var_jea=alpha, rho_ea=rho)
+    p_a, r_s = 0.5 * params.p_max, params.r_b - 1.0  # alpha = var_jea * (2 - 1)
+    assert cf.alpha_ratio(params, p_a, r_s) == pytest.approx(alpha, rel=1e-12)
+    profile = cf.active_sop_theta_profile(params, p_a, r_s)
+    assert abs(profile.theta_pos - 1.0 / (n - 1)) <= 1e-12
+    assert profile.theta_neg < 0.0
+    assert not profile.decreasing_on_unit
+    assert cf.monotone_condition(params, p_a, r_s) == profile.decreasing_on_unit
+    a, b, c = (Fraction(v) for v in cf._quadratic_coeffs(
+        n, float(cf.alpha_ratio(params, p_a, r_s)), rho))
+    assert math.isfinite(profile.min_value)
+    assert profile.min_value == pytest.approx(float(c - b * b / (4 * a)), rel=1e-12)

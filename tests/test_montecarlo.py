@@ -402,3 +402,15 @@ def test_verification_transforms_each_field_once(monkeypatch):
     assert per_block[0] == set(widths) - {"e_ea", "f_eab"}
     for branch in (1, 2):
         assert per_block[branch * trials] == {"g_b_est", "g_ea_est", "h_aea"}
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])
+def test_out_of_range_seed_is_a_range_error(seed):
+    # the seed is the Philox key: numpy would raise a bare ValueError
+    params = _params()
+    split = make_split(params, 100.0, 0.5)
+    with pytest.raises(RangeError, match="seed"):
+        mc.snr_samples(params, split, 10, seed=seed)
+    with pytest.raises(RangeError, match="seed"):
+        mc.sample_channels(params, seed, 0)
+    assert mc.snr_samples(params, split, 10, seed=2 ** 128 - 1)["bob"].shape == (10,)
