@@ -96,35 +96,55 @@ def derived_ratios(params: SystemParams, p_a: float, r_s: float) -> DerivedRatio
 # (theta, 1 - theta) with s = alpha or beta, computed once per call; the CDFs
 # pass the split's powers with s = var_j * x / (p_a * var_a). The kernels
 # broadcast over arrays and take plain floats as they are.
+#
+# An s that overflowed to inf (alpha, beta or x beyond the float range) would
+# give 0 * inf or inf - inf; the kernels take the limit s -> inf there
+# instead: -inf where AN reaches the eavesdropper, 0 where every AN weight it
+# sees is zero. Finite entries of s keep the plain formula's floats.
+
+def _finite_scale(s):
+    """(s with its overflowed entries set to 1, mask of those entries)."""
+    overflow = np.asarray(s) == math.inf
+    return np.where(overflow, 1.0, s), overflow
+
+
+def _limit_at_overflow(log_sf, overflow, w_beam, w_pas):
+    """``log_sf`` with the limit s -> inf where ``overflow`` is set."""
+    if not overflow.any():  # no full-grid pass without one
+        return log_sf
+    jammed = (w_beam > 0.0) | (w_pas > 0.0)
+    return np.where(overflow, np.where(jammed, -np.inf, 0.0), log_sf)[()]
+
 
 def _log_sf_active(w_beam, w_pas, s, n: int, m: int, rho_ea: float):
     """One active eavesdropper, its beam one of M sharing ``w_beam``. An
     imperfect estimate (rho_ea < 1, single beam) mispoints the beam and lets
-    passive AN through the estimation error.
-
-    The imperfect terms would read inf - inf at an s that overflowed to inf
-    (alpha beyond the float range); such an s takes the limit s -> inf
-    instead: -inf, or 0 where no AN reaches the eavesdropper.
+    passive AN through the estimation error; a perfect one keeps all passive
+    AN away from it.
     """
     rho_bar = 1.0 - rho_ea ** 2
     overflow = None
-    if rho_bar and not (isinstance(s, float) and s < math.inf):
-        overflow = np.asarray(s) == math.inf
-        s = np.where(overflow, 1.0, s)
+    if not (isinstance(s, float) and s < math.inf):  # a finite float: the optimizer's case
+        s, overflow = _finite_scale(s)
     log_sf = (2 - m - n) * np.log1p(w_beam / m * s)
     if rho_bar:
         log_sf = ((n - 2) * np.log1p(w_beam * rho_bar * s) + log_sf
                   - (n - 2) * np.log1p(w_pas * rho_bar * s / (n - 2)))
-    if overflow is not None and overflow.any():  # no full-grid pass without one
-        jammed = (w_beam > 0.0) | (w_pas > 0.0)
-        log_sf = np.where(overflow, np.where(jammed, -np.inf, 0.0), log_sf)
-    return log_sf
+    if overflow is None:
+        return log_sf
+    return _limit_at_overflow(log_sf, overflow, w_beam, w_pas if rho_bar else 0.0)
 
 
 def _log_sf_passive(w_beam, w_pas, s, n: int, m: int):
     """One passive eavesdropper: AN from the M beams and from the N-M-1
     passive-subspace dimensions."""
-    return -m * np.log1p(w_beam / m * s) - (n - m - 1) * np.log1p(w_pas * s / (n - m - 1))
+    overflow = None
+    if not (isinstance(s, float) and s < math.inf):
+        s, overflow = _finite_scale(s)
+    log_sf = -m * np.log1p(w_beam / m * s) - (n - m - 1) * np.log1p(w_pas * s / (n - m - 1))
+    if overflow is None:
+        return log_sf
+    return _limit_at_overflow(log_sf, overflow, w_beam, w_pas)
 
 
 def _best_of(log_sf, count: int):
@@ -206,7 +226,8 @@ def _cdf(kind: str, x, params: SystemParams, split: PowerSplit):
     active, log_sf, _ = _KINDS[kind]
     var_j, var_a = ((params.var_jea, params.var_aea) if active
                     else (params.var_jek, params.var_aek))
-    s = var_j * np.asarray(x, dtype=float) / (split.p_a * var_a)
+    with np.errstate(over="ignore"):  # a product beyond the float range: the s = inf limit
+        s = var_j * np.asarray(x, dtype=float) / (split.p_a * var_a)
     return _maybe_float(-np.expm1(log_sf(params, split.p_ja, split.p_jp, s)))
 
 
@@ -429,14 +450,23 @@ def _quadratic_roots(n: int, alpha: float, rho: float) -> tuple[float, float, fl
     """(negative root, positive root, vertex value); roots always straddle 0.
 
     Beyond alpha ~ 1e154, b * b overflows; the monic quadratic (b/a, c/a) has
-    the same roots, and the vertex value is then formed as c - b * (b / 4a).
+    the same roots, and the vertex value is then formed as c - b * (b/a / 4).
+    Near the top of the float range ``a`` itself overflows, and the monic
+    coefficients are formed from r = (1 - rho^2) * alpha instead: b/a =
+    1/r - 1/(N-1) and c/a = c (N-2) / ((N-1) r). At alpha = inf they give the
+    limits: roots -0 and 1/(N-1), vertex value -inf.
     """
     a, b, c = _quadratic_coeffs(n, alpha, rho)
     disc = b * b - 4.0 * a * c
     vertex = c - b * b / (4.0 * a)
     if disc == math.inf:
-        vertex = c - b * (b / (4.0 * a))
-        a, b, c = 1.0, b / a, c / a
+        if a == math.inf:
+            r = (1.0 - rho ** 2) * alpha
+            b_a, c_a = 1.0 / r - 1.0 / (n - 1), c * (n - 2) / ((n - 1) * r)
+        else:
+            b_a, c_a = b / a, c / a
+        vertex = c - b * (b_a / 4.0)
+        a, b, c = 1.0, b_a, c_a
         disc = b * b - 4.0 * c
     sq = float(np.sqrt(disc))
     q = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
@@ -460,7 +490,11 @@ class ThetaProfile:
 
 
 def active_sop_theta_profile(params: SystemParams, p_a: float, r_s: float) -> ThetaProfile:
-    """Roots and minimum of the theta-derivative quadratic for rho_ea in (0,1)."""
+    """Roots and minimum of the theta-derivative quadratic for rho_ea in (0,1).
+
+    An alpha that overflows to inf gives the limit: theta_pos = 1/(N-1), not
+    decreasing on [0,1] (see :func:`_quadratic_roots`).
+    """
     rho = params.rho_ea
     if rho in (0.0, 1.0):
         raise Undefined("theta profile requires 0 < rho_ea < 1 (the quadratic degenerates)")

@@ -7,6 +7,13 @@ slots. Identical (seed, trial_index) therefore produce bit-identical draws
 no matter how trials are batched, ordered, or threaded, and whole batches
 vectorize into single numpy passes.
 
+The estimators split their trials into chunks of ``_CHUNK_TRIALS`` and run
+the chunks on a thread pool, one thread per usable CPU (Philox, the
+Box-Muller ufuncs and ``einsum`` release the GIL). Each chunk draws its own
+trial range and the results are put together in trial order, so every
+output is byte-identical to a one-thread run on any number of cores; a call
+with a single chunk runs inline, without a pool.
+
 Draws are lazy per field. :func:`draw_batch` takes the Philox uniforms of
 its whole trial range at once; a field table fixes each field's slot
 columns in stream order, and a field is Box-Mullered and scaled on its own
@@ -22,10 +29,11 @@ and imaginary parts of variance s2/2 each.
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -101,6 +109,10 @@ class ChannelBatch:
 
     :func:`sample_channels` returns one realization as the same fields
     without the trial axis.
+
+    ``geometry`` is cached the same way, per instance: a
+    ``functools.cached_property`` would hold one lock for all instances
+    (Python < 3.12) and serialize the batches of concurrent chunks.
     """
 
     FIELDS = ("g_b", "g_b_est", "e_b", "g_ea", "g_ea_est", "e_ea", "g_ek",
@@ -109,20 +121,24 @@ class ChannelBatch:
     def __init__(self, source):
         self._source = source
 
-    def __getattr__(self, name: str) -> np.ndarray:
-        if name not in ChannelBatch.FIELDS:
+    def __getattr__(self, name: str):
+        if name == "geometry":
+            value = self._geometry()
+        elif name in ChannelBatch.FIELDS:
+            value = self._source(self, name)
+        else:
             raise AttributeError(name)
-        value = self.__dict__[name] = self._source(self, name)
+        self.__dict__[name] = value
         return value
 
-    @cached_property
-    def geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(unit g_b_est direction, beams (T,N,M), orthonormalized beams (T,N,M)).
 
         Beams are the per-eavesdropper unit MRT directions inside the
         complement of the estimated legitimate channel (projector identities;
         no explicit null basis); the orthonormalized copy spans the same
-        subspace for projection-power identities. Built once per batch.
+        subspace for projection-power identities. Built once per batch, on
+        first access to ``geometry``.
         """
         q_b = _unit(self.g_b_est)
         g = self.g_ea_est
@@ -334,6 +350,34 @@ def _chunks(trials: int):
         start = stop
 
 
+def _worker_count(jobs: int) -> int:
+    """Threads for ``jobs`` chunk jobs: one per usable CPU, at most one per job."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, jobs)
+
+
+def _map_chunks(fn, jobs: list[tuple]) -> list:
+    """``[fn(*job) for job in jobs]``, the jobs spread over a thread pool.
+
+    Results come back in job order. A job's exception is raised here once
+    the jobs already running have ended; jobs not yet started are dropped.
+    Each job runs in a copy of the caller's context, so a caller's
+    ``np.errstate`` holds in the workers as it does inline.
+    """
+    workers = _worker_count(len(jobs))
+    if workers <= 1:
+        return [fn(*job) for job in jobs]
+    # imported here: the pool module costs ~15 ms at import, and the
+    # single-chunk calls and the commands that never sample do not need it
+    from concurrent.futures import ThreadPoolExecutor
+    contexts = [contextvars.copy_context() for _ in jobs]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(lambda context, job: context.run(fn, *job), contexts, jobs))
+
+
 def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int,
                 beam_leakage: str = "subspace",
                 include_noise: bool = False) -> dict[str, np.ndarray]:
@@ -349,12 +393,14 @@ def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int,
     if trials < 1:
         raise RangeError("need at least one trial")
     regime = cf.bob_regime(params)
-    bob, active, passive = [], [], []
-    for start, stop in _chunks(trials):
+
+    def chunk(start, stop):
         batch = draw_batch(params, seed, start, stop)
-        bob.append(_snr_bob_batch(params, batch, split, regime, include_noise, False))
-        active.append(_snr_active_batch(params, batch, split, include_noise))
-        passive.append(_snr_passive_batch(params, batch, split, beam_leakage, include_noise))
+        return (_snr_bob_batch(params, batch, split, regime, include_noise, False),
+                _snr_active_batch(params, batch, split, include_noise),
+                _snr_passive_batch(params, batch, split, beam_leakage, include_noise))
+
+    bob, active, passive = zip(*_map_chunks(chunk, list(_chunks(trials))))
     return {"bob": np.concatenate(bob), "active": np.concatenate(active),
             "passive": np.concatenate(passive)}
 
@@ -370,13 +416,16 @@ def _count_outages(params: SystemParams, split: PowerSplit, r_s: float,
     trials = samples["bob"].shape[0]
     threshold_so = rate_gap_threshold(params.r_b, r_s)
     if independent_actives and params.m_active > 1:
+        def branch_chunk(branch, start, stop):
+            batch = draw_batch(params, seed, branch * trials + start, branch * trials + stop)
+            return _snr_active_batch(params, batch, split, include_noise,
+                                     slice(branch, branch + 1))[:, 0]
+
+        jobs = [(branch, start, stop) for branch in range(1, params.m_active)
+                for start, stop in _chunks(trials)]
         max_active = samples["active"][:, 0].copy()
-        for branch in range(1, params.m_active):
-            for start, stop in _chunks(trials):
-                batch = draw_batch(params, seed, branch * trials + start, branch * trials + stop)
-                col = _snr_active_batch(params, batch, split, include_noise,
-                                        slice(branch, branch + 1))[:, 0]
-                np.maximum(max_active[start:stop], col, out=max_active[start:stop])
+        for (_, start, stop), col in zip(jobs, _map_chunks(branch_chunk, jobs)):
+            np.maximum(max_active[start:stop], col, out=max_active[start:stop])
     else:
         max_active = samples["active"].max(axis=1)
     hits = {"p_to": samples["bob"] < rate_gap_threshold(params.r_b, 0.0),

@@ -249,8 +249,7 @@ def theta_interval_active_imperfect(params: SystemParams, p_a: float, r_s: float
     alpha = float(cf.alpha_ratio(params, p_a, r_s))
     if alpha == 0.0:
         return ThetaInterval.nothing()
-    if params.rho_ea == 0.0 or alpha == math.inf:
-        # the quadratic root is exact here, and its limit as alpha overflows
+    if params.rho_ea == 0.0:  # the quadratic degenerates; its root is exact here
         root = 1.0 / (params.n_antennas - 1)
     else:
         root = cf.active_sop_theta_profile(params, p_a, r_s).theta_pos

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -692,3 +693,77 @@ def test_theta_profile_root_survives_an_overflowing_b_squared(alpha):
         n, float(cf.alpha_ratio(params, p_a, r_s)), rho))
     assert math.isfinite(profile.min_value)
     assert profile.min_value == pytest.approx(float(c - b * b / (4 * a)), rel=1e-12)
+
+
+def test_theta_profile_takes_its_limit_when_alpha_overflows():
+    # alpha = inf: the roots tend to 0 and 1/(N-1), the vertex value to -inf
+    n = 6
+    huge = _raw_params(n_antennas=n, var_jea=1e300, var_aea=1e-300, rho_ea=0.5, r_b=1000.0)
+    assert cf.alpha_ratio(huge, 10.0, 0.0) == math.inf
+    profile = cf.active_sop_theta_profile(huge, 10.0, 0.0)
+    assert profile.theta_pos == 1.0 / (n - 1)
+    assert profile.theta_neg == 0.0 and profile.min_value == -math.inf
+    assert not profile.decreasing_on_unit
+    assert cf.monotone_condition(huge, 10.0, 0.0) == profile.decreasing_on_unit
+    # a finite alpha whose leading coefficient (N-1) r / (N-2) overflows
+    for alpha in (1.5e308, float(np.finfo(float).max)):
+        t_neg, t_pos, vertex = cf._quadratic_roots(n, alpha, 0.5)
+        assert t_pos == pytest.approx(1.0 / (n - 1), rel=1e-15)
+        assert -1e-300 <= t_neg <= 0.0
+        # c - b^2 / 4a tends to -r / (4 (N-1) (N-2)), r = (1 - rho^2) alpha
+        assert vertex == pytest.approx(-0.75 * alpha / (4 * (n - 1) * (n - 2)), rel=1e-12)
+    near_max = _raw_params(n_antennas=n, var_jea=1.5e308, rho_ea=0.5)  # raised ZeroDivisionError
+    p_a, r_s = 0.5 * near_max.p_max, near_max.r_b - 1.0  # alpha = var_jea
+    profile = cf.active_sop_theta_profile(near_max, p_a, r_s)
+    assert profile.theta_pos == pytest.approx(1.0 / (n - 1), rel=1e-15)
+    assert not profile.decreasing_on_unit
+
+
+def _plain_log_sf(kind, w_beam, w_pas, s, n, m, rho_ea=1.0):
+    """The kernels' formulas without any overflow handling."""
+    if kind == "passive":
+        return -m * np.log1p(w_beam / m * s) - (n - m - 1) * np.log1p(w_pas * s / (n - m - 1))
+    rho_bar = 1.0 - rho_ea ** 2
+    log_sf = (2 - m - n) * np.log1p(w_beam / m * s)
+    if rho_bar:
+        log_sf = ((n - 2) * np.log1p(w_beam * rho_bar * s) + log_sf
+                  - (n - 2) * np.log1p(w_pas * rho_bar * s / (n - 2)))
+    return log_sf
+
+
+def test_kernels_take_their_limit_at_theta_ends_when_s_overflows():
+    # 0 * inf used to reach log1p as NaN: a term with zero AN weight adds 0
+    inf = math.inf
+    for n, m in ((6, 1), (6, 2), (9, 4)):
+        assert cf._log_sf_active(0.0, 1.0, inf, n, m, 1.0) == 0.0  # passive AN never reaches it
+        assert cf._log_sf_active(1.0, 0.0, inf, n, m, 1.0) == -inf
+        for theta in (0.0, 1.0):
+            assert cf._log_sf_passive(theta, 1.0 - theta, inf, n, m) == -inf
+        assert cf._log_sf_passive(0.0, 0.0, inf, n, m) == 0.0
+    theta = np.array([0.0, 0.4, 1.0, 0.0, 1.0])
+    s = np.array([inf, inf, inf, 2.5, 1e300])
+    assert cf._log_sf_active(theta, 1.0 - theta, s, 6, 2, 1.0)[:3].tolist() == [0.0, -inf, -inf]
+    assert cf._log_sf_passive(theta, 1.0 - theta, s, 6, 2)[:3].tolist() == [-inf, -inf, -inf]
+    # finite s, the theta ends included, keeps the plain formulas' floats
+    rng = np.random.default_rng(41)
+    s = 10.0 ** rng.uniform(-300.0, 308.0, 400)
+    theta = np.where(rng.random(400) < 0.5, rng.integers(0, 2, 400), rng.random(400))
+    for n, m, rho in ((6, 1, 1.0), (6, 1, 0.5), (8, 3, 1.0)):
+        for kind, kernel in (("active", lambda *w: cf._log_sf_active(*w, n, m, rho)),
+                             ("passive", lambda *w: cf._log_sf_passive(*w, n, m))):
+            want = _plain_log_sf(kind, theta, 1.0 - theta, s, n, m, rho)
+            assert np.array_equal(kernel(theta, 1.0 - theta, s), want)
+            for i in range(0, 400, 37):
+                w = (float(theta[i]), 1.0 - float(theta[i]), float(s[i]))
+                assert kernel(*w) == _plain_log_sf(kind, *w, n, m, rho)
+
+
+def test_cdf_reaches_the_overflow_limit_without_a_warning():
+    # var_j * x beyond the float range is the kernel's s = inf limit
+    params = _raw_params(n_antennas=6, var_jea=1e300, var_jek=1e300, rho_ea=0.5)
+    split = make_split(params, 0.5 * params.p_max, 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cf.cdf_snr_active_imperfect(np.array([1e10]), params, split).tolist() == [1.0]
+        assert cf.cdf_snr_active_imperfect(1e10, params, split) == 1.0
+        assert cf.cdf_snr_passive(np.array([1e10, 1e-10]), params, split)[0] == 1.0

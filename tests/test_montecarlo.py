@@ -1,3 +1,6 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -414,3 +417,83 @@ def test_out_of_range_seed_is_a_range_error(seed):
     with pytest.raises(RangeError, match="seed"):
         mc.sample_channels(params, seed, 0)
     assert mc.snr_samples(params, split, 10, seed=2 ** 128 - 1)["bob"].shape == (10,)
+
+
+# ---------------------------------------------------------------------------
+# Chunks on a thread pool
+# ---------------------------------------------------------------------------
+
+_POOLED_TRIALS = 3 * mc._CHUNK_TRIALS + 1_000  # three full chunks and a partial one
+
+
+def _pooled_outputs(params, split):
+    samples = mc.snr_samples(params, split, _POOLED_TRIALS, seed=11)
+    outages = [mc.estimate_outages(params, split, 3.0, _POOLED_TRIALS, seed=11,
+                                   independent_actives=independent)
+               for independent in (True, False)]
+    rows = mc.verification_rows(params, split, 3.0, _POOLED_TRIALS, seed=11)
+    return samples, outages, repr(rows)
+
+
+@pytest.mark.parametrize("m_active", [1, 3])
+def test_pooled_chunks_bit_identical_to_serial(monkeypatch, m_active):
+    params = _params(m_active=m_active, n_antennas=6, rho_b=0.9,
+                     rho_ea=0.7 if m_active == 1 else 1.0)
+    split = make_split(params, 150.0, 0.5)
+    monkeypatch.setattr(mc, "_worker_count", lambda jobs: 1)
+    serial = _pooled_outputs(params, split)
+    # more workers than this host may have cores, so a pool runs on any host
+    monkeypatch.setattr(mc, "_worker_count", lambda jobs: min(jobs, 4))
+    draw_threads = []
+    original = mc.draw_batch
+
+    def recording(params, seed, start, stop):
+        draw_threads.append(threading.get_ident())
+        return original(params, seed, start, stop)
+
+    monkeypatch.setattr(mc, "draw_batch", recording)
+    pooled = _pooled_outputs(params, split)
+    assert threading.get_ident() not in draw_threads
+    for name in ("bob", "active", "passive"):
+        assert np.array_equal(_bits(serial[0][name]), _bits(pooled[0][name])), name
+    assert serial[1] == pooled[1]
+    assert serial[2] == pooled[2]
+
+
+def test_worker_count_is_one_per_usable_cpu_and_job():
+    assert mc._worker_count(1) == 1
+    assert 1 <= mc._worker_count(64) <= 64
+    assert mc._worker_count(64) <= (os.cpu_count() or 1)
+
+
+def test_out_of_range_seed_raises_from_a_worker(monkeypatch):
+    monkeypatch.setattr(mc, "_worker_count", lambda jobs: min(jobs, 4))
+    params = _params(m_active=3, n_antennas=6)
+    split = make_split(params, 150.0, 0.5)
+    with pytest.raises(RangeError, match="seed"):
+        mc.snr_samples(params, split, _POOLED_TRIALS, seed=-1)
+    samples = mc.snr_samples(params, split, _POOLED_TRIALS, seed=1)
+    with pytest.raises(RangeError, match="seed"):  # the independent-branch jobs
+        mc._count_outages(params, split, 3.0, samples, -1, True, False)
+
+
+def test_pooled_jobs_run_under_the_callers_errstate(monkeypatch):
+    # numpy keeps errstate in a context variable, which a new thread does not inherit
+    monkeypatch.setattr(mc, "_worker_count", lambda jobs: min(jobs, 4))
+
+    def job(start, stop):
+        return np.divide(np.ones(stop - start), 0.0)
+
+    with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+        mc._map_chunks(job, [(0, 3), (3, 5), (5, 6)])
+    with np.errstate(divide="ignore"):
+        assert np.all(np.concatenate(mc._map_chunks(job, [(0, 3), (3, 5)])) == np.inf)
+
+
+def test_pool_threads_end_with_the_call(monkeypatch):
+    monkeypatch.setattr(mc, "_worker_count", lambda jobs: min(jobs, 4))
+    params = _params(m_active=3, n_antennas=6)
+    split = make_split(params, 150.0, 0.5)
+    before = threading.active_count()
+    mc.verification_rows(params, split, 3.0, _POOLED_TRIALS, seed=5)
+    assert threading.active_count() == before

@@ -547,3 +547,26 @@ def test_imperfect_search_survives_an_overflowing_alpha():
     perfect = opt.maximize_for(params, algorithm="perfect", pa_mode="noise_limited")
     assert imperfect.feasible and imperfect.infeasibility_reason == "NONE"
     assert (imperfect.r_s_star, imperfect.theta_star) == (perfect.r_s_star, perfect.theta_star)
+
+
+@pytest.mark.parametrize("algorithm", ["perfect", "imperfect", "multi"])
+def test_searches_see_no_nan_when_alpha_and_beta_overflow(monkeypatch, algorithm):
+    # theta = 0 or 1 at an s that overflowed: the kernels return their limit
+    params = validate(SystemParams(
+        n_antennas=6, k_passive=2, m_active=2 if algorithm == "multi" else 1,
+        var_ab=1e300, var_aea=2.0, var_aek=2.0, var_eab=1.5,
+        var_jb=1.2, var_jea=1e300, var_jek=1e300,
+        p_max=1e4, p_ea=10.0, r_b=1000.0, delta=0.1, epsilon=0.01,
+        rho_ea=0.5 if algorithm == "imperfect" else 1.0))
+    values = []
+    for name in ("_log_sf_active", "_log_sf_passive"):
+        kernel = getattr(cf, name)
+
+        def recording(*args, kernel=kernel):
+            values.append(kernel(*args))
+            return values[-1]
+
+        monkeypatch.setattr(cf, name, recording)
+    result = opt.maximize_for(params, algorithm=algorithm, pa_mode="noise_limited")
+    assert result.feasible and result.infeasibility_reason == "NONE"
+    assert values and not any(np.isnan(v).any() for v in values)
