@@ -256,8 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--step", type=float, default=None,
                         help="secrecy-rate sweep step (bit/s/Hz)")
     parser.add_argument("--pa-mode", default="auto",
-                        choices=("auto", "noise_limited", "interference_limited",
-                                 "an_leakage"),
+                        choices=("auto", *cf.PA_MODES),
                         help="which outage model fixes Alice's minimum power")
     parser.add_argument("--out", default=None, help="write output here instead of stdout")
     return parser

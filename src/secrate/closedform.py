@@ -169,6 +169,13 @@ _KINDS = {
 }
 
 
+def check_kind(kind: str) -> str:
+    """``kind`` if it names an SOP kind; RangeError naming it otherwise."""
+    if kind not in _KINDS:
+        raise RangeError(f"unknown SOP kind {kind!r}; expected one of {tuple(_KINDS)}")
+    return kind
+
+
 def sop_theta_curve(kind: str, params: SystemParams, p_a: float, r_s):
     """The SOP of ``kind`` as a function of the AN ratio alone.
 
@@ -178,7 +185,7 @@ def sop_theta_curve(kind: str, params: SystemParams, p_a: float, r_s):
     [0, r_b] (RangeError from :func:`rate_gap_threshold` otherwise; at
     r_s = r_b every SOP is 1).
     """
-    active, log_sf, best_of = _KINDS[kind]
+    active, log_sf, best_of = _KINDS[check_kind(kind)]
     s = (alpha_ratio if active else beta_ratio)(params, p_a, r_s)
     if best_of is None:
         return lambda theta: np.exp(log_sf(params, theta, 1.0 - theta, s))
@@ -211,7 +218,7 @@ def log_sf_theta_curve(kind: str, params: SystemParams, p_a: float, r_s: float, 
     exactly where the curve is at most the level, which is computed once here
     (:func:`secrecy_level`).
     """
-    active, log_sf, best_of = _KINDS[kind]
+    active, log_sf, best_of = _KINDS[check_kind(kind)]
     s = (alpha_ratio if active else beta_ratio)(params, p_a, r_s)
     level = secrecy_level(eps, 1 if best_of is None else best_of(params))
     return (lambda theta: log_sf(params, theta, 1.0 - theta, s)), level
@@ -324,7 +331,9 @@ def min_pa(params: SystemParams, mode: str = "auto") -> float:
     """Smallest Alice power meeting the transmission-outage target ``delta``.
 
     Returns the required power even when it exceeds p_max; callers decide
-    feasibility (the optimizer reports PA_EXCEEDS_PMAX).
+    feasibility (the optimizer reports PA_EXCEEDS_PMAX). The exact power is
+    always positive, but at a tiny r_b (or a huge var_ab) its float can round
+    to 0; RangeError then, since no later step can use a zero power.
 
     ``auto`` is discontinuous at rho_b = 1: ``an_leakage`` drops the
     thermal-noise floor that ``noise_limited`` keeps, so on the shipped
@@ -337,14 +346,19 @@ def min_pa(params: SystemParams, mode: str = "auto") -> float:
     # never a numpy overflow warning
     log_keep = float(np.log1p(-params.delta))
     if mode == "noise_limited":
-        return float(x / (-log_keep * params.var_ab))
-    if mode == "interference_limited":
-        return float(x * (1.0 - params.delta) * params.p_ea * params.var_eab
-                     / (params.delta * params.var_ab))
-    if params.rho_b >= 1.0:
+        p_a = float(x / (-log_keep * params.var_ab))
+    elif mode == "interference_limited":
+        p_a = float(x * (1.0 - params.delta) * params.p_ea * params.var_eab
+                    / (params.delta * params.var_ab))
+    elif params.rho_b >= 1.0:
         raise RangeError("an_leakage mode requires rho_b < 1")
-    denom = 1.0 - params.var_ab * log_keep / ((1.0 - params.rho_b ** 2) * params.var_jb * x)
-    return float(params.p_max / denom)
+    else:
+        denom = 1.0 - params.var_ab * log_keep / ((1.0 - params.rho_b ** 2) * params.var_jb * x)
+        p_a = float(params.p_max / denom)
+    if p_a == 0.0:
+        raise RangeError(f"the minimum Alice power under {mode} is positive but rounds to 0 "
+                         f"as a float (r_b = {params.r_b!r}, var_ab = {params.var_ab!r})")
+    return p_a
 
 
 def transmission_outage_for_mode(params: SystemParams, p_a: float, mode: str) -> float:
@@ -597,7 +611,5 @@ def sop_grid(params: SystemParams, p_a: float, rs_grid: np.ndarray,
 
     ``which`` is one of the SOP kinds of :func:`sop_theta_curve`.
     """
-    if which not in _KINDS:
-        raise ValueError(f"unknown grid kind {which!r}")
     curve = sop_theta_curve(which, params, p_a, np.asarray(rs_grid, dtype=float)[:, None])
     return curve(np.asarray(theta_grid, dtype=float)[None, :])

@@ -34,6 +34,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -76,8 +77,9 @@ def slots_per_trial(params: SystemParams) -> int:
 
 
 def _uniform_slots(seed: int, start_slot: int, count: int) -> np.ndarray:
-    if not 0 <= seed < 2 ** 128:
-        raise RangeError(f"seed must lie in [0, 2**128) (the Philox key), got {seed!r}")
+    if not (isinstance(seed, Integral) and 0 <= seed < 2 ** 128):
+        raise RangeError(f"seed must be an integer in [0, 2**128) (the Philox key), "
+                         f"got {seed!r}")
     if start_slot % _PHILOX_BLOCK:
         raise ValueError("slot ranges must start on a Philox block boundary")
     bits = Philox(key=seed)
@@ -160,6 +162,9 @@ def draw_batch(params: SystemParams, seed: int, start: int, stop: int) -> Channe
     Only the Philox uniforms are drawn here; each field is transformed from
     its own slot columns when first read.
     """
+    if not 0 <= start <= stop:
+        raise RangeError(f"trial range [start, stop) needs 0 <= start <= stop, "
+                         f"got [{start}, {stop})")
     count = stop - start
     slots = slots_per_trial(params)
     u = _uniform_slots(seed, start * slots, count * slots).reshape(count, slots)
@@ -229,8 +234,7 @@ def _beam_and_null(batch: ChannelBatch, v: np.ndarray, basis: np.ndarray):
 
 
 def _snr_bob_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
-                   regime: str, include_noise: bool,
-                   include_active_jamming: bool) -> np.ndarray:
+                   regime: str, include_noise: bool) -> np.ndarray:
     num = split.p_a * _abs2(batch.h_ab)
     if regime == "interference_limited":
         den = params.p_ea * _abs2(batch.f_eab) + (1.0 if include_noise else 0.0)
@@ -239,8 +243,6 @@ def _snr_bob_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
     _, beams, _ = batch.geometry
     beam, null = _beam_and_null(batch, batch.e_b[:, :, None], beams)
     den = _an_den(params, split, beam[:, 0], null[:, 0], include_noise)
-    if include_active_jamming:
-        den = den + params.p_ea * _abs2(batch.f_eab)
     return num / np.maximum(den, _DEN_FLOOR)
 
 
@@ -300,11 +302,10 @@ def _bob_regime(params: SystemParams, regime: str) -> str:
 
 
 def snr_bob(params: SystemParams, draw: ChannelBatch, split: PowerSplit,
-            regime: str = "auto", include_noise: bool = False,
-            include_active_jamming: bool = False) -> float:
+            regime: str = "auto", include_noise: bool = False) -> float:
     """Bob's instantaneous SNR under the chosen impairment regime."""
     return float(_snr_bob_batch(params, _as_batch(draw), split, _bob_regime(params, regime),
-                                include_noise, include_active_jamming)[0])
+                                include_noise)[0])
 
 
 def snr_active(params: SystemParams, draw: ChannelBatch, split: PowerSplit,
@@ -390,13 +391,15 @@ def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int,
     independent-branch selection combining is handled by
     :func:`estimate_outages`.
     """
+    if not isinstance(trials, Integral):
+        raise RangeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise RangeError("need at least one trial")
     regime = cf.bob_regime(params)
 
     def chunk(start, stop):
         batch = draw_batch(params, seed, start, stop)
-        return (_snr_bob_batch(params, batch, split, regime, include_noise, False),
+        return (_snr_bob_batch(params, batch, split, regime, include_noise),
                 _snr_active_batch(params, batch, split, include_noise),
                 _snr_passive_batch(params, batch, split, beam_leakage, include_noise))
 

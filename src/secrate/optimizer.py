@@ -22,6 +22,13 @@ evaluates only the midpoints inside it, with the same result bit for bit.
 ``grid_search_oracle`` is the brute-force cross-check used by the tests; it
 shares only the closed-form grid kernels with the sweep, not its interval
 logic, and compares SOPs with epsilon, not log-survivals with the level.
+
+Both searches start at one step: resolve the algorithm and the pa-mode, fix
+Alice's power at :func:`closedform.min_pa` (a RangeError when that power
+rounds to 0), and stop with PA_EXCEEDS_PMAX above p_max. ``OptResult.trace``
+holds only what the search saw: ``pa_mode`` and ``algorithm``; a feasible
+sweep adds ``theta_interval`` (the admissible interval at r_s_star) and
+``theta_reference``, and the oracle adds ``oracle: True``.
 """
 from __future__ import annotations
 
@@ -275,34 +282,20 @@ def _theta_reference(params: SystemParams, passive_kind: str) -> float:
     return beams / (params.n_antennas - 1)
 
 
-def _floor_trace(params: SystemParams, p_a: float, r_s: float) -> dict:
-    try:
-        return {"theta_floor": theta_floor_active(params, p_a, r_s)}
-    except AlphaZero:
-        return {}
-
-
-def _profile_trace(params: SystemParams, p_a: float, r_s: float) -> dict:
-    if params.rho_ea == 0.0:
-        return {}
-    profile = cf.active_sop_theta_profile(params, p_a, r_s)
-    return {"theta_pos": profile.theta_pos, "decreasing_on_unit": profile.decreasing_on_unit}
-
-
-# SOP kind -> (theta-interval solver, trace entries at the optimum). The
-# solvers are looked up when called, so a replaced module attribute is used.
+# SOP kind -> its theta-interval solver, looked up when called, so a
+# replaced module attribute is used
 _SOLVERS = {
-    "active": (lambda *a: _floor_interval(*a), _floor_trace),
-    "active_imperfect": (lambda *a: theta_interval_active_imperfect(*a), _profile_trace),
-    "active_multi": (lambda *a: theta_interval_active_multi(*a), None),
-    "passive": (lambda *a: theta_interval_passive(*a), None),
-    "passive_multi": (lambda *a: theta_interval_passive_multi(*a), None),
+    "active": lambda *a: _floor_interval(*a),
+    "active_imperfect": lambda *a: theta_interval_active_imperfect(*a),
+    "active_multi": lambda *a: theta_interval_active_multi(*a),
+    "passive": lambda *a: theta_interval_passive(*a),
+    "passive_multi": lambda *a: theta_interval_passive_multi(*a),
 }
 
 
 def theta_interval(kind: str, params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
     """AN ratios meeting the secrecy target of one SOP kind."""
-    return _SOLVERS[kind][0](params, p_a, r_s)
+    return _SOLVERS[cf.check_kind(kind)](params, p_a, r_s)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +310,37 @@ def _feasible_interval(params: SystemParams, p_a: float, r_s: float,
     return active.intersect(theta_interval(kinds[1], params, p_a, r_s))
 
 
-def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str) -> OptResult:
+def _infeasible(p_req: float, steps: int, reason: str, trace: dict) -> OptResult:
+    return OptResult(feasible=False, r_s_star=0.0, theta_star=math.nan, p_a_star=p_req,
+                     steps=steps, infeasibility_reason=reason, trace=trace)
+
+
+def _start(params: SystemParams, algorithm: str | None, pa_mode: str, **trace):
+    """The entry both searches share: (SOP kinds, minimum Alice power, trace,
+    the PA_EXCEEDS_PMAX result or None).
+
+    Resolves the algorithm (None: the scenario's default) and the pa-mode,
+    then fixes Alice's power at :func:`closedform.min_pa`. The trace starts
+    with the pa-mode and the algorithm, followed by the ``trace`` entries.
+    """
+    algorithm = default_algorithm(params) if algorithm is None else resolve_algorithm(algorithm)
+    mode = cf.resolve_pa_mode(params, pa_mode)
+    p_req = cf.min_pa(params, mode)
+    trace = {"pa_mode": mode, "algorithm": algorithm, **trace}
+    refused = _infeasible(p_req, 0, "PA_EXCEEDS_PMAX", trace) if p_req > params.p_max else None
+    return _kinds(params, algorithm), p_req, trace, refused
+
+
+def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str | None) -> OptResult:
+    kinds, p_req, trace, refused = _start(params, algorithm, pa_mode)
+    # an unknown algorithm is reported first, and a bad step even over p_max
     if not (math.isfinite(step) and step > 0.0):
         raise RangeError(f"step must be positive and finite, got {step}")
     span = params.r_b / step
     if not math.isfinite(span):
         raise RangeError(f"step {step!r} is too small for r_b = {params.r_b!r}")
-    mode = cf.resolve_pa_mode(params, pa_mode)
-    p_req = cf.min_pa(params, mode)
-    if p_req > params.p_max:
-        return OptResult(feasible=False, r_s_star=0.0, theta_star=math.nan,
-                         p_a_star=p_req, steps=0, infeasibility_reason="PA_EXCEEDS_PMAX",
-                         trace={"pa_mode": mode, "algorithm": algorithm})
-    kinds = _kinds(params, algorithm)
+    if refused is not None:
+        return refused
     steps = 0
 
     def probe(i: int):
@@ -353,21 +364,13 @@ def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str) -
             hi = mid
         else:
             lo, best = mid, found
-    trace: dict = {"pa_mode": mode, "algorithm": algorithm,
-                   "p_to": cf.transmission_outage_for_mode(params, p_req, mode)}
     if best is None:
-        return OptResult(feasible=False, r_s_star=0.0, theta_star=math.nan,
-                         p_a_star=p_req, steps=steps,
-                         infeasibility_reason="NO_THETA_AT_RS0", trace=trace)
+        return _infeasible(p_req, steps, "NO_THETA_AT_RS0", trace)
     r_star, interval = best
     reference = _theta_reference(params, kinds[1])
-    theta_star = interval.clip(reference)
     trace["theta_interval"] = (interval.lo, interval.hi)
     trace["theta_reference"] = reference
-    active_trace = _SOLVERS[kinds[0]][1]
-    if active_trace is not None:
-        trace.update(active_trace(params, p_req, r_star))
-    return OptResult(feasible=True, r_s_star=r_star, theta_star=theta_star,
+    return OptResult(feasible=True, r_s_star=r_star, theta_star=interval.clip(reference),
                      p_a_star=p_req, steps=steps, infeasibility_reason="NONE", trace=trace)
 
 
@@ -393,13 +396,19 @@ def maximize_secrecy_rate_multi(params: SystemParams, step: float = 0.01,
 def maximize_for(params: SystemParams, algorithm: str | None = None, step: float = 0.01,
                  pa_mode: str = "auto") -> OptResult:
     """Dispatch to the sweep matching ``algorithm`` (default: inferred)."""
-    algorithm = default_algorithm(params) if algorithm is None else resolve_algorithm(algorithm)
     return _maximize(params, step, pa_mode, algorithm)
 
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle
 # ---------------------------------------------------------------------------
+
+def _feasible_mask(params: SystemParams, p_a: float, rs_grid: np.ndarray,
+                   theta_grid: np.ndarray, kinds: tuple[str, str]) -> np.ndarray:
+    """(rate x theta) mask of the grid points meeting both secrecy targets."""
+    p1, p2 = (cf.sop_grid(params, p_a, rs_grid, theta_grid, kind) for kind in kinds)
+    return (p1 <= params.epsilon) & (p2 <= params.epsilon)
+
 
 def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
                        theta_grid_points: int = 1000, algorithm: str | None = None,
@@ -412,28 +421,18 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
     """
     if rs_grid_points < 100 or theta_grid_points < 100:
         raise RangeError("oracle grids need at least 100 points per axis")
-    algorithm = default_algorithm(params) if algorithm is None else resolve_algorithm(algorithm)
-    mode = cf.resolve_pa_mode(params, pa_mode)
-    p_req = cf.min_pa(params, mode)
-    if p_req > params.p_max:
-        return OptResult(feasible=False, r_s_star=0.0, theta_star=math.nan,
-                         p_a_star=p_req, steps=0, infeasibility_reason="PA_EXCEEDS_PMAX",
-                         trace={"oracle": True, "pa_mode": mode})
+    kinds, p_req, trace, refused = _start(params, algorithm, pa_mode, oracle=True)
+    if refused is not None:
+        return refused
     rs_grid = np.linspace(0.0, params.r_b, rs_grid_points, endpoint=False)
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)
-    kinds = _kinds(params, algorithm)
-    p1, p2 = (cf.sop_grid(params, p_req, rs_grid, theta_grid, kind) for kind in kinds)
-    feasible = (p1 <= params.epsilon) & (p2 <= params.epsilon)
+    feasible = _feasible_mask(params, p_req, rs_grid, theta_grid, kinds)
     any_theta = feasible.any(axis=1)
-    trace = {"oracle": True, "pa_mode": mode, "algorithm": algorithm}
     if not any_theta.any():
-        return OptResult(feasible=False, r_s_star=0.0, theta_star=math.nan,
-                         p_a_star=p_req, steps=rs_grid_points,
-                         infeasibility_reason="NO_THETA_AT_RS0", trace=trace)
+        return _infeasible(p_req, rs_grid_points, "NO_THETA_AT_RS0", trace)
     row = int(np.max(np.nonzero(any_theta)[0]))
-    mask = feasible[row]
     reference = _theta_reference(params, kinds[1])
-    candidates = theta_grid[mask]
+    candidates = theta_grid[feasible[row]]
     theta_star = float(candidates[np.argmin(np.abs(candidates - reference))])
     return OptResult(feasible=True, r_s_star=float(rs_grid[row]), theta_star=theta_star,
                      p_a_star=p_req, steps=rs_grid_points, infeasibility_reason="NONE",
@@ -446,7 +445,5 @@ def feasible_any_theta(params: SystemParams, p_a: float, r_s: float,
     if r_s >= params.r_b:
         return False
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)
-    rs_grid = np.array([r_s])
     kinds = _kinds(params, resolve_algorithm(algorithm))
-    p1, p2 = (cf.sop_grid(params, p_a, rs_grid, theta_grid, kind) for kind in kinds)
-    return bool(((p1 <= params.epsilon) & (p2 <= params.epsilon)).any())
+    return bool(_feasible_mask(params, p_a, np.array([r_s]), theta_grid, kinds).any())

@@ -69,3 +69,15 @@ def baseline_params() -> SystemParams:
         p_max=db_to_linear(40.0), p_ea=db_to_linear(10.0),
         r_b=8.0, delta=0.1, epsilon=1e-2,
     ))
+
+
+# Scenarios whose minimum Alice power is positive but rounds to 0.0 as a
+# float, with the pa-mode that rounds it: a tiny r_b over a large var_ab, or
+# (an_leakage, picked by auto at rho_b < 1) over a modest one.
+_UNDERFLOW_BASE = dict(n_antennas=5, k_passive=1, m_active=1,
+                       var_ab=1e10, var_aea=2.0, var_aek=2.0, var_eab=1.5,
+                       var_jb=1.2, var_jea=5.0, var_jek=3.0,
+                       p_max=1e4, p_ea=10.0, r_b=1e-320, delta=0.1, epsilon=0.01)
+MIN_PA_UNDERFLOW = [(_UNDERFLOW_BASE, "noise_limited"),
+                    (_UNDERFLOW_BASE, "interference_limited"),
+                    ({**_UNDERFLOW_BASE, "var_ab": 10.0, "rho_b": 0.5}, "auto")]

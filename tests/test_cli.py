@@ -8,6 +8,8 @@ import secrate.optimizer as opt
 from secrate.errors import ConfigError
 from secrate.model import SystemParams
 
+from conftest import MIN_PA_UNDERFLOW
+
 BASE_CFG = """\
 # antenna-sweep scenario at N=6
 n_antennas=6
@@ -339,3 +341,13 @@ def test_verify_rejects_out_of_range_seed(tmp_path, capsys, monkeypatch, flag, e
                            "--trials", "10000", "--seed", flag], capsys)
     assert code == 2 and out == ""
     assert err.startswith("secrate:") and "seed" in err
+
+
+@pytest.mark.parametrize("fields, mode", MIN_PA_UNDERFLOW,
+                         ids=[mode for _, mode in MIN_PA_UNDERFLOW])
+@pytest.mark.parametrize("command", ["optimize", "eval"])
+def test_minimum_power_that_rounds_to_zero_exits_2(tmp_path, capsys, command, fields, mode):
+    path = _write(tmp_path, "".join(f"{key}={value!r}\n" for key, value in fields.items()))
+    code, out, err = _run([command, "--config", path, "--pa-mode", mode], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("secrate: ") and "minimum Alice power" in err

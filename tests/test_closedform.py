@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 import secrate.closedform as cf
+import secrate.optimizer as opt
 from secrate.errors import (
     AlphaZero, DegenerateDistributionWarning, RangeError, Undefined,
 )
 from secrate.model import PowerSplit, SystemParams, make_split
 
-from conftest import passive_convex_level, random_params, random_point, random_split
+from conftest import (
+    MIN_PA_UNDERFLOW, passive_convex_level, random_params, random_point, random_split,
+)
 
 
 def _raw_params(**overrides) -> SystemParams:
@@ -126,6 +129,22 @@ def test_min_pa_round_trips():
         assert cf.transmission_outage_an_leakage(
             imperfect, cf.min_pa(imperfect, "an_leakage")
         ) == pytest.approx(imperfect.delta, abs=1e-9)
+
+
+@pytest.mark.parametrize("fields, mode", MIN_PA_UNDERFLOW,
+                         ids=[mode for _, mode in MIN_PA_UNDERFLOW])
+def test_min_pa_that_rounds_to_zero_is_a_range_error(fields, mode):
+    with pytest.raises(RangeError, match="minimum Alice power"):
+        cf.min_pa(SystemParams(**fields), mode)
+
+
+def test_min_pa_keeps_a_subnormal_power():
+    # positive but below the smallest normal float: returned as computed
+    params = _raw_params(var_ab=1e10, r_b=1e-300)
+    p_a = cf.min_pa(params, "noise_limited")
+    x = cf.rate_gap_threshold(params.r_b, 0.0)
+    assert 0.0 < p_a < 2.2250738585072014e-308
+    assert p_a == x / (-math.log1p(-params.delta) * params.var_ab)
 
 
 def test_min_pa_mode_resolution():
@@ -767,3 +786,14 @@ def test_cdf_reaches_the_overflow_limit_without_a_warning():
         assert cf.cdf_snr_active_imperfect(np.array([1e10]), params, split).tolist() == [1.0]
         assert cf.cdf_snr_active_imperfect(1e10, params, split) == 1.0
         assert cf.cdf_snr_passive(np.array([1e10, 1e-10]), params, split)[0] == 1.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: cf.sop_theta_curve("bogus", p, 50.0, 1.0),
+    lambda p: cf.log_sf_theta_curve("bogus", p, 50.0, 1.0, p.epsilon),
+    lambda p: cf.sop_grid(p, 50.0, np.array([1.0]), np.array([0.5]), "bogus"),
+    lambda p: opt.theta_interval("bogus", p, 50.0, 1.0),
+], ids=["sop_theta_curve", "log_sf_theta_curve", "sop_grid", "theta_interval"])
+def test_unknown_sop_kind_is_a_range_error(call):
+    with pytest.raises(RangeError, match="unknown SOP kind 'bogus'; expected one of"):
+        call(_raw_params())

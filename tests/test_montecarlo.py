@@ -75,7 +75,7 @@ def test_single_draw_agrees_with_batch():
     params = _params(rho_b=0.8, rho_ea=0.7, m_active=2, n_antennas=6)
     split = make_split(params, 120.0, 0.45)
     batch = mc.draw_batch(params, 17, 0, 4)
-    bob = mc._snr_bob_batch(params, batch, split, "an_leakage", False, False)
+    bob = mc._snr_bob_batch(params, batch, split, "an_leakage", False)
     active = mc._snr_active_batch(params, batch, split, False)
     passive = mc._snr_passive_batch(params, batch, split, "subspace", False)
     for t in range(4):
@@ -497,3 +497,32 @@ def test_pool_threads_end_with_the_call(monkeypatch):
     before = threading.active_count()
     mc.verification_rows(params, split, 3.0, _POOLED_TRIALS, seed=5)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("start, stop", [(-1, 0), (5, 3)], ids=["negative", "reversed"])
+def test_bad_trial_range_is_a_range_error(start, stop):
+    with pytest.raises(RangeError, match="trial range"):
+        mc.draw_batch(_params(), 1, start, stop)
+    assert mc.draw_batch(_params(), 1, 3, 3).h_ab.shape == (0,)
+
+
+def test_negative_trial_index_is_a_range_error():
+    with pytest.raises(RangeError, match="trial range"):
+        mc.sample_channels(_params(), 1, -1)
+
+
+def test_seed_and_trials_must_be_integers():
+    params = _params()
+    split = make_split(params, 100.0, 0.5)
+    with pytest.raises(RangeError, match="seed must be an integer"):
+        mc.snr_samples(params, split, 10, seed=1.5)
+    with pytest.raises(RangeError, match="seed must be an integer"):
+        mc.sample_channels(params, 1.0, 0)
+    with pytest.raises(RangeError, match="trials must be an integer"):
+        mc.snr_samples(params, split, 2.5, seed=1)
+    with pytest.raises(RangeError, match="trials must be an integer"):
+        mc.estimate_outages(params, split, 1.0, 10.0, seed=1)
+    # any integral type is taken as its value
+    a = mc.snr_samples(params, split, np.int64(10), seed=np.uint64(7))
+    b = mc.snr_samples(params, split, 10, seed=7)
+    assert all(np.array_equal(a[key], b[key]) for key in b)

@@ -9,7 +9,7 @@ import secrate.optimizer as opt
 from secrate.errors import AlphaZero, RangeError
 from secrate.model import SystemParams, make_split, validate
 
-from conftest import random_params, random_point
+from conftest import MIN_PA_UNDERFLOW, random_params, random_point
 
 
 def test_theta_floor_inverse_and_anchor():
@@ -391,8 +391,7 @@ def _linear_walk(params, algorithm, step, pa_mode):
             break
         best = (i * step, interval)
         i += 1
-    trace = {"pa_mode": mode, "algorithm": algorithm,
-             "p_to": cf.transmission_outage_for_mode(params, p_req, mode)}
+    trace = {"pa_mode": mode, "algorithm": algorithm}
     if best is None:
         return opt.OptResult(feasible=False, r_s_star=0.0, theta_star=math.nan,
                              p_a_star=p_req, steps=steps,
@@ -401,9 +400,6 @@ def _linear_walk(params, algorithm, step, pa_mode):
     reference = opt._theta_reference(params, kinds[1])
     trace["theta_interval"] = (interval.lo, interval.hi)
     trace["theta_reference"] = reference
-    active_trace = opt._SOLVERS[kinds[0]][1]
-    if active_trace is not None:
-        trace.update(active_trace(params, p_req, r_star))
     return opt.OptResult(feasible=True, r_s_star=r_star, theta_star=interval.clip(reference),
                          p_a_star=p_req, steps=steps, trace=trace)
 
@@ -570,3 +566,49 @@ def test_searches_see_no_nan_when_alpha_and_beta_overflow(monkeypatch, algorithm
     result = opt.maximize_for(params, algorithm=algorithm, pa_mode="noise_limited")
     assert result.feasible and result.infeasibility_reason == "NONE"
     assert values and not any(np.isnan(v).any() for v in values)
+
+
+# ---------------------------------------------------------------------------
+# The shared entry of the rate search and the oracle, and the trace
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("fields, mode", MIN_PA_UNDERFLOW,
+                         ids=[mode for _, mode in MIN_PA_UNDERFLOW])
+def test_searches_reject_a_minimum_power_that_rounds_to_zero(fields, mode):
+    params = validate(SystemParams(**fields))
+    with pytest.raises(RangeError, match="minimum Alice power"):
+        opt.maximize_for(params, pa_mode=mode)
+    with pytest.raises(RangeError, match="minimum Alice power"):
+        opt.grid_search_oracle(params, 100, 100, pa_mode=mode)
+
+
+def test_unknown_algorithm_is_reported_before_a_bad_step(baseline_params):
+    with pytest.raises(RangeError, match="unknown algorithm"):
+        opt.maximize_for(baseline_params, algorithm="nope", step=math.nan)
+    with pytest.raises(RangeError, match="unknown algorithm"):
+        opt.grid_search_oracle(baseline_params, 100, 100, algorithm="nope")
+
+
+def test_bad_step_is_rejected_when_the_power_exceeds_p_max(baseline_params):
+    over_budget = replace(baseline_params, delta=1e-9, p_max=10.0, r_b=12.0)
+    assert opt.maximize_for(over_budget).infeasibility_reason == "PA_EXCEEDS_PMAX"
+    with pytest.raises(RangeError, match="step"):
+        opt.maximize_for(over_budget, step=math.nan)
+
+
+def test_trace_holds_what_the_search_saw(baseline_params):
+    over_budget = replace(baseline_params, delta=1e-9, p_max=10.0, r_b=12.0)
+    no_theta = replace(baseline_params, var_jea=1e-7, var_jek=1e-7, epsilon=1e-3)
+    start = {"pa_mode": "noise_limited", "algorithm": "perfect"}
+    for params, reason in ((baseline_params, "NONE"), (no_theta, "NO_THETA_AT_RS0"),
+                           (over_budget, "PA_EXCEEDS_PMAX")):
+        result = opt.maximize_for(params, pa_mode="noise_limited")
+        oracle = opt.grid_search_oracle(params, 100, 100, pa_mode="noise_limited")
+        assert result.infeasibility_reason == oracle.infeasibility_reason == reason
+        assert oracle.trace == {**start, "oracle": True}
+        if reason != "NONE":
+            assert result.trace == start
+            continue
+        lo, hi = result.trace.pop("theta_interval")
+        assert result.trace == {**start, "theta_reference": 1 / 5}
+        assert lo <= result.theta_star <= hi
