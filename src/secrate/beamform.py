@@ -58,6 +58,8 @@ def mrt_null_beam(g_b: np.ndarray, g_ea: np.ndarray) -> np.ndarray:
     norm_b_sq = float(np.real(np.vdot(g_b, g_b)))
     if norm_b_sq < 1e-30:
         raise ZeroVector("legitimate channel has zero norm")
+    if float(np.real(np.vdot(g_ea, g_ea))) < 1e-30:
+        raise ZeroVector("active eavesdropper channel has zero norm")
     projected = g_ea - g_b * (np.vdot(g_b, g_ea) / norm_b_sq)
     norm_p = float(np.linalg.norm(projected))
     if norm_p < 1e-12 * float(np.linalg.norm(g_ea)):
@@ -74,8 +76,8 @@ def multi_mrt_beams(g_b: np.ndarray, g_actives: np.ndarray) -> np.ndarray:
     for m in range(g_actives.shape[1]):
         try:
             cols.append(mrt_null_beam(g_b, g_actives[:, m]))
-        except DegenerateChannel as exc:
-            raise DegenerateChannel(f"active eavesdropper column {m}: {exc}") from exc
+        except (DegenerateChannel, ZeroVector) as exc:
+            raise type(exc)(f"active eavesdropper column {m}: {exc}") from exc
     return np.column_stack(cols)
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -41,7 +40,7 @@ from numpy.random import Generator, Philox
 
 from . import closedform as cf
 from .closedform import cdf_snr_bob, outage_metrics, rate_gap_threshold
-from .errors import DegenerateDistributionWarning, RangeError
+from .errors import RangeError
 from .model import PowerSplit, SystemParams
 
 _PHILOX_BLOCK = 4  # Philox advances by 128-bit blocks = 4 uint64 outputs
@@ -162,6 +161,9 @@ def draw_batch(params: SystemParams, seed: int, start: int, stop: int) -> Channe
     Only the Philox uniforms are drawn here; each field is transformed from
     its own slot columns when first read.
     """
+    if not (isinstance(start, Integral) and isinstance(stop, Integral)):
+        raise RangeError(f"trial bounds must be integers, got [{start!r}, {stop!r})")
+    start, stop = int(start), int(stop)  # Philox.advance takes no numpy integer
     if not 0 <= start <= stop:
         raise RangeError(f"trial range [start, stop) needs 0 <= start <= stop, "
                          f"got [{start}, {stop})")
@@ -234,16 +236,16 @@ def _beam_and_null(batch: ChannelBatch, v: np.ndarray, basis: np.ndarray):
 
 
 def _snr_bob_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
-                   regime: str, include_noise: bool) -> np.ndarray:
-    num = split.p_a * _abs2(batch.h_ab)
-    if regime == "interference_limited":
+                   include_noise: bool) -> np.ndarray:
+    """(T,) SNRs at Bob, limited as :func:`secrate.closedform.bob_regime` says."""
+    if cf.bob_regime(params) == "interference_limited":
         den = params.p_ea * _abs2(batch.f_eab) + (1.0 if include_noise else 0.0)
-        return num / np.maximum(den, _DEN_FLOOR)
-    # an_leakage: AN reaches Bob only through the estimation error.
-    _, beams, _ = batch.geometry
-    beam, null = _beam_and_null(batch, batch.e_b[:, :, None], beams)
-    den = _an_den(params, split, beam[:, 0], null[:, 0], include_noise)
-    return num / np.maximum(den, _DEN_FLOOR)
+    else:
+        # an_leakage: AN reaches Bob only through the estimation error.
+        _, beams, _ = batch.geometry
+        beam, null = _beam_and_null(batch, batch.e_b[:, :, None], beams)
+        den = _an_den(params, split, beam[:, 0], null[:, 0], include_noise)
+    return split.p_a * _abs2(batch.h_ab) / np.maximum(den, _DEN_FLOOR)
 
 
 def _snr_active_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
@@ -266,19 +268,14 @@ def _snr_active_batch(params: SystemParams, batch: ChannelBatch, split: PowerSpl
 
 
 def _snr_passive_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
-                       beam_leakage: str, include_noise: bool) -> np.ndarray:
+                       include_noise: bool) -> np.ndarray:
     """(T, K) SNRs at the passive eavesdroppers.
 
-    ``beam_leakage`` selects how the active-beam AN couples in: 'subspace'
-    projects onto the beam span (the equal-power-per-dimension model the
-    closed forms integrate), 'per_beam' sums the literal per-beam gains
-    (sensitivity mode; the beams are not mutually orthogonal).
+    The active-beam AN couples in through its projection onto the beam span,
+    the equal-power-per-dimension model the closed forms integrate.
     """
-    if beam_leakage not in ("subspace", "per_beam"):
-        raise RangeError(f"unknown beam_leakage mode {beam_leakage!r}")
-    _, beams, ortho = batch.geometry
-    basis = ortho if beam_leakage == "subspace" else beams
-    den = _an_den(params, split, *_beam_and_null(batch, batch.g_ek, basis), include_noise)
+    _, _, ortho = batch.geometry
+    den = _an_den(params, split, *_beam_and_null(batch, batch.g_ek, ortho), include_noise)
     return split.p_a * _abs2(batch.h_aek) / np.maximum(den, _DEN_FLOOR)
 
 
@@ -290,25 +287,13 @@ def _as_batch(draw: ChannelBatch) -> ChannelBatch:
     return ChannelBatch(lambda _, name: getattr(draw, name)[None])
 
 
-def _bob_regime(params: SystemParams, regime: str) -> str:
-    if regime == "auto":
-        return cf.bob_regime(params)
-    if regime not in ("interference_limited", "an_leakage"):
-        raise RangeError(f"unknown Bob SNR regime {regime!r}")
-    if regime == "an_leakage" and params.rho_b >= 1.0:
-        warnings.warn("rho_b = 1 leaks no AN to Bob; denominator is floored",
-                      DegenerateDistributionWarning, stacklevel=3)
-    return regime
+def snr_bob(params: SystemParams, draw: ChannelBatch, split: PowerSplit, *,
+            include_noise: bool = False) -> float:
+    """Bob's instantaneous SNR, limited as :func:`secrate.closedform.bob_regime` says."""
+    return float(_snr_bob_batch(params, _as_batch(draw), split, include_noise)[0])
 
 
-def snr_bob(params: SystemParams, draw: ChannelBatch, split: PowerSplit,
-            regime: str = "auto", include_noise: bool = False) -> float:
-    """Bob's instantaneous SNR under the chosen impairment regime."""
-    return float(_snr_bob_batch(params, _as_batch(draw), split, _bob_regime(params, regime),
-                                include_noise)[0])
-
-
-def snr_active(params: SystemParams, draw: ChannelBatch, split: PowerSplit,
+def snr_active(params: SystemParams, draw: ChannelBatch, split: PowerSplit, *,
                include_noise: bool = False) -> np.ndarray:
     """Per-active-eavesdropper SNR vector (length M).
 
@@ -318,11 +303,10 @@ def snr_active(params: SystemParams, draw: ChannelBatch, split: PowerSplit,
     return _snr_active_batch(params, _as_batch(draw), split, include_noise)[0]
 
 
-def snr_passive(params: SystemParams, draw: ChannelBatch, split: PowerSplit,
-                beam_leakage: str = "subspace", include_noise: bool = False) -> np.ndarray:
+def snr_passive(params: SystemParams, draw: ChannelBatch, split: PowerSplit, *,
+                include_noise: bool = False) -> np.ndarray:
     """Per-passive-eavesdropper SNR vector (length K)."""
-    return _snr_passive_batch(params, _as_batch(draw), split, beam_leakage,
-                              include_noise)[0]
+    return _snr_passive_batch(params, _as_batch(draw), split, include_noise)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +363,7 @@ def _map_chunks(fn, jobs: list[tuple]) -> list:
         return list(pool.map(lambda context, job: context.run(fn, *job), contexts, jobs))
 
 
-def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int,
-                beam_leakage: str = "subspace",
+def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int, *,
                 include_noise: bool = False) -> dict[str, np.ndarray]:
     """Raw SNR samples: 'bob' (T,), 'active' (T, M), 'passive' (T, K).
 
@@ -395,13 +378,12 @@ def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int,
         raise RangeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise RangeError("need at least one trial")
-    regime = cf.bob_regime(params)
 
     def chunk(start, stop):
         batch = draw_batch(params, seed, start, stop)
-        return (_snr_bob_batch(params, batch, split, regime, include_noise),
+        return (_snr_bob_batch(params, batch, split, include_noise),
                 _snr_active_batch(params, batch, split, include_noise),
-                _snr_passive_batch(params, batch, split, beam_leakage, include_noise))
+                _snr_passive_batch(params, batch, split, include_noise))
 
     bob, active, passive = zip(*_map_chunks(chunk, list(_chunks(trials))))
     return {"bob": np.concatenate(bob), "active": np.concatenate(active),
@@ -409,7 +391,7 @@ def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int,
 
 
 def _count_outages(params: SystemParams, split: PowerSplit, r_s: float,
-                   samples: dict[str, np.ndarray], seed: int, independent_actives: bool,
+                   samples: dict[str, np.ndarray], seed: int,
                    include_noise: bool) -> dict[str, McEstimate]:
     """The three outage estimates from :func:`snr_samples` output.
 
@@ -418,19 +400,17 @@ def _count_outages(params: SystemParams, split: PowerSplit, r_s: float,
     """
     trials = samples["bob"].shape[0]
     threshold_so = rate_gap_threshold(params.r_b, r_s)
-    if independent_actives and params.m_active > 1:
-        def branch_chunk(branch, start, stop):
-            batch = draw_batch(params, seed, branch * trials + start, branch * trials + stop)
-            return _snr_active_batch(params, batch, split, include_noise,
-                                     slice(branch, branch + 1))[:, 0]
 
-        jobs = [(branch, start, stop) for branch in range(1, params.m_active)
-                for start, stop in _chunks(trials)]
-        max_active = samples["active"][:, 0].copy()
-        for (_, start, stop), col in zip(jobs, _map_chunks(branch_chunk, jobs)):
-            np.maximum(max_active[start:stop], col, out=max_active[start:stop])
-    else:
-        max_active = samples["active"].max(axis=1)
+    def branch_chunk(branch, start, stop):
+        batch = draw_batch(params, seed, branch * trials + start, branch * trials + stop)
+        return _snr_active_batch(params, batch, split, include_noise,
+                                 slice(branch, branch + 1))[:, 0]
+
+    jobs = [(branch, start, stop) for branch in range(1, params.m_active)
+            for start, stop in _chunks(trials)]
+    max_active = samples["active"][:, 0].copy()
+    for (_, start, stop), col in zip(jobs, _map_chunks(branch_chunk, jobs)):
+        np.maximum(max_active[start:stop], col, out=max_active[start:stop])
     hits = {"p_to": samples["bob"] < rate_gap_threshold(params.r_b, 0.0),
             "p_so1": max_active >= threshold_so,
             "p_so2": samples["passive"].max(axis=1) >= threshold_so}
@@ -438,21 +418,17 @@ def _count_outages(params: SystemParams, split: PowerSplit, r_s: float,
 
 
 def estimate_outages(params: SystemParams, split: PowerSplit, r_s: float, trials: int,
-                     seed: int, independent_actives: bool = True,
-                     beam_leakage: str = "subspace",
-                     include_noise: bool = False) -> dict[str, McEstimate]:
+                     seed: int, *, include_noise: bool = False) -> dict[str, McEstimate]:
     """Monte Carlo estimates of the three outage probabilities.
 
     With several active eavesdroppers the selection-combining estimate draws
     each eavesdropper's SNR from its own block of trials (branch m uses
     trials [m*T, (m+1)*T)): the jointly-drawn maxima are coupled through the
     shared channel vectors, which the independence-based closed form does not
-    model. Set ``independent_actives=False`` for the coupled variant.
+    model.
     """
-    samples = snr_samples(params, split, trials, seed, beam_leakage=beam_leakage,
-                          include_noise=include_noise)
-    return _count_outages(params, split, r_s, samples, seed, independent_actives,
-                          include_noise)
+    samples = snr_samples(params, split, trials, seed, include_noise=include_noise)
+    return _count_outages(params, split, r_s, samples, seed, include_noise)
 
 
 def ks_statistic(samples: np.ndarray, cdf) -> float:
@@ -525,8 +501,7 @@ def verification_rows(params: SystemParams, split: PowerSplit, r_s: float, trial
         cdf = getattr(cf, f"cdf_snr_{kind}")
         cdf_row(f"cdf_snr_{kind}", data, lambda x, cdf=cdf: cdf(x, params, split))
 
-    estimates = _count_outages(params, split, r_s, samples, seed,
-                               independent_actives=True, include_noise=False)
+    estimates = _count_outages(params, split, r_s, samples, seed, include_noise=False)
     metrics = outage_metrics(params, split, r_s)
     # the AN-leakage form bounds the outage from above (Jensen)
     point_row("transmission_outage_an_leakage" if leakage else "transmission_outage",

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -410,6 +411,12 @@ def _feasible_mask(params: SystemParams, p_a: float, rs_grid: np.ndarray,
     return (p1 <= params.epsilon) & (p2 <= params.epsilon)
 
 
+def _check_grid_points(*sizes) -> None:
+    if not all(isinstance(size, Integral) and size >= 100 for size in sizes):
+        raise RangeError(f"oracle grids need an integer count of at least 100 points "
+                         f"per axis, got {', '.join(map(repr, sizes))}")
+
+
 def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
                        theta_grid_points: int = 1000, algorithm: str | None = None,
                        pa_mode: str = "auto") -> OptResult:
@@ -419,8 +426,7 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
     rate and, at that rate, the feasible theta closest to the passive-SOP
     minimizer (ties toward the smaller theta).
     """
-    if rs_grid_points < 100 or theta_grid_points < 100:
-        raise RangeError("oracle grids need at least 100 points per axis")
+    _check_grid_points(rs_grid_points, theta_grid_points)
     kinds, p_req, trace, refused = _start(params, algorithm, pa_mode, oracle=True)
     if refused is not None:
         return refused
@@ -442,6 +448,7 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
 def feasible_any_theta(params: SystemParams, p_a: float, r_s: float,
                        algorithm: str, theta_grid_points: int = 10_000) -> bool:
     """Whether any theta on a fine grid meets both secrecy targets at ``r_s``."""
+    _check_grid_points(theta_grid_points)
     if r_s >= params.r_b:
         return False
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)

@@ -50,6 +50,18 @@ def test_mrt_beam_parallel_raises():
         mrt_null_beam(e1, 2.0 * e1)
 
 
+def test_zero_active_channel_raises():
+    # the parallel check read 0 < 0 here and NaN beams came back with a RuntimeWarning
+    e1 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    with pytest.raises(ZeroVector, match="active eavesdropper"):
+        mrt_null_beam(e1, np.zeros(3))
+    actives = np.column_stack([np.array([0.0, 1.0, 0.0]), np.zeros(3)])
+    with pytest.raises(ZeroVector, match="column 1"):
+        multi_mrt_beams(e1, actives)
+    with pytest.raises(ZeroVector, match="column 1"):
+        make_beamformer_set(e1, actives)
+
+
 def test_mrt_beam_invariants_random():
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -6,7 +6,7 @@ import pytest
 
 import secrate.closedform as cf
 import secrate.montecarlo as mc
-from secrate.errors import DegenerateDistributionWarning, RangeError
+from secrate.errors import RangeError
 from secrate.model import SystemParams, make_split, validate
 
 from conftest import random_params
@@ -71,17 +71,17 @@ def test_channel_moments():
     assert rho_hat == pytest.approx(params.rho_b, abs=0.01)
 
 
-def test_single_draw_agrees_with_batch():
-    params = _params(rho_b=0.8, rho_ea=0.7, m_active=2, n_antennas=6)
+@pytest.mark.parametrize("rho_b", [0.8, 1.0], ids=["an_leakage", "interference_limited"])
+def test_single_draw_agrees_with_batch(rho_b):
+    params = _params(rho_b=rho_b, rho_ea=0.7, m_active=2, n_antennas=6)
     split = make_split(params, 120.0, 0.45)
     batch = mc.draw_batch(params, 17, 0, 4)
-    bob = mc._snr_bob_batch(params, batch, split, "an_leakage", False)
+    bob = mc._snr_bob_batch(params, batch, split, False)
     active = mc._snr_active_batch(params, batch, split, False)
-    passive = mc._snr_passive_batch(params, batch, split, "subspace", False)
+    passive = mc._snr_passive_batch(params, batch, split, False)
     for t in range(4):
         draw = mc.sample_channels(params, 17, t)
-        assert mc.snr_bob(params, draw, split, "an_leakage") == pytest.approx(
-            bob[t], rel=1e-12)
+        assert mc.snr_bob(params, draw, split) == pytest.approx(bob[t], rel=1e-12)
         assert np.allclose(mc.snr_active(params, draw, split), active[t], rtol=1e-12)
         assert np.allclose(mc.snr_passive(params, draw, split), passive[t], rtol=1e-12)
 
@@ -92,9 +92,6 @@ def test_snr_bob_limits_and_degenerate_warning():
     draw = mc.sample_channels(params, 3, 0)
     strong_jammer = _params(p_ea=1e12)
     assert mc.snr_bob(strong_jammer, draw, split) < 1e-6
-    with pytest.warns(DegenerateDistributionWarning):
-        huge = mc.snr_bob(params, draw, split, regime="an_leakage")
-    assert huge > 1e200
 
 
 def test_estimate_outages_threshold_edges():
@@ -150,27 +147,10 @@ def test_independent_branches_match_product_form():
     split = make_split(params, 150.0, 0.5)
     r_s = 0.85 * params.r_b
     trials = 100_000
-    est = mc.estimate_outages(params, split, r_s, trials, seed=37,
-                              independent_actives=True)
+    est = mc.estimate_outages(params, split, r_s, trials, seed=37)
     closed = float(cf.sop_active_multi(params, split, r_s))
     se = np.sqrt(closed * (1.0 - closed) / trials)
     assert abs(est["p_so1"].p_hat - closed) <= 3.0 * se
-
-
-def test_coupled_branches_available():
-    params = _params(m_active=2, n_antennas=6)
-    split = make_split(params, 150.0, 0.5)
-    est = mc.estimate_outages(params, split, 3.0, 20_000, seed=41,
-                              independent_actives=False)
-    assert 0.0 <= est["p_so1"].p_hat <= 1.0
-
-
-def test_per_beam_leakage_mode_runs():
-    params = _params(m_active=2, n_antennas=6)
-    split = make_split(params, 150.0, 0.5)
-    samples = mc.snr_samples(params, split, 5_000, seed=43,
-                             beam_leakage="per_beam")
-    assert samples["passive"].shape == (5_000, params.k_passive)
 
 
 def test_passive_law_unchanged_by_estimate_quality():
@@ -428,9 +408,7 @@ _POOLED_TRIALS = 3 * mc._CHUNK_TRIALS + 1_000  # three full chunks and a partial
 
 def _pooled_outputs(params, split):
     samples = mc.snr_samples(params, split, _POOLED_TRIALS, seed=11)
-    outages = [mc.estimate_outages(params, split, 3.0, _POOLED_TRIALS, seed=11,
-                                   independent_actives=independent)
-               for independent in (True, False)]
+    outages = mc.estimate_outages(params, split, 3.0, _POOLED_TRIALS, seed=11)
     rows = mc.verification_rows(params, split, 3.0, _POOLED_TRIALS, seed=11)
     return samples, outages, repr(rows)
 
@@ -474,7 +452,7 @@ def test_out_of_range_seed_raises_from_a_worker(monkeypatch):
         mc.snr_samples(params, split, _POOLED_TRIALS, seed=-1)
     samples = mc.snr_samples(params, split, _POOLED_TRIALS, seed=1)
     with pytest.raises(RangeError, match="seed"):  # the independent-branch jobs
-        mc._count_outages(params, split, 3.0, samples, -1, True, False)
+        mc._count_outages(params, split, 3.0, samples, -1, False)
 
 
 def test_pooled_jobs_run_under_the_callers_errstate(monkeypatch):
@@ -504,6 +482,39 @@ def test_bad_trial_range_is_a_range_error(start, stop):
     with pytest.raises(RangeError, match="trial range"):
         mc.draw_batch(_params(), 1, start, stop)
     assert mc.draw_batch(_params(), 1, 3, 3).h_ab.shape == (0,)
+
+
+def test_non_integral_trial_bounds_are_a_range_error():
+    # a float bound reached numpy's shape arithmetic (TypeError) or the
+    # Philox block check (a ValueError about slots, not trials)
+    for start, stop in [(0, 2.5), (1.5, 3), (np.float64(1.0), 2)]:
+        with pytest.raises(RangeError, match="trial bounds must be integers"):
+            mc.draw_batch(_params(), 1, start, stop)
+    with pytest.raises(RangeError, match="trial bounds must be integers"):
+        mc.sample_channels(_params(), 1, 1.5)
+    # numpy integers are taken as their values (Philox.advance rejected them)
+    a = mc.draw_batch(_params(), 1, np.int64(1), np.uint8(3))
+    assert np.array_equal(a.g_b, mc.draw_batch(_params(), 1, 1, 3).g_b)
+
+
+def test_removed_modes_are_type_errors_and_noise_is_keyword_only():
+    # a stale positional mode string must not bind to include_noise
+    params = _params(m_active=2, n_antennas=6, rho_b=0.8)
+    split = make_split(params, 150.0, 0.5)
+    draw = mc.sample_channels(params, 1, 0)
+    calls = [lambda: mc.snr_bob(params, draw, split, "an_leakage"),
+             lambda: mc.snr_bob(params, draw, split, regime="an_leakage"),
+             lambda: mc.snr_active(params, draw, split, True),
+             lambda: mc.snr_passive(params, draw, split, "per_beam"),
+             lambda: mc.snr_passive(params, draw, split, beam_leakage="per_beam"),
+             lambda: mc.snr_samples(params, split, 10, 1, True),
+             lambda: mc.snr_samples(params, split, 10, 1, beam_leakage="subspace"),
+             lambda: mc.estimate_outages(params, split, 1.0, 10, 1, False),
+             lambda: mc.estimate_outages(params, split, 1.0, 10, 1, independent_actives=False)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    assert mc.snr_bob(params, draw, split, include_noise=True) < mc.snr_bob(params, draw, split)
 
 
 def test_negative_trial_index_is_a_range_error():

@@ -518,6 +518,22 @@ def test_oracle_requires_minimum_grid():
         opt.grid_search_oracle(params, 50, 1000)
 
 
+@pytest.mark.parametrize("points", [150.5, math.nan, 99, 0, -1, np.float64(200.0)])
+def test_oracle_grids_need_integer_sizes(points):
+    # a float size reached np.linspace (a bare TypeError), and an empty or
+    # negative theta grid made feasible_any_theta answer False or ValueError
+    params = random_params(np.random.default_rng(53))
+    with pytest.raises(RangeError, match="integer count of at least 100"):
+        opt.grid_search_oracle(params, points, 100)
+    with pytest.raises(RangeError, match="integer count of at least 100"):
+        opt.grid_search_oracle(params, 100, points)
+    with pytest.raises(RangeError, match="integer count of at least 100"):
+        opt.feasible_any_theta(params, params.p_max, 0.0, "perfect", points)
+    # any integral type is taken as its value
+    assert opt.grid_search_oracle(params, np.int64(100), 100) == opt.grid_search_oracle(
+        params, 100, 100)
+
+
 def test_algorithm_aliases():
     assert opt.resolve_algorithm("alg1") == "perfect"
     assert opt.resolve_algorithm("alg2") == "imperfect"
