@@ -93,7 +93,7 @@ def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return parse_config(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -215,7 +215,7 @@ def cmd_sweep(cfg: dict, step: float | None, pa_mode: str) -> tuple[int, str]:
             _apply_field(scenario, axis, axis_value)
             for key in also_set:
                 _apply_field(scenario, key, axis_value)
-            if overlay_key:
+            if "overlay" in cfg:
                 _apply_field(scenario, overlay_key, overlay_value)
             params = build_params(scenario)
             result = opt.maximize_for(params, algorithm=algorithm, step=step,
@@ -293,11 +293,15 @@ def main(argv: list[str] | None = None) -> int:
     except SecrateError as exc:
         print(f"secrate: {exc}", file=sys.stderr)
         return 2
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"secrate: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

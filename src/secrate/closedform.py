@@ -70,14 +70,24 @@ class DerivedRatios:
     lambda_cap: float
 
 
-def alpha_ratio(params: SystemParams, p_a: float, r_s: float):
+def _jamming_ratio(params: SystemParams, p_a: float, r_s, var_j: float, var_a: float):
+    """(p_max/p_a - 1) var_j x / var_a at the threshold x of ``r_s``.
+
+    RangeError unless 0 < p_a <= p_max (NaN included), and for an ``r_s``
+    outside [0, r_b] (:func:`rate_gap_threshold`).
+    """
     x = rate_gap_threshold(params.r_b, r_s)
-    return (params.p_max / p_a - 1.0) * params.var_jea * x / params.var_aea
+    if not 0.0 < p_a <= params.p_max:
+        raise RangeError(f"p_a must lie in (0, p_max = {params.p_max!r}], got {p_a!r}")
+    return (params.p_max / p_a - 1.0) * var_j * x / var_a
 
 
-def beta_ratio(params: SystemParams, p_a: float, r_s: float):
-    x = rate_gap_threshold(params.r_b, r_s)
-    return (params.p_max / p_a - 1.0) * params.var_jek * x / params.var_aek
+def alpha_ratio(params: SystemParams, p_a: float, r_s):
+    return _jamming_ratio(params, p_a, r_s, params.var_jea, params.var_aea)
+
+
+def beta_ratio(params: SystemParams, p_a: float, r_s):
+    return _jamming_ratio(params, p_a, r_s, params.var_jek, params.var_aek)
 
 
 def derived_ratios(params: SystemParams, p_a: float, r_s: float) -> DerivedRatios:

@@ -12,12 +12,15 @@ strengthens the one-sided endpoint comparison: the returned theta is the
 feasible point closest to the passive-SOP minimizer, maximizing constraint
 slack.
 
-Each interval solve bisects one eavesdropper's log-survival in theta
-against a level computed once per curve: the best of K eavesdroppers meets
+Each interval solve compares one eavesdropper's log-survival in theta
+with a level computed once per curve: the best of K eavesdroppers meets
 SOP <= epsilon exactly where that log-survival is at most
-log(1 - (1-epsilon)^(1/K)). On the kinds where the log-survival is convex,
-secant steps first certify a band around each crossing, and the bisection
-evaluates only the midpoints inside it, with the same result bit for bit.
+log(1 - (1-epsilon)^(1/K)). With perfect estimates the active log-survival,
+-(M+N-2) log1p(theta alpha / M), meets the level at a closed-form floor.
+Every other kind is bisected on each side of its minimizer, where the
+log-survival is monotone; secant steps first certify a band around each
+crossing, and the bisection evaluates only the midpoints inside it, with the
+same result bit for bit.
 
 ``grid_search_oracle`` is the brute-force cross-check used by the tests; it
 shares only the closed-form grid kernels with the sweep, not its interval
@@ -55,10 +58,6 @@ _BISECT_TOL = 1e-13
 _MARGIN = 1e-12
 # secant steps per crossing (about 10 are taken); the bisection covers the rest
 _SECANT_STEPS = 16
-# Kinds whose log-survival is convex in theta (monotone on each side of its
-# minimizer): the passive kernels, and the perfect-estimate active kernels,
-# -(M+N-2) log1p(theta s / M). The imperfect-estimate one is not.
-_CONVEX = ("active", "active_multi", "passive", "passive_multi")
 
 
 def resolve_algorithm(name: str) -> str:
@@ -116,8 +115,7 @@ class OptResult:
     trace: dict = field(default_factory=dict)
 
 
-def _bisect(gap, lo: float, hi: float, lo_above: bool,
-            band: tuple[float, float] = (-math.inf, math.inf)) -> float:
+def _bisect(gap, lo: float, hi: float, lo_above: bool, band: tuple[float, float]) -> float:
     """Bisect [lo, hi] down to _BISECT_TOL for the one point where
     ``gap > 0`` changes from ``lo_above`` (its value at lo); returns the
     midpoint of the last bracket.
@@ -177,25 +175,36 @@ def _secant_band(gap, lo: float, hi: float, gap_lo: float, gap_hi: float,
     return a, b
 
 
-def theta_floor_active(params: SystemParams, p_a: float, r_s: float) -> float:
-    """Smallest AN ratio meeting the active-eavesdropper secrecy target
-    (perfect estimates): the SOP is strictly decreasing in theta, so the
-    admissible set is [floor, 1] whenever floor <= 1."""
+def _floor(params: SystemParams, p_a: float, r_s: float, beams: int) -> float:
+    """Smallest AN ratio meeting the target of the best of M = ``beams``
+    active eavesdroppers (perfect estimates): their log-survival
+    -(M+N-2) log1p(theta alpha / M) meets the level L at
+    M expm1(L / (2-M-N)) / alpha and falls in theta, so the admissible set is
+    [floor, 1] whenever floor <= 1."""
     alpha = float(cf.alpha_ratio(params, p_a, r_s))
     if alpha == 0.0:
         raise AlphaZero("no AN margin: secrecy rate equals the transmission rate "
                         "or Alice takes the whole budget")
-    n = params.n_antennas
-    return float(np.expm1(np.log(params.epsilon) / (1.0 - n)) / alpha)
+    level = cf.secrecy_level(params.epsilon, beams)
+    floor = beams * float(np.expm1(level / (2 - beams - params.n_antennas))) / alpha
+    # theta = 0 leaves the beams unjammed, so a floor that rounds to 0 (an
+    # overflowed alpha, or one below the float range) is the least positive float
+    return max(floor, 5e-324)
 
 
-def _floor_interval(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
+def theta_floor_active(params: SystemParams, p_a: float, r_s: float) -> float:
+    """Smallest AN ratio meeting the single active eavesdropper's target
+    (perfect estimates); AlphaZero when there is no AN margin."""
+    return _floor(params, p_a, r_s, 1)
+
+
+def _floor_interval(params: SystemParams, p_a: float, r_s: float, beams: int) -> ThetaInterval:
     """[floor, 1] for the perfect-estimate active SOP (empty above 1)."""
     try:
-        floor = theta_floor_active(params, p_a, r_s)
+        floor = _floor(params, p_a, r_s, beams)
     except AlphaZero:
         return ThetaInterval.nothing()
-    return ThetaInterval.nothing() if floor > 1.0 else ThetaInterval(lo=max(0.0, floor), hi=1.0)
+    return ThetaInterval.nothing() if floor > 1.0 else ThetaInterval(lo=floor, hi=1.0)
 
 
 def _crossings(kind: str, params: SystemParams, p_a: float, r_s: float,
@@ -209,8 +218,9 @@ def _crossings(kind: str, params: SystemParams, p_a: float, r_s: float,
     ``minimizer`` (1.0 for one that decreases throughout), so the admissible
     set is the interval between the level crossings on either side of it,
     each bisected on a theta-curve whose alpha/beta is fixed; empty when even
-    the minimum exceeds the level. On the ``_CONVEX`` kinds the bisection
-    evaluates only inside the band that :func:`_secant_band` certifies.
+    the minimum exceeds the level. The log-survival is monotone on each side
+    of the minimizer, so the bisection evaluates only inside the band that
+    :func:`_secant_band` certifies there.
     """
     log_sf, level = cf.log_sf_theta_curve(kind, params, p_a, r_s, params.epsilon)
 
@@ -224,10 +234,7 @@ def _crossings(kind: str, params: SystemParams, p_a: float, r_s: float,
 
     def crossing(lo: float, hi: float, g_lo: float, g_hi: float, sign: float) -> float:
         """The one crossing on [lo, hi]; ``sign`` orients the gap to fall."""
-        band = (-math.inf, math.inf)
-        if kind in _CONVEX:
-            band = _secant_band(lambda t: sign * gap(t), lo, hi, sign * g_lo, sign * g_hi,
-                                margin)
+        band = _secant_band(lambda t: sign * gap(t), lo, hi, sign * g_lo, sign * g_hi, margin)
         return _bisect(gap, lo, hi, sign > 0.0, band)
 
     g_0, g_1 = gap(0.0), gap(1.0)
@@ -253,7 +260,7 @@ def theta_interval_active_imperfect(params: SystemParams, p_a: float, r_s: float
     admissible set is an interval around that root (clipped to [0,1]).
     """
     if params.rho_ea == 1.0:
-        return _floor_interval(params, p_a, r_s)
+        return _floor_interval(params, p_a, r_s, 1)
     alpha = float(cf.alpha_ratio(params, p_a, r_s))
     if alpha == 0.0:
         return ThetaInterval.nothing()
@@ -265,9 +272,9 @@ def theta_interval_active_imperfect(params: SystemParams, p_a: float, r_s: float
 
 
 def theta_interval_active_multi(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
-    """Admissible AN ratios for the best-of-M active eavesdroppers constraint
-    (their SOP decreases with theta)."""
-    return _crossings("active_multi", params, p_a, r_s, 1.0)
+    """Admissible AN ratios for the best-of-M active eavesdroppers constraint:
+    [floor, 1] at the closed-form floor (their SOP decreases with theta)."""
+    return _floor_interval(params, p_a, r_s, params.m_active)
 
 
 def theta_interval_passive_multi(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
@@ -286,7 +293,7 @@ def _theta_reference(params: SystemParams, passive_kind: str) -> float:
 # SOP kind -> its theta-interval solver, looked up when called, so a
 # replaced module attribute is used
 _SOLVERS = {
-    "active": lambda *a: _floor_interval(*a),
+    "active": lambda *a: _floor_interval(*a, 1),
     "active_imperfect": lambda *a: theta_interval_active_imperfect(*a),
     "active_multi": lambda *a: theta_interval_active_multi(*a),
     "passive": lambda *a: theta_interval_passive(*a),

@@ -4,6 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import secrate.closedform as cf
+import secrate.optimizer as opt
 from secrate.model import SystemParams, db_to_linear, make_split, validate
 
 try:
@@ -50,6 +52,19 @@ def random_point(rng: np.random.Generator, params: SystemParams):
 def passive_convex_level(k: int) -> float:
     """L_K = 1-(1-1/K)^K: the best-of-K passive SOP is convex in theta below it."""
     return 1.0 - (1.0 - 1.0 / k) ** k
+
+
+def log_sf_minimizer(kind: str, params: SystemParams, p_a: float, r_s: float) -> float:
+    """Where the log-survival of SOP ``kind`` is smallest on [0, 1]: the
+    crossings solver's ``minimizer`` argument."""
+    if kind.startswith("passive"):
+        return opt._theta_reference(params, kind)
+    flat = cf.alpha_ratio(params, p_a, r_s) == 0.0
+    if kind != "active_imperfect" or params.rho_ea == 1.0 or flat:
+        return 1.0
+    if params.rho_ea == 0.0:
+        return 1.0 / (params.n_antennas - 1)
+    return min(cf.active_sop_theta_profile(params, p_a, r_s).theta_pos, 1.0)
 
 
 def random_split(rng: np.random.Generator, params: SystemParams):

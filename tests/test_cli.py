@@ -180,6 +180,29 @@ def test_out_file_written_with_lf(tmp_path, capsys):
     assert data.endswith(b"\n")
 
 
+@pytest.mark.parametrize("target", ["missing/result.csv", ""], ids=["missing_dir", "a_dir"])
+def test_unwritable_out_exits_2(tmp_path, capsys, target):
+    path = _write(tmp_path, BASE_CFG + "p_a=242\ntheta=0.3\nr_s=4\n")
+    code, out, err = _run(["eval", "--config", path, "--out", str(tmp_path / target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("secrate: ") and err.count("\n") == 1
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BASE_CFG.replace("antenna-sweep", "antenna-sweep \xe9").encode("latin-1"))
+    code, out, err = _run(["eval", "--config", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("secrate: config error: cannot read config") and err.count("\n") == 1
+
+
+def test_sweep_overlay_without_a_name_exits_2(tmp_path, capsys):
+    path = _write(tmp_path, BASE_CFG + "axis=n_antennas\nvalues=4,6\noverlay=:1,2\n")
+    code, out, err = _run(["sweep", "--config", path], capsys)
+    assert (code, out) == (2, "")
+    assert "does not name a scenario field" in err
+
+
 def test_eval_default_theta_sits_at_passive_stationary_point(capsys):
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     code, out, _ = _run(["eval", "--config",

@@ -9,7 +9,9 @@ import secrate.optimizer as opt
 from secrate.errors import AlphaZero, RangeError
 from secrate.model import SystemParams, make_split, validate
 
-from conftest import MIN_PA_UNDERFLOW, random_params, random_point
+from conftest import MIN_PA_UNDERFLOW, log_sf_minimizer, random_params, random_point
+
+KINDS = ("active", "active_imperfect", "active_multi", "passive", "passive_multi")
 
 
 def test_theta_floor_inverse_and_anchor():
@@ -146,6 +148,48 @@ def test_theta_interval_multi_round_trips():
         if not active.empty and not passive.empty:
             nonempty += 1
     assert nonempty > 10
+
+
+def test_multi_floor_at_one_beam_is_the_single_floor():
+    # one closed-form floor serves both perfect-estimate active kinds
+    rng = np.random.default_rng(43)
+    seen = {"empty": 0, "interior": 0}
+    for _ in range(200):
+        params = random_params(rng)  # m_active = 1
+        p_a, _, r_s = random_point(rng, params)
+        single = opt.theta_interval("active", params, p_a, r_s)
+        assert repr(opt.theta_interval("active_multi", params, p_a, r_s)) == repr(single)
+        seen["empty" if single.empty else "interior"] += 1
+    assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("p_a", [0.0, -1.0, math.nan, math.inf, 2e4])  # p_max is 1e4
+def test_alice_power_outside_0_p_max_is_rejected(baseline_params, p_a):
+    params = baseline_params
+    r_s = 0.5 * params.r_b
+    rates, thetas = np.array([0.0, r_s]), np.array([0.0, 0.5, 1.0])
+    calls = [lambda: cf.alpha_ratio(params, p_a, r_s), lambda: cf.beta_ratio(params, p_a, r_s),
+             lambda: cf.derived_ratios(params, p_a, r_s)]
+    for kind in KINDS:
+        calls += [lambda k=kind: opt.theta_interval(k, params, p_a, r_s),
+                  lambda k=kind: cf.sop_theta_curve(k, params, p_a, r_s),
+                  lambda k=kind: cf.log_sf_theta_curve(k, params, p_a, r_s, params.epsilon),
+                  lambda k=kind: cf.sop_grid(params, p_a, rates, thetas, k)]
+    calls += [lambda a=a: opt.feasible_any_theta(params, p_a, r_s, a) for a in opt.ALGORITHMS]
+    for call in calls:
+        with pytest.raises(RangeError, match="p_a"):
+            call()
+
+
+def test_alice_power_at_p_max_leaves_no_an_margin(baseline_params):
+    params = baseline_params
+    p_a, r_s = params.p_max, 0.5 * params.r_b
+    assert cf.alpha_ratio(params, p_a, r_s) == cf.beta_ratio(params, p_a, r_s) == 0.0
+    with pytest.raises(AlphaZero):
+        opt.theta_floor_active(params, p_a, r_s)
+    for kind in KINDS:
+        assert opt.theta_interval(kind, params, p_a, r_s).empty, kind
+    assert not opt.feasible_any_theta(params, p_a, r_s, "perfect")
 
 
 def test_maximize_vacuous_constraints_hits_rate_ceiling():
@@ -479,34 +523,29 @@ def _sop_scale_crossings(kind, params, p_a, r_s, minimizer):
     return opt.ThetaInterval(lo=lo, hi=hi)
 
 
-def _minimizer(kind, params, p_a, r_s):
-    if kind in ("passive", "passive_multi"):
-        return opt._theta_reference(params, kind)
-    if kind == "active_imperfect":
-        return min(cf.active_sop_theta_profile(params, p_a, r_s).theta_pos, 1.0)
-    return 1.0
-
-
 def test_log_survival_crossings_match_sop_scale():
     rng = np.random.default_rng(607)
-    kinds = ("active", "active_imperfect", "active_multi", "passive", "passive_multi")
     seen = {"empty": 0, "interior": 0}
     for _ in range(100):
         params = _criterion_5_scenario(rng, str(rng.choice(opt.ALGORITHMS)))
         params = replace(params, m_active=max(params.m_active, 2), n_antennas=max(
             params.n_antennas, 4), rho_ea=float(rng.uniform(0.05, 0.95)))
         p_a = min(cf.min_pa(params), 0.9 * params.p_max)
-        for kind in kinds:
+        for kind in KINDS:
             for share in (0.05, 0.3, 0.6, 0.9):
                 r_s = share * params.r_b
-                args = (kind, params, p_a, r_s, _minimizer(kind, params, p_a, r_s))
-                got, want = opt._crossings(*args), _sop_scale_crossings(*args)
-                assert got.empty == want.empty, args
+                args = (kind, params, p_a, r_s, log_sf_minimizer(kind, params, p_a, r_s))
+                want = _sop_scale_crossings(*args)
+                # the solver itself, and the production path (the closed-form
+                # floor on the perfect-estimate active kinds)
+                for got in (opt._crossings(*args), opt.theta_interval(*args[:4])):
+                    assert got.empty == want.empty, args
+                    if not want.empty:
+                        assert abs(got.lo - want.lo) <= 2 * opt._BISECT_TOL, args
+                        assert abs(got.hi - want.hi) <= 2 * opt._BISECT_TOL, args
                 if want.empty:
                     seen["empty"] += 1
                     continue
-                assert abs(got.lo - want.lo) <= 2 * opt._BISECT_TOL, args
-                assert abs(got.hi - want.hi) <= 2 * opt._BISECT_TOL, args
                 seen["interior"] += 0.0 < want.lo or want.hi < 1.0
     assert min(seen.values()) > 50, seen
 
@@ -560,6 +599,22 @@ def test_imperfect_search_survives_an_overflowing_alpha():
     assert imperfect.feasible and imperfect.infeasibility_reason == "NONE"
     assert (imperfect.r_s_star, imperfect.theta_star) == (perfect.r_s_star, perfect.theta_star)
 
+
+@pytest.mark.parametrize("m_active", [1, 3])
+def test_floor_stays_positive_when_alpha_overflows(m_active):
+    # theta = 0 leaves the active beams unjammed (SOP 1) whatever alpha is
+    params = validate(SystemParams(
+        n_antennas=6, k_passive=1, m_active=m_active,
+        var_ab=1.0, var_aea=1e-300, var_aek=1.0, var_eab=1.0,
+        var_jb=1.0, var_jea=1e300, var_jek=1.0,
+        p_max=1e4, p_ea=10.0, r_b=8.0, delta=0.1, epsilon=0.01))
+    p_a = 10.0
+    assert cf.alpha_ratio(params, p_a, 0.0) == math.inf
+    kind = "active" if m_active == 1 else "active_multi"
+    interval = opt.theta_interval(kind, params, p_a, 0.0)
+    assert (interval.lo, interval.hi) == (5e-324, 1.0)
+    sop = cf.sop_theta_curve(kind, params, p_a, 0.0)
+    assert sop(0.0) == 1.0 and sop(interval.lo) <= params.epsilon
 
 @pytest.mark.parametrize("algorithm", ["perfect", "imperfect", "multi"])
 def test_searches_see_no_nan_when_alpha_and_beta_overflow(monkeypatch, algorithm):

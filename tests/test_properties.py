@@ -4,6 +4,7 @@ The hypothesis profile in ``conftest.py`` derandomizes the examples, so every
 run checks the same scenarios.
 """
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,8 @@ import secrate.closedform as cf  # noqa: E402
 import secrate.optimizer as opt  # noqa: E402
 from secrate.errors import RangeError  # noqa: E402
 from secrate.model import SystemParams, make_split, validate  # noqa: E402
+
+from conftest import log_sf_minimizer  # noqa: E402
 
 KINDS = ("active", "active_imperfect", "active_multi", "passive", "passive_multi")
 
@@ -114,16 +117,18 @@ def test_rate_above_r_b_is_rejected_by_every_kind(params, power_share, rate_scal
             opt.theta_interval(kind, params, p_a, r_s)
 
 
-@given(scenarios(), st.floats(1e-6, 1.0), st.floats(0.0, 1.0))
-def test_secant_band_changes_no_bit_of_the_bisection(params, power_share, rate_share):
+@given(scenarios(), st.floats(1e-6, 1.0), st.floats(0.0, 1.0), st.floats(0.05, 0.95))
+def test_secant_band_changes_no_bit_of_the_bisection(params, power_share, rate_share, rho_ea):
     # the band only skips midpoints whose side it has certified, so the
-    # crossings equal those of the plain bisection bit for bit
+    # crossings equal those of the plain bisection bit for bit, on every
+    # kind, the imperfect-estimate one at rho_ea 0, 1 and in between
     p_a = power_share * params.p_max
     r_s = rate_share * params.r_b
-    for kind in opt._CONVEX:
-        minimizer = (opt._theta_reference(params, kind) if kind.startswith("passive")
-                     else 1.0)
-        banded = opt._crossings(kind, params, p_a, r_s, minimizer)
-        with mock.patch.object(opt, "_CONVEX", ()):
-            plain = opt._crossings(kind, params, p_a, r_s, minimizer)
-        assert repr(banded) == repr(plain), kind
+    cases = [(kind, params) for kind in KINDS]
+    cases += [("active_imperfect", replace(params, rho_ea=rho)) for rho in (0.0, 1.0, rho_ea)]
+    for kind, scenario in cases:
+        minimizer = log_sf_minimizer(kind, scenario, p_a, r_s)
+        banded = opt._crossings(kind, scenario, p_a, r_s, minimizer)
+        with mock.patch.object(opt, "_SECANT_STEPS", 0):
+            plain = opt._crossings(kind, scenario, p_a, r_s, minimizer)
+        assert repr(banded) == repr(plain), (kind, scenario.rho_ea)
