@@ -683,3 +683,126 @@ def test_trace_holds_what_the_search_saw(baseline_params):
         lo, hi = result.trace.pop("theta_interval")
         assert result.trace == {**start, "theta_reference": 1 / 5}
         assert lo <= result.theta_star <= hi
+
+
+@pytest.mark.parametrize("r_s", [math.inf, -math.inf, math.nan, -1.0])
+def test_feasible_any_theta_rejects_a_negative_or_non_finite_rate(baseline_params, r_s):
+    # +inf passed the r_s >= r_b shortcut and answered False
+    params = baseline_params
+    for algorithm in opt.ALGORITHMS:
+        with pytest.raises(RangeError, match="r_s"):
+            opt.feasible_any_theta(params, 0.5 * params.p_max, r_s, algorithm)
+        for rate in (params.r_b, 2.0 * params.r_b):
+            assert not opt.feasible_any_theta(params, 0.5 * params.p_max, rate, algorithm)
+
+
+# ---------------------------------------------------------------------------
+# The oracle's top-down block scan against the exhaustive mask
+# ---------------------------------------------------------------------------
+
+RS_POINTS, THETA_POINTS = 200, 150
+
+
+def _sop_grids(params, algorithm):
+    """(rates, thetas, the SOP grid of each of the algorithm's two kinds) on
+    the oracle's grids at the minimum power."""
+    p_a = cf.min_pa(params, "noise_limited")
+    rates = np.linspace(0.0, params.r_b, RS_POINTS, endpoint=False)
+    thetas = np.linspace(0.0, 1.0, THETA_POINTS)
+    return rates, thetas, [cf.sop_grid(params, p_a, rates, thetas, kind)
+                           for kind in opt._kinds(params, algorithm)]
+
+
+def _with_last_row(params, algorithm, row):
+    """``params`` with epsilon between the least worse-of-two SOP of grid row
+    ``row`` and that of the row above, so ``row`` is the last feasible one
+    (-1: none is); SOPs do not depend on epsilon."""
+    least = np.maximum(*_sop_grids(params, algorithm)[2]).min(axis=1)
+    lo = least[row] if row >= 0 else 0.0
+    hi = least[row + 1] if row + 1 < RS_POINTS else 1.0
+    assert lo < hi, (row, lo, hi)
+    return validate(replace(params, epsilon=0.5 * (lo + hi)))
+
+
+def _feasible_scenario(rng, algorithm):
+    while True:
+        params = _criterion_5_scenario(rng, algorithm)
+        if cf.min_pa(params, "noise_limited") <= params.p_max:
+            return params
+
+
+def _exhaustive_answer(params, algorithm):
+    """(last feasible rate, its theta nearest the reference with ties toward
+    the smaller theta, the feasible rows), from the full mask; None for the
+    first two when no row is feasible."""
+    rates, thetas, (first, second) = _sop_grids(params, algorithm)
+    mask = (first <= params.epsilon) & (second <= params.epsilon)
+    rows = np.nonzero(mask.any(axis=1))[0]
+    if rows.size == 0:
+        return None, None, rows
+    candidates = thetas[mask[rows[-1]]]
+    distance = np.abs(candidates - opt._theta_reference(params, opt._kinds(params, algorithm)[1]))
+    return rates[rows[-1]], candidates[distance == distance.min()].min(), rows
+
+
+@pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
+def test_oracle_returns_the_last_row_of_the_exhaustive_mask(algorithm):
+    rng = np.random.default_rng({"perfect": 701, "imperfect": 702, "multi": 703}[algorithm])
+    block = opt._ORACLE_BLOCK
+    top_block_bottom = RS_POINTS - block
+    for _ in range(3):
+        base = _feasible_scenario(rng, algorithm)
+        vacuous = validate(replace(base, delta=1.0 - 1e-9, epsilon=1.0 - 1e-9))
+        cases = [(vacuous, RS_POINTS - 1)] + [
+            (_with_last_row(base, algorithm, row), row)
+            for row in (top_block_bottom, top_block_bottom - 1, 0, -1,
+                        int(rng.integers(1, RS_POINTS - 1)))]
+        for params, row in cases:
+            oracle = opt.grid_search_oracle(params, RS_POINTS, THETA_POINTS,
+                                            algorithm=algorithm, pa_mode="noise_limited")
+            r_s, theta, rows = _exhaustive_answer(params, algorithm)
+            assert oracle.steps == RS_POINTS
+            if row < 0:
+                assert rows.size == 0
+                assert not oracle.feasible
+                assert oracle.infeasibility_reason == "NO_THETA_AT_RS0"
+                continue
+            assert rows[-1] == row and (row > 0 or rows.tolist() == [0])
+            assert oracle.feasible and oracle.infeasibility_reason == "NONE"
+            assert (oracle.r_s_star, oracle.theta_star) == (r_s, theta), row
+
+
+@pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
+def test_oracle_evaluates_only_the_rows_its_answer_needs(monkeypatch, algorithm):
+    rng = np.random.default_rng({"perfect": 711, "imperfect": 712, "multi": 713}[algorithm])
+    block = opt._ORACLE_BLOCK
+    cases = [(_with_last_row(base, algorithm, row), row)
+             for base in (_feasible_scenario(rng, algorithm) for _ in range(3))
+             for row in (RS_POINTS - 1, RS_POINTS - block, -1)]
+    calls = []
+    sop_grid = cf.sop_grid
+
+    def recording(params, p_a, rs_grid, theta_grid, which):
+        sop = sop_grid(params, p_a, rs_grid, theta_grid, which)
+        calls.append((which, rs_grid.copy(), (sop <= params.epsilon).any(axis=1)))
+        return sop
+
+    monkeypatch.setattr(cf, "sop_grid", recording)
+    skipped = 0
+    for params, row in cases:
+        first, second = opt._kinds(params, algorithm)
+        rates = np.linspace(0.0, params.r_b, RS_POINTS, endpoint=False)
+        calls.clear()
+        opt.grid_search_oracle(params, RS_POINTS, THETA_POINTS, algorithm=algorithm,
+                               pa_mode="noise_limited")
+        first_rates = np.concatenate([r for kind, r, _ in calls if kind == first])
+        admitted = np.concatenate([r[a] for kind, r, a in calls if kind == first])
+        second_rates = np.concatenate([[]] + [r for kind, r, _ in calls if kind == second])
+        # the second kind only where the first admits a theta
+        assert set(second_rates) <= set(admitted)
+        skipped += first_rates.size - second_rates.size
+        if row < 0:  # an infeasible scenario visits every row once
+            assert sorted(first_rates) == rates.tolist()
+        else:  # the answer is in the top block: nothing below it
+            assert first_rates.min() == rates[RS_POINTS - block]
+    assert skipped > 0
