@@ -160,19 +160,20 @@ def cmd_eval(cfg: dict, pa_mode: str) -> tuple[int, str]:
 OPTIMIZE_HEADER = ["feasible", "r_s_star", "theta_star", "p_a_star", "steps", "reason"]
 
 
+def _optimize_row(params: SystemParams, cfg: dict, step: float | None, pa_mode: str) -> list:
+    """The OPTIMIZE_HEADER row of one rate search on ``params``, run as ``cfg`` says."""
+    result = opt.maximize_for(params, algorithm=cfg.get("algorithm"), pa_mode=pa_mode,
+                              step=cfg.get("step", 0.01) if step is None else step)
+    return [result.feasible, result.r_s_star, result.theta_star, result.p_a_star,
+            result.steps, result.infeasibility_reason]
+
+
 def cmd_optimize(cfg: dict, step: float | None, pa_mode: str) -> tuple[int, str]:
-    params = build_params(cfg)
-    algorithm = cfg.get("algorithm")
-    step = step if step is not None else cfg.get("step", 0.01)
-    result = opt.maximize_for(params, algorithm=algorithm, step=step, pa_mode=pa_mode)
-    text = _csv(OPTIMIZE_HEADER, [[result.feasible, result.r_s_star, result.theta_star,
-                                   result.p_a_star, result.steps,
-                                   result.infeasibility_reason]])
-    return (0 if result.feasible else 3), text
+    row = _optimize_row(build_params(cfg), cfg, step, pa_mode)
+    return (0 if row[0] else 3), _csv(OPTIMIZE_HEADER, [row])
 
 
-SWEEP_HEADER = ["axis", "axis_value", "overlay", "overlay_value", "feasible",
-                "r_s_star", "theta_star", "p_a_star", "steps", "reason"]
+SWEEP_HEADER = ["axis", "axis_value", "overlay", "overlay_value", *OPTIMIZE_HEADER]
 
 
 def _parse_values(text: str, key: str) -> list[float]:
@@ -206,8 +207,6 @@ def cmd_sweep(cfg: dict, step: float | None, pa_mode: str) -> tuple[int, str]:
         name, _, tail = cfg["overlay"].partition(":")
         overlay_key = name.strip()
         overlay_values = _parse_values(tail, "overlay")
-    algorithm = cfg.get("algorithm")
-    step = step if step is not None else cfg.get("step", 0.01)
     rows = []
     for overlay_value in overlay_values:
         for axis_value in values:
@@ -217,12 +216,8 @@ def cmd_sweep(cfg: dict, step: float | None, pa_mode: str) -> tuple[int, str]:
                 _apply_field(scenario, key, axis_value)
             if "overlay" in cfg:
                 _apply_field(scenario, overlay_key, overlay_value)
-            params = build_params(scenario)
-            result = opt.maximize_for(params, algorithm=algorithm, step=step,
-                                      pa_mode=pa_mode)
-            rows.append([axis, axis_value, overlay_key, overlay_value, result.feasible,
-                         result.r_s_star, result.theta_star, result.p_a_star,
-                         result.steps, result.infeasibility_reason])
+            rows.append([axis, axis_value, overlay_key, overlay_value,
+                         *_optimize_row(build_params(scenario), cfg, step, pa_mode)])
     return 0, _csv(SWEEP_HEADER, rows)
 
 

@@ -70,16 +70,21 @@ class DerivedRatios:
     lambda_cap: float
 
 
+def check_pa(params: SystemParams, p_a: float) -> float:
+    """``p_a`` if 0 < p_a <= p_max; RangeError naming it otherwise (NaN included)."""
+    if not 0.0 < p_a <= params.p_max:
+        raise RangeError(f"p_a must lie in (0, p_max = {params.p_max!r}], got {p_a!r}")
+    return p_a
+
+
 def _jamming_ratio(params: SystemParams, p_a: float, r_s, var_j: float, var_a: float):
     """(p_max/p_a - 1) var_j x / var_a at the threshold x of ``r_s``.
 
-    RangeError unless 0 < p_a <= p_max (NaN included), and for an ``r_s``
-    outside [0, r_b] (:func:`rate_gap_threshold`).
+    RangeError for an ``r_s`` outside [0, r_b] (:func:`rate_gap_threshold`),
+    then unless 0 < p_a <= p_max (:func:`check_pa`).
     """
     x = rate_gap_threshold(params.r_b, r_s)
-    if not 0.0 < p_a <= params.p_max:
-        raise RangeError(f"p_a must lie in (0, p_max = {params.p_max!r}], got {p_a!r}")
-    return (params.p_max / p_a - 1.0) * var_j * x / var_a
+    return (params.p_max / check_pa(params, p_a) - 1.0) * var_j * x / var_a
 
 
 def alpha_ratio(params: SystemParams, p_a: float, r_s):

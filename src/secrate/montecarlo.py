@@ -211,28 +211,22 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _complement_power(v: np.ndarray, q_b: np.ndarray, ortho: np.ndarray) -> np.ndarray:
-    """(T, J): ||projection of each column of v (T, N, J) onto the complement
-    of span{q_b, beams}||^2."""
-    total = np.sum(_abs2(v), axis=1)
-    total = total - _abs2(np.einsum("tn,tnj->tj", q_b.conj(), v))
-    total = total - np.sum(_abs2(np.einsum("tnj,tnm->tjm", v.conj(), ortho)), axis=2)
-    return np.maximum(total, 0.0)
+def _an_snr(params: SystemParams, batch: ChannelBatch, split: PowerSplit, h: np.ndarray,
+            v: np.ndarray, include_noise: bool, beam: np.ndarray | None = None) -> np.ndarray:
+    """(T, J) SNRs p_a|h|^2 / AN power at receivers with channel columns v (T, N, J).
 
-
-def _an_den(params: SystemParams, split: PowerSplit, beam: np.ndarray, null: np.ndarray,
-            include_noise: bool) -> np.ndarray:
-    """Interference-plus-noise power: AN through the M beams and the N-M-1 null dimensions."""
+    AN arrives through the M beams (``beam``; by default the power of v in
+    the beam span) and through the N-M-1 null dimensions: the complement of
+    span{q_b, beams}, whose power is ||v||^2 less the q_b and beam-span parts.
+    """
     n, m = params.n_antennas, params.m_active
-    noise = 1.0 if include_noise else 0.0
-    return (split.p_ja / m) * beam + (split.p_jp / (n - m - 1)) * null + noise
-
-
-def _beam_and_null(batch: ChannelBatch, v: np.ndarray, basis: np.ndarray):
-    """Per column of v (T, N, J): (power along the columns of basis, complement power)."""
     q_b, _, ortho = batch.geometry
-    beam = np.sum(_abs2(np.einsum("tnj,tnm->tjm", v.conj(), basis)), axis=2)
-    return beam, _complement_power(v, q_b, ortho)
+    span = np.sum(_abs2(np.einsum("tnj,tnm->tjm", v.conj(), ortho)), axis=2)
+    null = np.sum(_abs2(v), axis=1) - _abs2(np.einsum("tn,tnj->tj", q_b.conj(), v)) - span
+    den = ((split.p_ja / m) * (span if beam is None else beam)
+           + (split.p_jp / (n - m - 1)) * np.maximum(null, 0.0)
+           + (1.0 if include_noise else 0.0))
+    return split.p_a * _abs2(h) / np.maximum(den, _DEN_FLOOR)
 
 
 def _snr_bob_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
@@ -240,12 +234,11 @@ def _snr_bob_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
     """(T,) SNRs at Bob, limited as :func:`secrate.closedform.bob_regime` says."""
     if cf.bob_regime(params) == "interference_limited":
         den = params.p_ea * _abs2(batch.f_eab) + (1.0 if include_noise else 0.0)
-    else:
-        # an_leakage: AN reaches Bob only through the estimation error.
-        _, beams, _ = batch.geometry
-        beam, null = _beam_and_null(batch, batch.e_b[:, :, None], beams)
-        den = _an_den(params, split, beam[:, 0], null[:, 0], include_noise)
-    return split.p_a * _abs2(batch.h_ab) / np.maximum(den, _DEN_FLOOR)
+        return split.p_a * _abs2(batch.h_ab) / np.maximum(den, _DEN_FLOOR)
+    # an_leakage: AN reaches Bob only through the estimation error.
+    e = batch.e_b[:, :, None]
+    beam = np.sum(_abs2(np.einsum("tnj,tnm->tjm", e.conj(), batch.geometry[1])), axis=2)
+    return _an_snr(params, batch, split, batch.h_ab[:, None], e, include_noise, beam)[:, 0]
 
 
 def _snr_active_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
@@ -255,16 +248,16 @@ def _snr_active_batch(params: SystemParams, batch: ChannelBatch, split: PowerSpl
     Beam m is weighed against every true active channel (its own gives the
     MRT gain; the others are the cross-eavesdropper couplings of that beam),
     plus whatever passive AN reaches the channel through estimation error.
-    With perfect estimates the passive term is an exact zero.
+    With perfect estimates the true channel lies in span{q_b, beams}, so the
+    passive term is only a rounding residue, clipped at 0 when negative.
     """
-    q_b, beams, ortho = batch.geometry
     g = batch.g_ea
-    cross = _abs2(np.einsum("tnj,tnm->tjm", g.conj(), beams[:, :, cols]))  # j channels x m beams
-    # summed channel by channel, so one column adds in the order all M do
+    cross = _abs2(np.einsum("tnj,tnm->tjm", g.conj(), batch.geometry[1][:, :, cols]))
+    # (T, j channels, m beams), summed channel by channel, so one column adds
+    # in the order all M do
     beam = sum(cross[:, j] for j in range(cross.shape[1]))
-    den = _an_den(params, split, beam, _complement_power(g[:, :, cols], q_b, ortho),
-                  include_noise)
-    return split.p_a * _abs2(batch.h_aea[:, cols]) / np.maximum(den, _DEN_FLOOR)
+    return _an_snr(params, batch, split, batch.h_aea[:, cols], g[:, :, cols], include_noise,
+                   beam)
 
 
 def _snr_passive_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
@@ -274,9 +267,7 @@ def _snr_passive_batch(params: SystemParams, batch: ChannelBatch, split: PowerSp
     The active-beam AN couples in through its projection onto the beam span,
     the equal-power-per-dimension model the closed forms integrate.
     """
-    _, _, ortho = batch.geometry
-    den = _an_den(params, split, *_beam_and_null(batch, batch.g_ek, ortho), include_noise)
-    return split.p_a * _abs2(batch.h_aek) / np.maximum(den, _DEN_FLOOR)
+    return _an_snr(params, batch, split, batch.h_aek, batch.g_ek, include_noise)
 
 
 # ---------------------------------------------------------------------------

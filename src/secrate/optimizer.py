@@ -483,10 +483,12 @@ def feasible_any_theta(params: SystemParams, p_a: float, r_s: float,
                        algorithm: str, theta_grid_points: int = 10_000) -> bool:
     """Whether any theta on a fine grid meets both secrecy targets at ``r_s``:
     False for a finite ``r_s`` at or above r_b, RangeError for a negative or
-    non-finite one."""
+    non-finite one. The grid size, ``algorithm`` and ``p_a`` are checked
+    first, at every rate."""
     _check_grid_points(theta_grid_points)
+    kinds = _kinds(params, resolve_algorithm(algorithm))
+    cf.check_pa(params, p_a)
     if math.isfinite(r_s) and r_s >= params.r_b:
         return False
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)
-    kinds = _kinds(params, resolve_algorithm(algorithm))
     return bool(_feasible_mask(params, p_a, np.array([r_s]), theta_grid, kinds).any())

@@ -192,6 +192,42 @@ def test_single_draw_reconstructed_from_beamformer_ops():
             expected_passive, rel=1e-10)
 
 
+@pytest.mark.parametrize("rho_ea", [0.6, 1.0])
+def test_leakage_and_two_beam_draws_reconstructed_from_beamformer_ops(rho_ea):
+    # Bob's AN-leakage SNR at rho_b < 1, and every SNR of an M = 2 draw:
+    # active SNR m weighs beam m against every true active channel (its own
+    # MRT gain plus the cross-eavesdropper couplings), and a passive SNR
+    # takes the power in the (non-orthogonal) beam span
+    from secrate.beamform import make_beamformer_set
+    params = _params(rho_b=0.8, rho_ea=rho_ea, m_active=2, n_antennas=6, k_passive=3)
+    assert cf.bob_regime(params) == "an_leakage"
+    split = make_split(params, 120.0, 0.45)
+    n, m = params.n_antennas, params.m_active
+    for t in range(3):
+        draw = mc.sample_channels(params, 73, t)
+        bset = make_beamformer_set(draw.g_b_est, draw.g_ea_est)
+        beams = bset.w_active
+        span, _ = np.linalg.qr(beams)
+        assert abs(np.vdot(beams[:, 0], beams[:, 1])) > 1e-3  # beams not orthogonal
+
+        def expected(h, g, beam_power):
+            null = float(np.sum(np.abs(bset.w_passive.conj().T @ g) ** 2))
+            return split.p_a * abs(h) ** 2 / (split.p_ja / m * beam_power
+                                              + split.p_jp / (n - m - 1) * null)
+
+        leak = float(np.sum(np.abs(beams.conj().T @ draw.e_b) ** 2))
+        assert mc.snr_bob(params, draw, split) == pytest.approx(
+            expected(draw.h_ab, draw.e_b, leak), rel=1e-10)
+        active = [expected(draw.h_aea[j], draw.g_ea[:, j],
+                           float(np.sum(np.abs(draw.g_ea.conj().T @ beams[:, j]) ** 2)))
+                  for j in range(m)]
+        assert mc.snr_active(params, draw, split) == pytest.approx(active, rel=1e-10)
+        passive = [expected(draw.h_aek[k], draw.g_ek[:, k],
+                            float(np.sum(np.abs(span.conj().T @ draw.g_ek[:, k]) ** 2)))
+                   for k in range(params.k_passive)]
+        assert mc.snr_passive(params, draw, split) == pytest.approx(passive, rel=1e-10)
+
+
 def test_with_noise_mode_lowers_snr():
     params = _params()
     split = make_split(params, 100.0, 0.5)

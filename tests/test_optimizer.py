@@ -696,6 +696,23 @@ def test_feasible_any_theta_rejects_a_negative_or_non_finite_rate(baseline_param
             assert not opt.feasible_any_theta(params, 0.5 * params.p_max, rate, algorithm)
 
 
+@pytest.mark.parametrize("pa_over_p_max, rs_over_r_b, algorithm, message", [
+    (math.nan, 1.0, "perfect", "p_a"),
+    (-1.0, 2.0, "multi", "p_a"),
+    (0.0, 1.0, "imperfect", "p_a"),
+    (2.0, 1.0, "perfect", "p_a"),
+    (0.5, 1.0, "nope", "algorithm"),
+    (0.5, 2.0, "nope", "algorithm"),
+])
+def test_feasible_any_theta_checks_power_and_algorithm_at_every_rate(
+        pa_over_p_max, rs_over_r_b, algorithm, message):
+    # a finite r_s >= r_b answered False before p_a or algorithm was looked at
+    params = random_params(np.random.default_rng(1))
+    for r_s in (rs_over_r_b * params.r_b, 0.5 * params.r_b):
+        with pytest.raises(RangeError, match=message):
+            opt.feasible_any_theta(params, pa_over_p_max * params.p_max, r_s, algorithm)
+
+
 # ---------------------------------------------------------------------------
 # The oracle's top-down block scan against the exhaustive mask
 # ---------------------------------------------------------------------------
