@@ -226,17 +226,33 @@ def secrecy_level(epsilon: float, count: int) -> float:
     return math.log1p(-math.exp(u))
 
 
+def log_sf_at(kind: str, params: SystemParams, theta, s):
+    """Log-survival of one eavesdropper of ``kind`` at AN ratio ``theta`` and
+    jamming-to-signal scale ``s`` (alpha on the active link, beta on the
+    passive one): the one entry through which the rate search, its boundary
+    prediction and its interval solves alike, evaluates the kernels. ``kind``
+    is not checked here."""
+    return _KINDS[kind][1](params, theta, 1.0 - theta, s)
+
+
+def log_sf_level(kind: str, params: SystemParams, eps: float) -> float:
+    """The level of ``kind`` (:func:`secrecy_level` over the eavesdroppers its
+    SOP takes the best of): its SOP is at most ``eps`` exactly where one
+    eavesdropper's log-survival is at most this level."""
+    best_of = _KINDS[check_kind(kind)][2]
+    return secrecy_level(eps, 1 if best_of is None else best_of(params))
+
+
 def log_sf_theta_curve(kind: str, params: SystemParams, p_a: float, r_s: float, eps: float):
     """(theta -> log-survival of one eavesdropper of ``kind``, level).
 
     The SOP of ``kind`` (see :func:`sop_theta_curve`) is at most ``eps``
     exactly where the curve is at most the level, which is computed once here
-    (:func:`secrecy_level`).
+    (:func:`log_sf_level`); the curve evaluates :func:`log_sf_at`.
     """
-    active, log_sf, best_of = _KINDS[check_kind(kind)]
-    s = (alpha_ratio if active else beta_ratio)(params, p_a, r_s)
-    level = secrecy_level(eps, 1 if best_of is None else best_of(params))
-    return (lambda theta: log_sf(params, theta, 1.0 - theta, s)), level
+    s = (alpha_ratio if _KINDS[check_kind(kind)][0] else beta_ratio)(params, p_a, r_s)
+    level = log_sf_level(kind, params, eps)
+    return (lambda theta: log_sf_at(kind, params, theta, s)), level
 
 
 def _sop(kind: str, params: SystemParams, split: PowerSplit, r_s):
@@ -342,6 +358,18 @@ def resolve_pa_mode(params: SystemParams, mode: str = "auto") -> str:
     return mode
 
 
+def _over(num: float, *factors: float) -> float:
+    """``num`` over the product of the positive ``factors``: num / product,
+    unless the product underflows to 0; then num is divided by each factor in
+    turn, which gives inf rather than a ZeroDivisionError when it overflows."""
+    product = math.prod(factors)
+    if product > 0.0:
+        return num / product
+    for factor in factors:
+        num /= factor
+    return num
+
+
 def min_pa(params: SystemParams, mode: str = "auto") -> float:
     """Smallest Alice power meeting the transmission-outage target ``delta``.
 
@@ -361,14 +389,14 @@ def min_pa(params: SystemParams, mode: str = "auto") -> float:
     # never a numpy overflow warning
     log_keep = float(np.log1p(-params.delta))
     if mode == "noise_limited":
-        p_a = float(x / (-log_keep * params.var_ab))
+        p_a = _over(x, -log_keep, params.var_ab)
     elif mode == "interference_limited":
-        p_a = float(x * (1.0 - params.delta) * params.p_ea * params.var_eab
-                    / (params.delta * params.var_ab))
+        p_a = _over(x * (1.0 - params.delta) * params.p_ea * params.var_eab,
+                    params.delta, params.var_ab)
     elif params.rho_b >= 1.0:
         raise RangeError("an_leakage mode requires rho_b < 1")
     else:
-        denom = 1.0 - params.var_ab * log_keep / ((1.0 - params.rho_b ** 2) * params.var_jb * x)
+        denom = 1.0 - _over(params.var_ab * log_keep, 1.0 - params.rho_b ** 2, params.var_jb, x)
         p_a = float(params.p_max / denom)
     if p_a == 0.0:
         raise RangeError(f"the minimum Alice power under {mode} is positive but rounds to 0 "

@@ -4,10 +4,16 @@ The rate sweep fixes Alice's power at the minimum meeting the outage target
 (both secrecy outages only worsen with more Alice power), then finds the
 largest secrecy rate on the grid ``0, step, 2*step, ...`` below r_b at which
 some AN ratio satisfies both secrecy constraints. Every SOP rises with the
-rate at fixed theta, so the feasible grid rates form a prefix of the grid
-and a bisection over the grid index finds its end in about
-log2(r_b/step) + 1 interval solves; ``OptResult.steps`` counts those
-solves. Feasibility is checked on the full interval intersection, which
+rate at fixed theta, so the feasible grid rates form a prefix of the grid,
+and a bisection over the grid index finds its end. Before it runs, the
+boundary is predicted: with x = 2**(r_b - r_s) - 1, the smallest feasible x
+is x* = min over theta of max(x_a(theta), x_p(theta)), where each x_k is
+quasiconvex in theta, so a few 1-D roots give it. The grid index of x* and
+the one past it are probed first, and the bisection closes whatever bracket
+they leave; the prediction orders the probes and never decides the result.
+``OptResult.steps`` counts the interval solves: 2 when the prediction lands,
+1 for NO_THETA_AT_RS0, and never more than ceil(log2(r_b/step + 2)) + 1.
+Feasibility is checked on the full interval intersection, which
 strengthens the one-sided endpoint comparison: the returned theta is the
 feasible point closest to the passive-SOP minimizer, maximizing constraint
 slack.
@@ -62,6 +68,14 @@ _BISECT_TOL = 1e-13
 _MARGIN = 1e-12
 # secant steps per crossing (about 10 are taken); the bisection covers the rest
 _SECANT_STEPS = 16
+# the relative error on the smallest feasible threshold x* that the rate
+# search's predicted bracket of grid indices covers: the prediction's roots
+# are solved to about _ROOT_TOL, and the interval solver's theta tolerance
+# moves the boundary it sees by much less than this
+_PREDICTION_ERROR = 1e-9
+_ROOT_TOL = 1e-12  # on log s (and so on log x), and on theta
+# function evaluations one root of the prediction may take before it gives up
+_ROOT_STEPS = 64
 # rate rows per block of the oracle's top-down scan: a block's SOP temporaries
 # (16 rows x 1000 thetas) stay in a core's L2 cache; on a Xeon with 2 MB of L2
 # per core, 64-row blocks evaluated 5% more rows but ran 1.6x slower
@@ -118,8 +132,9 @@ class OptResult:
     r_s_star: float
     theta_star: float
     p_a_star: float
-    # sweep: rate points whose theta-interval was solved; oracle: the rate-grid
-    # size, however many rows its scan evaluated
+    # sweep: rate points whose theta-interval was solved (2 when the predicted
+    # boundary holds, 1 for NO_THETA_AT_RS0, at most ceil(log2(r_b/step + 2)) + 1);
+    # oracle: the rate-grid size, however many rows its scan evaluated
     steps: int
     infeasibility_reason: str = "NONE"  # PA_EXCEEDS_PMAX | NO_THETA_AT_RS0 | NONE
     trace: dict = field(default_factory=dict)
@@ -185,6 +200,12 @@ def _secant_band(gap, lo: float, hi: float, gap_lo: float, gap_hi: float,
     return a, b
 
 
+def _floor_scale(params: SystemParams, beams: int) -> float:
+    """M expm1(L / (2-M-N)), the floor times alpha (see :func:`_floor`)."""
+    level = cf.secrecy_level(params.epsilon, beams)
+    return beams * float(np.expm1(level / (2 - beams - params.n_antennas)))
+
+
 def _floor(params: SystemParams, p_a: float, r_s: float, beams: int) -> float:
     """Smallest AN ratio meeting the target of the best of M = ``beams``
     active eavesdroppers (perfect estimates): their log-survival
@@ -195,8 +216,7 @@ def _floor(params: SystemParams, p_a: float, r_s: float, beams: int) -> float:
     if alpha == 0.0:
         raise AlphaZero("no AN margin: secrecy rate equals the transmission rate "
                         "or Alice takes the whole budget")
-    level = cf.secrecy_level(params.epsilon, beams)
-    floor = beams * float(np.expm1(level / (2 - beams - params.n_antennas))) / alpha
+    floor = _floor_scale(params, beams) / alpha
     # theta = 0 leaves the beams unjammed, so a floor that rounds to 0 (an
     # overflowed alpha, or one below the float range) is the least positive float
     return max(floor, 5e-324)
@@ -274,11 +294,17 @@ def theta_interval_active_imperfect(params: SystemParams, p_a: float, r_s: float
     alpha = float(cf.alpha_ratio(params, p_a, r_s))
     if alpha == 0.0:
         return ThetaInterval.nothing()
-    if params.rho_ea == 0.0:  # the quadratic degenerates; its root is exact here
-        root = 1.0 / (params.n_antennas - 1)
-    else:
-        root = cf.active_sop_theta_profile(params, p_a, r_s).theta_pos
-    return _crossings("active_imperfect", params, p_a, r_s, min(root, 1.0))
+    return _crossings("active_imperfect", params, p_a, r_s, _active_minimizer(params, alpha))
+
+
+def _active_minimizer(params: SystemParams, alpha: float) -> float:
+    """Where the imperfect-estimate active log-survival is smallest on [0, 1]
+    at this alpha > 0: the positive root of its theta-derivative quadratic,
+    clipped to 1 (exactly 1/(N-1) at rho_ea = 0, where the quadratic
+    degenerates)."""
+    if params.rho_ea == 0.0:
+        return 1.0 / (params.n_antennas - 1)
+    return min(float(cf._quadratic_roots(params.n_antennas, alpha, params.rho_ea)[1]), 1.0)
 
 
 def theta_interval_active_multi(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
@@ -349,6 +375,184 @@ def _start(params: SystemParams, algorithm: str | None, pa_mode: str, **trace):
     return _kinds(params, algorithm), p_req, trace, refused
 
 
+class _NoPrediction(Exception):
+    """The boundary prediction gave up; the rate search bisects the grid."""
+
+
+def _exp(u: float) -> float:
+    """e**u, inf beyond the float range (where math.exp raises)."""
+    return math.exp(u) if u < 709.78 else math.inf
+
+
+def _illinois(fn, a: float, fa: float, b: float, fb: float, tol: float) -> float:
+    """A point within about ``tol`` of the one sign change of ``fn`` between
+    a and b, where fa and fb have opposite signs.
+
+    Regula falsi that halves the value kept at an end retained twice running
+    (the Illinois method; Dowell & Jarratt, BIT 11, 1971); a step that does
+    not land strictly inside the bracket halves it instead. It stops at a
+    bracket within ``tol`` or a secant correction below it.
+    """
+    side = 0
+    for _ in range(_ROOT_STEPS):
+        x = b - fb * (b - a) / (fb - fa)
+        if not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+        fx = fn(x)
+        if (fx > 0.0) == (fb > 0.0):
+            b, fb = x, fx
+            fa *= 0.5 if side < 0 else 1.0
+            side = -1
+        else:
+            a, fa = x, fx
+            fb *= 0.5 if side > 0 else 1.0
+            side = 1
+        slope = abs((fb - fa) / (b - a)) if b != a else math.inf
+        if fx == 0.0 or abs(b - a) <= tol or (slope < math.inf and abs(fx) <= tol * slope):
+            return x
+    raise _NoPrediction
+
+
+def _log_root(fn, level: float, u: float, slope: float) -> tuple[float, float]:
+    """(u, slope): the log-scale u at which the log-survival ``fn(s)``, falling
+    from 0 at s = 0 to -inf, meets ``level`` < 0, and the slope there of
+    phi(u) = log(-fn(e**u)) - log(-level).
+
+    phi rises with u, with a slope of about 1 or less (exactly 1 as s -> 0).
+    Secant steps run from the guess ``u``, the first at ``slope``, until the
+    correction is below _ROOT_TOL or they bracket the root, which
+    :func:`_illinois` then closes.
+    """
+    target = math.log(-level)
+
+    def phi(v: float) -> float:
+        g = -float(fn(_exp(v)))
+        return math.log(g) - target if g > 0.0 else -math.inf
+
+    p = phi(u)
+    for _ in range(_ROOT_STEPS):
+        step = -p / slope if math.isfinite(p) else math.copysign(32.0, -p)
+        if abs(step) <= _ROOT_TOL:
+            return u + step, slope
+        v = u + step
+        q = phi(v)
+        rise = (q - p) / step
+        slope = rise if 0.0 < rise < math.inf else slope
+        if (q > 0.0) != (p > 0.0) and abs(q) > _ROOT_TOL * slope:
+            return _illinois(phi, u, p, v, q, _ROOT_TOL), slope
+        u, p = v, q
+    raise _NoPrediction
+
+
+def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, str]) -> float:
+    """log x*, where x* = min over theta of max(x_a(theta), x_p(theta)) is the
+    smallest threshold x = 2**(r_b - r_s) - 1 at which some AN ratio meets
+    both targets; x_k(theta) is the x at which kind k's log-survival at theta
+    meets its level (every kernel falls as x grows). inf when there is no AN
+    margin, so that no rate is feasible; _NoPrediction when a root fails.
+
+    Each x_k is quasiconvex in theta, and the passive one is smallest at the
+    reference M/(N-1) whatever x is. So x* is x_p at the reference unless the
+    active target fails there; then it lies where the two meet, between the
+    reference and the active minimizer, unless the active target alone binds
+    at its own minimizer.
+    """
+    # alpha and beta are c_a x and c_p x; their ratios to x at a rate whose x is at most 1
+    r_s = max(params.r_b - 1.0, 0.0)
+    x = cf.rate_gap_threshold(params.r_b, r_s)
+    scales = [float(ratio(params, p_req, r_s)) / x for ratio in (cf.alpha_ratio, cf.beta_ratio)]
+    if 0.0 in scales:  # no AN margin (or one below the float range): no rate is feasible
+        return math.inf
+    if math.inf in scales:
+        raise _NoPrediction
+    active, passive = kinds
+    log_c = dict(zip(kinds, map(math.log, scales)))
+    level = {kind: cf.log_sf_level(kind, params, params.epsilon) for kind in kinds}
+    warm = {}  # kind -> (u, slope) of its last root, the start of its next
+
+    def gap(kind: str, theta: float, log_x: float) -> float:
+        """kind's log-survival at theta and threshold e**log_x, less its level."""
+        s = _exp(log_c[kind] + log_x)
+        return float(cf.log_sf_at(kind, params, theta, s)) - level[kind]
+
+    def threshold(kind: str, curve) -> float:
+        """log x at which ``curve(s)``, a log-survival of kind, meets kind's
+        level, warm-started from kind's last root."""
+        warm[kind] = _log_root(curve, level[kind], *warm.get(kind, (math.log(-level[kind]), 1.0)))
+        return warm[kind][0] - log_c[kind]
+
+    def at(kind: str, theta: float):
+        return lambda s: cf.log_sf_at(kind, params, theta, s)
+
+    ref = _theta_reference(params, passive)
+    log_xp = threshold(passive, at(passive, ref))
+    if active != "active_imperfect":
+        # x_a(theta) = K / theta: the closed-form floor in x, smallest at theta = 1
+        beams = params.m_active if active == "active_multi" else 1
+        log_k = math.log(_floor_scale(params, beams)) - log_c[active]
+        g_ref = gap(passive, ref, log_k - math.log(ref))
+        if g_ref >= 0.0:  # the floor is at most the reference at x_p(reference)
+            return log_xp
+        # the passive target at (theta, K / theta) only worsens as theta grows
+        g_1 = gap(passive, 1.0, log_k)
+        if g_1 <= 0.0:
+            return log_k
+        theta = _illinois(lambda t: gap(passive, t, log_k - math.log(t)),
+                          ref, g_ref, 1.0, g_1, _ROOT_TOL)
+        return log_k - math.log(theta)
+    g_ref = gap(active, ref, log_xp)
+    if g_ref <= 0.0:
+        return log_xp
+
+    def lowest(s: float) -> float:
+        """The active log-survival at its minimizer, which tends to 1 as alpha -> 0."""
+        return cf.log_sf_at(active, params, _active_minimizer(params, s) if s > 0.0 else 1.0, s)
+
+    warm[active] = (log_xp + log_c[active], 1.0)
+    log_xa = threshold(active, lowest)
+    theta_a = _active_minimizer(params, _exp(log_xa + log_c[active]))
+    if gap(passive, theta_a, log_xa) <= 0.0:
+        return log_xa
+    # both bind where x_a and x_p meet: the active target at x_p(theta) fails
+    # at the reference and holds at the active minimizer, and changes once
+    # between them
+    seen = [log_xp]
+
+    def active_at_xp(theta: float) -> float:
+        seen[0] = threshold(passive, at(passive, theta))
+        return gap(active, theta, seen[0])
+
+    g_a = active_at_xp(theta_a)
+    if not g_a < 0.0:
+        raise _NoPrediction
+    _illinois(active_at_xp, ref, g_ref, theta_a, g_a, _ROOT_TOL)
+    return seen[0]
+
+
+def _predicted_bracket(params: SystemParams, p_req: float, kinds: tuple[str, str],
+                       step: float, cap: float) -> tuple[int, int] | None:
+    """(a, b): the grid index of the last feasible rate and one past it, as
+    predicted from x* (:func:`_smallest_threshold`) and widened to cover a
+    relative error of _PREDICTION_ERROR on x*; neither lies above the r_b cap.
+    a = -1 predicts no feasible rate. None when the prediction gives up.
+    """
+    try:
+        log_x = _smallest_threshold(params, p_req, kinds)
+    except _NoPrediction:
+        return None
+
+    def index(log_x: float) -> int:
+        """The last grid index at or below r_b - log2(1 + e**log_x), or -1."""
+        log_1p = log_x + math.log1p(math.exp(-log_x)) if log_x > 0.0 else math.log1p(
+            math.exp(log_x))
+        rate = params.r_b - log_1p / math.log(2.0)
+        return math.floor(rate / step) if rate >= 0.0 else -1
+
+    last = max(math.ceil(cap / step) - 1, -1)
+    return (min(index(log_x + _PREDICTION_ERROR), last),
+            min(index(log_x - _PREDICTION_ERROR) + 1, last + 1))
+
+
 def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str | None) -> OptResult:
     kinds, p_req, trace, refused = _start(params, algorithm, pa_mode)
     # an unknown algorithm is reported first, and a bad step even over p_max
@@ -359,6 +563,7 @@ def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str | 
         raise RangeError(f"step {step!r} is too small for r_b = {params.r_b!r}")
     if refused is not None:
         return refused
+    cap = params.r_b - 1e-12  # grid rates at or above it are capped by r_b
     steps = 0
 
     def probe(i: int):
@@ -366,17 +571,25 @@ def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str | 
         by r_b or no theta meets both targets."""
         nonlocal steps
         r_s = i * step
-        if not r_s < params.r_b - 1e-12:
+        if not r_s < cap:
             return None
         steps += 1
         interval = _feasible_interval(params, p_req, r_s, kinds)
         return None if interval.empty else (r_s, interval)
 
-    # the feasible indices are a prefix: lo stays feasible, hi past the prefix
-    best = probe(0)
-    lo, hi = 0, math.ceil(span) + 1
-    while best is not None and hi - lo > 1:
-        mid = (lo + hi) // 2
+    # the feasible indices are a prefix: lo is feasible (-1: none seen yet)
+    # and hi past the prefix. The predicted indices are probed first, the one
+    # nearer the middle of the bracket first; each probe is kept where the
+    # probes left can still bisect what it leaves, so no search takes more than
+    # one probe over a bisection of the whole grid.
+    lo, hi, best = -1, math.ceil(span) + 1, None
+    budget = (hi - lo - 1).bit_length() + 1
+    guesses = _predicted_bracket(params, p_req, kinds, step, cap) or ()
+    while hi - lo > 1:
+        inside = [g for g in guesses if lo < g < hi]
+        mid = min(inside, key=lambda g: abs(2 * g - lo - hi)) if inside else (lo + hi) // 2
+        reach = 1 << (budget - steps - 1)
+        mid = min(max(mid, hi - reach), lo + reach)
         found = probe(mid)
         if found is None:
             hi = mid

@@ -10,7 +10,7 @@ import secrate.optimizer as opt
 from secrate.errors import (
     AlphaZero, DegenerateDistributionWarning, RangeError, Undefined,
 )
-from secrate.model import PowerSplit, SystemParams, make_split
+from secrate.model import PowerSplit, SystemParams, make_split, validate
 
 from conftest import (
     MIN_PA_UNDERFLOW, passive_convex_level, random_params, random_point, random_split,
@@ -145,6 +145,25 @@ def test_min_pa_keeps_a_subnormal_power():
     x = cf.rate_gap_threshold(params.r_b, 0.0)
     assert 0.0 < p_a < 2.2250738585072014e-308
     assert p_a == x / (-math.log1p(-params.delta) * params.var_ab)
+
+
+@pytest.mark.parametrize("fields, mode, power", [
+    (dict(delta=1e-297, var_ab=1e-28), "noise_limited", math.inf),
+    (dict(delta=1e-297, var_ab=1e-28), "interference_limited", math.inf),
+    (dict(rho_b=0.5, var_jb=1e-300, r_b=1e-30), "an_leakage", 0.0),
+])
+def test_min_pa_survives_a_denominator_that_underflows(fields, mode, power):
+    # the product under the fraction bar rounds to 0 (it raised
+    # ZeroDivisionError): the power overflows to inf, which the searches
+    # report as PA_EXCEEDS_PMAX, or rounds to 0, a RangeError
+    params = validate(_raw_params(**fields))
+    if power == 0.0:
+        with pytest.raises(RangeError, match="minimum Alice power"):
+            cf.min_pa(params, mode)
+        return
+    assert cf.min_pa(params, mode) == power
+    result = opt.maximize_for(params, pa_mode=mode)
+    assert result.infeasibility_reason == "PA_EXCEEDS_PMAX"
 
 
 def test_min_pa_mode_resolution():

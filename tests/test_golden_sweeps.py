@@ -1,18 +1,21 @@
 """The shipped sweep configs reproduce the benchmark's reference CSVs.
 
-Every third row of each config in ``configs/`` runs as a one-row sweep and
-must print the reference row of ``perfbench/reference/sweep`` in every column
-but ``steps`` (a work counter whose meaning may change).
+Every row of each config in ``configs/`` runs as a one-row sweep and must
+print the reference row of ``perfbench/reference/sweep`` in every column but
+``steps`` (a work counter whose meaning may change). The rate search of each
+row is also held to a work bound: its probes and its curve evaluations.
 """
 from pathlib import Path
 
 import pytest
 
 import secrate.cli as cli
+import secrate.closedform as cf
+import secrate.optimizer as opt
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
-STRIDE = 3
+STRIDE = 1
 
 
 def _one_row_configs(cfg: dict) -> list[dict]:
@@ -53,3 +56,31 @@ def test_sweep_rows_match_reference(path):
         got_fields, want_fields = got.split(","), reference[index].split(",")
         del got_fields[steps], want_fields[steps]
         assert got_fields == want_fields, f"{path.stem} row {index}"
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_sweep_rows_land_on_the_predicted_boundary(monkeypatch, path):
+    # every row confirms the predicted boundary in at most 3 probes, and the
+    # rows average at most 120 curve evaluations: calls of the one kernel
+    # entry that the prediction and the interval solves share
+    evals = 0
+    rows = []
+    kernel, maximize = cf.log_sf_at, opt.maximize_for
+
+    def counting_kernel(*args):
+        nonlocal evals
+        evals += 1
+        return kernel(*args)
+
+    def counting_maximize(*args, **kwargs):
+        before = evals
+        result = maximize(*args, **kwargs)
+        rows.append((result.steps, evals - before))
+        return result
+
+    monkeypatch.setattr(cf, "log_sf_at", counting_kernel)
+    monkeypatch.setattr(opt, "maximize_for", counting_maximize)
+    code, _ = cli.cmd_sweep(cli.load_config(str(path)), None, "auto")
+    assert code == 0 and rows
+    assert max(probes for probes, _ in rows) <= 3, rows
+    assert sum(count for _, count in rows) <= 120 * len(rows), rows

@@ -496,6 +496,61 @@ def test_bisection_matches_linear_walk_when_infeasible(baseline_params):
             assert result.infeasibility_reason == reason
 
 
+# scenarios whose answer on a step of 1.1 times their fine-grid answer is
+# grid index 0, with 10 to 50 grid rates above it
+_SMALL_ANSWER_SEEDS = {"perfect": 627, "imperfect": 689, "multi": 655}
+
+
+@pytest.mark.parametrize("offset", [None, -7, -1, 1, 7, "far"])
+@pytest.mark.parametrize("where", ["zero", "top"])
+@pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
+def test_predicted_bracket_only_orders_the_probes(monkeypatch, algorithm, where, offset):
+    # the result is the linear walk's, within the probe bound, whatever the
+    # boundary prediction says: nothing (None), a bracket 1 or 7 grid indices
+    # off either way, or one at the far end of the grid, with the answer at
+    # index 0 or at the top index below r_b
+    params = _criterion_5_scenario(np.random.default_rng(_SMALL_ANSWER_SEEDS[algorithm]),
+                                   algorithm)
+    if where == "top":  # near-vacuous targets: every rate below r_b is feasible
+        params, step = replace(params, delta=1.0 - 1e-9, epsilon=1.0 - 1e-9, r_b=4.0), 0.01
+    else:
+        fine = opt.maximize_for(params, algorithm=algorithm, step=1e-3, pa_mode="noise_limited")
+        step = 1.1 * fine.r_s_star
+    answer = opt.maximize_for(params, algorithm=algorithm, step=step, pa_mode="noise_limited")
+    index = round(answer.r_s_star / step)
+    assert answer.feasible and index == (0 if where == "zero" else 399)
+    assert answer.steps <= 2  # the prediction lands
+    if offset == "far":
+        offset = math.ceil(params.r_b / step) - 2 if where == "zero" else -index
+    bracket = None if offset is None else (index + offset, index + offset + 1)
+    monkeypatch.setattr(opt, "_predicted_bracket", lambda *args: bracket)
+    _assert_matches_linear_walk(params, algorithm, step)
+
+
+@pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
+def test_a_wide_wrong_bracket_keeps_the_probe_bound(monkeypatch, algorithm):
+    # on a 254-rate grid, probing the bracket's ends (252 first, nearer the
+    # middle, then 0) would leave a bisection of (0, 252) and one probe over
+    # the bound; each probe is moved where the probes left can close it
+    params = _criterion_5_scenario(np.random.default_rng(_SMALL_ANSWER_SEEDS[algorithm]),
+                                   algorithm)
+    monkeypatch.setattr(opt, "_predicted_bracket", lambda *args: (0, 252))
+    result, _ = _assert_matches_linear_walk(params, algorithm, params.r_b / 253.5)
+    assert 0.0 < result.r_s_star < 252 * params.r_b / 253.5
+
+
+def test_no_theta_at_zero_rate_takes_one_probe():
+    params = validate(SystemParams(
+        n_antennas=4, k_passive=1, m_active=1,
+        var_ab=10.0, var_aea=10.0, var_aek=10.0, var_eab=1.0,
+        var_jb=1.0, var_jea=1e-7, var_jek=1e-7,
+        p_max=200.0, p_ea=1.0, r_b=6.0, delta=0.2, epsilon=1e-3,
+    ))
+    for algorithm in opt.ALGORITHMS:
+        result = opt.maximize_for(params, algorithm=algorithm, pa_mode="noise_limited")
+        assert result.infeasibility_reason == "NO_THETA_AT_RS0" and result.steps == 1
+
+
 # ---------------------------------------------------------------------------
 # The log-survival theta-solver against the SOP-scale solver it replaces
 # ---------------------------------------------------------------------------

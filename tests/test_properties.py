@@ -1,4 +1,5 @@
-"""Property tests over validated scenarios with N <= 64 and K <= 64.
+"""Property tests over validated scenarios with N <= 64 and K <= 64, and
+over float extremes (N <= 300, K <= 1e6) for the rate search's prediction.
 
 The hypothesis profile in ``conftest.py`` derandomizes the examples, so every
 run checks the same scenarios.
@@ -15,7 +16,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 import secrate.closedform as cf  # noqa: E402
 import secrate.optimizer as opt  # noqa: E402
-from secrate.errors import RangeError  # noqa: E402
+from secrate.errors import RangeError, SecrateError  # noqa: E402
 from secrate.model import SystemParams, make_split, validate  # noqa: E402
 
 from conftest import log_sf_minimizer  # noqa: E402
@@ -75,6 +76,44 @@ def test_feasible_rates_form_a_prefix_of_the_grid(params, algorithm):
     if result.feasible:
         assert feasible(result.r_s_star)
         assert not feasible(round(result.r_s_star / 0.01 + 1) * 0.01)
+
+
+@st.composite
+def extreme_scenarios(draw) -> SystemParams:
+    """Valid scenarios at the float extremes: variances from 1e-30 to 1e30,
+    delta and epsilon from 1e-300 to 1 - 1e-16, N up to 300, K up to 1e6."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(3 if m == 1 else m + 2, 300))
+    var = _log_uniform(-30.0, 30.0)
+    probability = _log_uniform(-300.0, 0.0).map(lambda p: min(p, 1.0 - 1e-16)) | st.floats(
+        0.5, 1.0 - 1e-16)
+    rho_ea = draw(st.sampled_from([1.0, 0.0]) | st.floats(0.0, 1.0)) if m == 1 else 1.0
+    return validate(SystemParams(
+        n_antennas=n, k_passive=draw(st.integers(1, 10 ** 6)), m_active=m,
+        var_ab=draw(var), var_aea=draw(var), var_aek=draw(var), var_eab=draw(var),
+        var_jb=draw(var), var_jea=draw(var), var_jek=draw(var),
+        p_max=draw(_log_uniform(-3.0, 6.0)), p_ea=draw(_log_uniform(-3.0, 3.0)),
+        r_b=draw(_log_uniform(-3.0, 3.0).map(lambda r: min(r, 1023.0))),
+        delta=draw(probability), epsilon=draw(probability),
+        rho_b=draw(st.just(1.0) | st.floats(0.0, 1.0)), rho_ea=rho_ea,
+    ))
+
+
+@given(extreme_scenarios(), st.sampled_from(opt.ALGORITHMS), _log_uniform(-6.0, 1.0))
+def test_boundary_prediction_changes_no_result_at_float_extremes(params, algorithm, step):
+    # the predicted bracket only orders the probes: with it and without it
+    # (the predictor giving up) the search returns the same result, or the
+    # same typed error; anything else raised fails the test
+    def search() -> str:
+        try:
+            return repr(replace(opt.maximize_for(params, algorithm=algorithm, step=step),
+                                steps=0))
+        except SecrateError as error:
+            return repr(error)
+
+    predicted = search()
+    with mock.patch.object(opt, "_predicted_bracket", lambda *args: None):
+        assert search() == predicted
 
 
 @given(scenarios(), st.floats(1e-6, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
