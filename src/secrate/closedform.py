@@ -168,19 +168,16 @@ def _best_of(log_sf, count: int):
         return -np.expm1(count * np.log1p(-np.minimum(np.exp(log_sf), 1.0)))
 
 
-# SOP kind -> (on the active link, log-survival of one eavesdropper as
-# f(params, w_beam, w_pas, s), number of eavesdroppers the SOP takes the best
-# of; None: the single active eavesdropper). The CDFs share the kind names.
+# SOP kind -> (on the active link, whether its beams are the scenario's M
+# (else one), whether it reads the scenario's rho_ea (else a perfect
+# estimate), number of eavesdroppers the SOP takes the best of as f(params);
+# None: the single active eavesdropper). The CDFs share the kind names.
 _KINDS = {
-    "active": (True, lambda p, *w: _log_sf_active(*w, p.n_antennas, 1, 1.0), None),
-    "active_imperfect": (True, lambda p, *w: _log_sf_active(*w, p.n_antennas, 1, p.rho_ea),
-                         None),
-    "active_multi": (True, lambda p, *w: _log_sf_active(*w, p.n_antennas, p.m_active, 1.0),
-                     lambda p: p.m_active),
-    "passive": (False, lambda p, *w: _log_sf_passive(*w, p.n_antennas, 1),
-                lambda p: p.k_passive),
-    "passive_multi": (False, lambda p, *w: _log_sf_passive(*w, p.n_antennas, p.m_active),
-                      lambda p: p.k_passive),
+    "active": (True, False, False, None),
+    "active_imperfect": (True, False, True, None),
+    "active_multi": (True, True, False, lambda p: p.m_active),
+    "passive": (False, False, False, lambda p: p.k_passive),
+    "passive_multi": (False, True, False, lambda p: p.k_passive),
 }
 
 
@@ -200,12 +197,12 @@ def sop_theta_curve(kind: str, params: SystemParams, p_a: float, r_s):
     [0, r_b] (RangeError from :func:`rate_gap_threshold` otherwise; at
     r_s = r_b every SOP is 1).
     """
-    active, log_sf, best_of = _KINDS[check_kind(kind)]
-    s = (alpha_ratio if active else beta_ratio)(params, p_a, r_s)
+    best_of = _KINDS[check_kind(kind)][3]
+    s = log_sf_scale(kind, params, p_a, r_s)
     if best_of is None:
-        return lambda theta: np.exp(log_sf(params, theta, 1.0 - theta, s))
+        return lambda theta: np.exp(log_sf_at(kind, params, theta, s))
     count = best_of(params)
-    return lambda theta: _best_of(log_sf(params, theta, 1.0 - theta, s), count)
+    return lambda theta: _best_of(log_sf_at(kind, params, theta, s), count)
 
 
 def secrecy_level(epsilon: float, count: int) -> float:
@@ -226,20 +223,52 @@ def secrecy_level(epsilon: float, count: int) -> float:
     return math.log1p(-math.exp(u))
 
 
-def log_sf_at(kind: str, params: SystemParams, theta, s):
+def log_sf_at(kind: str, params: SystemParams, theta, s, w_pas=None):
     """Log-survival of one eavesdropper of ``kind`` at AN ratio ``theta`` and
     jamming-to-signal scale ``s`` (alpha on the active link, beta on the
     passive one): the one entry through which the rate search, its boundary
-    prediction and its interval solves alike, evaluates the kernels. ``kind``
-    is not checked here."""
-    return _KINDS[kind][1](params, theta, 1.0 - theta, s)
+    prediction and its interval solves alike, evaluate the kernels. The
+    kernel sees the AN weights (theta, ``w_pas``), ``w_pas`` = 1 - theta
+    unless given (the CDFs pass the split's AN powers). ``kind`` is not
+    checked here."""
+    active, multi, imperfect, _ = _KINDS[kind]
+    m = params.m_active if multi else 1
+    w_pas = 1.0 - theta if w_pas is None else w_pas
+    if active:
+        return _log_sf_active(theta, w_pas, s, params.n_antennas, m,
+                              params.rho_ea if imperfect else 1.0)
+    return _log_sf_passive(theta, w_pas, s, params.n_antennas, m)
+
+
+def log_sf_scale(kind: str, params: SystemParams, p_a: float, r_s):
+    """The jamming-to-signal scale s that ``kind``'s log-survival reads:
+    alpha on the active link, beta on the passive one."""
+    return (alpha_ratio if _KINDS[check_kind(kind)][0] else beta_ratio)(params, p_a, r_s)
+
+
+def log_sf_cancellation(kind: str, params: SystemParams, s: float) -> float:
+    """A bound over theta in [0, 1] on the magnitudes of the terms that the
+    kernel of ``kind`` cancels at scale ``s``.
+
+    The passive and perfect-estimate kernels sum log1p terms of one sign, so
+    their rounding error is a few ulps of the result, and this is 0. The
+    imperfect-estimate active kernel adds (N-2) log1p(theta rho_bar s) to two
+    negative terms; its rounding error is a few ulps of the three terms'
+    magnitudes, each largest at theta = 0 or 1, and this is their sum.
+    """
+    rho_bar = 1.0 - params.rho_ea ** 2
+    if kind != "active_imperfect" or not rho_bar:
+        return 0.0
+    n = params.n_antennas
+    return ((n - 2) * (math.log1p(rho_bar * s) + math.log1p(rho_bar * s / (n - 2)))
+            + (n - 1) * math.log1p(s))
 
 
 def log_sf_level(kind: str, params: SystemParams, eps: float) -> float:
     """The level of ``kind`` (:func:`secrecy_level` over the eavesdroppers its
     SOP takes the best of): its SOP is at most ``eps`` exactly where one
     eavesdropper's log-survival is at most this level."""
-    best_of = _KINDS[check_kind(kind)][2]
+    best_of = _KINDS[check_kind(kind)][3]
     return secrecy_level(eps, 1 if best_of is None else best_of(params))
 
 
@@ -250,7 +279,7 @@ def log_sf_theta_curve(kind: str, params: SystemParams, p_a: float, r_s: float, 
     exactly where the curve is at most the level, which is computed once here
     (:func:`log_sf_level`); the curve evaluates :func:`log_sf_at`.
     """
-    s = (alpha_ratio if _KINDS[check_kind(kind)][0] else beta_ratio)(params, p_a, r_s)
+    s = log_sf_scale(kind, params, p_a, r_s)
     level = log_sf_level(kind, params, eps)
     return (lambda theta: log_sf_at(kind, params, theta, s)), level
 
@@ -261,12 +290,12 @@ def _sop(kind: str, params: SystemParams, split: PowerSplit, r_s):
 
 def _cdf(kind: str, x, params: SystemParams, split: PowerSplit):
     """CDF of one eavesdropper's SNR: the kernel at the split's AN powers."""
-    active, log_sf, _ = _KINDS[kind]
+    active = _KINDS[kind][0]
     var_j, var_a = ((params.var_jea, params.var_aea) if active
                     else (params.var_jek, params.var_aek))
     with np.errstate(over="ignore"):  # a product beyond the float range: the s = inf limit
         s = var_j * np.asarray(x, dtype=float) / (split.p_a * var_a)
-    return _maybe_float(-np.expm1(log_sf(params, split.p_ja, split.p_jp, s)))
+    return _maybe_float(-np.expm1(log_sf_at(kind, params, split.p_ja, s, split.p_jp)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +644,9 @@ def sop_passive_dtheta(params: SystemParams, split: PowerSplit, r_s: float) -> f
         return 0.0
     theta = split.theta
     g = float(np.exp(_log_sf_passive(theta, 1.0 - theta, b, n, 1)))
-    # SOP = 1 - (1-G)^K moves by K (1-G)^(K-1) G d(log G)/d(theta)
-    outer = k * np.exp((k - 1) * np.log1p(-min(g, 1.0))) if k > 1 else 1.0
+    # SOP = 1 - (1-G)^K moves by K (1-G)^(K-1) G d(log G)/d(theta); (1-G)^(K-1)
+    # is 0 where G rounds to 1 (a beta below the float resolution of 1 + beta)
+    outer = 1.0 if k == 1 else k * np.exp((k - 1) * np.log1p(-g)) if g < 1.0 else 0.0
     dlog_g = (b * b * ((n - 1) * theta - 1.0)
               / ((n - 2) * (1.0 + b * theta) * (1.0 + b * (1.0 - theta) / (n - 2))))
     return float(outer * g * dlog_g)

@@ -226,7 +226,15 @@ def _an_snr(params: SystemParams, batch: ChannelBatch, split: PowerSplit, h: np.
     den = ((split.p_ja / m) * (span if beam is None else beam)
            + (split.p_jp / (n - m - 1)) * np.maximum(null, 0.0)
            + (1.0 if include_noise else 0.0))
-    return split.p_a * _abs2(h) / np.maximum(den, _DEN_FLOOR)
+    return _snr(split.p_a * _abs2(h), den)
+
+
+def _snr(signal: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """signal / den, den floored at _DEN_FLOOR; inf where the ratio is beyond
+    the float range (an AN power of 0 or a tiny one), the limit that every
+    threshold comparison reads."""
+    with np.errstate(over="ignore"):
+        return signal / np.maximum(den, _DEN_FLOOR)
 
 
 def _snr_bob_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
@@ -234,7 +242,7 @@ def _snr_bob_batch(params: SystemParams, batch: ChannelBatch, split: PowerSplit,
     """(T,) SNRs at Bob, limited as :func:`secrate.closedform.bob_regime` says."""
     if cf.bob_regime(params) == "interference_limited":
         den = params.p_ea * _abs2(batch.f_eab) + (1.0 if include_noise else 0.0)
-        return split.p_a * _abs2(batch.h_ab) / np.maximum(den, _DEN_FLOOR)
+        return _snr(split.p_a * _abs2(batch.h_ab), den)
     # an_leakage: AN reaches Bob only through the estimation error.
     e = batch.e_b[:, :, None]
     beam = np.sum(_abs2(np.einsum("tnj,tnm->tjm", e.conj(), batch.geometry[1])), axis=2)

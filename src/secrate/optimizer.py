@@ -26,7 +26,17 @@ log(1 - (1-epsilon)^(1/K)). With perfect estimates the active log-survival,
 Every other kind is bisected on each side of its minimizer, where the
 log-survival is monotone; secant steps first certify a band around each
 crossing, and the bisection evaluates only the midpoints inside it, with the
-same result bit for bit.
+same result bit for bit. A gap to the level is certified only beyond a
+margin set by a rounding bound (_MARGIN, cf.log_sf_cancellation).
+
+A probe of one rate intersects the active and the passive interval in this
+order (:func:`_feasible_interval`): both minima are checked, and an empty
+result returned if either is above its level, before any crossing is
+solved; then the active interval (or the one whose minimum is nearer its
+level, when both need crossings) is solved, and each crossing of the other
+only where that interval's end does not decide the intersection's
+(:func:`_meet`). The result is the same floats as the intersection of the
+two intervals solved in full.
 
 ``grid_search_oracle`` is the brute-force cross-check used by the tests; it
 shares only the closed-form grid kernels with the sweep, not its interval
@@ -62,11 +72,12 @@ _ALGORITHM_ALIASES = {"alg1": "perfect", "alg2": "imperfect", "perfect": "perfec
 _FAMILY = {"perfect": "single", "imperfect": "single", "multi": "multi"}
 
 _BISECT_TOL = 1e-13
-# A log-survival this far (relative to 1 + |level|) from the level is on its
-# side of the level whatever the rounding: an evaluation errs by a few ulps
-# of its magnitude.
-_MARGIN = 1e-12
-# secant steps per crossing (about 10 are taken); the bisection covers the rest
+# A gap this far beyond 0, relative to 1 + |level| plus the magnitude the
+# kernel cancels (cf.log_sf_cancellation), is on its side of 0 whatever the
+# rounding: an evaluation errs by under 10 ulps (2.2e-15) of |log-survival|
+# plus that magnitude, and a certified side needs twice that bound.
+_MARGIN = 5e-15
+# secant steps per crossing (about 7 are taken); the bisection covers the rest
 _SECANT_STEPS = 16
 # the relative error on the smallest feasible threshold x* that the rate
 # search's predicted bracket of grid indices covers: the prediction's roots
@@ -114,14 +125,6 @@ class ThetaInterval:
     def nothing() -> "ThetaInterval":
         return ThetaInterval(lo=math.nan, hi=math.nan, empty=True)
 
-    def intersect(self, other: "ThetaInterval") -> "ThetaInterval":
-        if self.empty or other.empty:
-            return ThetaInterval.nothing()
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            return ThetaInterval.nothing()
-        return ThetaInterval(lo=lo, hi=hi)
-
     def clip(self, x: float) -> float:
         return min(max(x, self.lo), self.hi)
 
@@ -161,25 +164,28 @@ def _bisect(gap, lo: float, hi: float, lo_above: bool, band: tuple[float, float]
     return 0.5 * (lo + hi)
 
 
-def _secant_band(gap, lo: float, hi: float, gap_lo: float, gap_hi: float,
-                 margin: float) -> tuple[float, float]:
-    """A band (a, b) for :func:`_bisect` around the one root of ``gap`` on
-    [lo, hi], where ``gap`` is monotone and changes sign from positive to
-    non-positive; a is lo or a point with gap > margin, b is hi or a point
-    with gap < -margin.
+def _secant_band(gap, sign: float, a: float, g_a: float, b: float, g_b: float,
+                 margin: float, inner: float) -> tuple[float, float]:
+    """A band (a', b') within [a, b] for :func:`_bisect` around the one root
+    of ``gap`` there, where ``sign * gap`` falls from positive at a to
+    non-positive at b and [a, b] lies on one side of the gap's minimizer
+    ``inner``; a' is a or a point with sign * gap > margin, b' is b or a
+    point with sign * gap < -margin.
 
     Safeguarded secant steps (a step leaving the band halves it instead)
-    close in on the root; once a gap is within the margin, two probes a few
-    margins to either side of it certify a tight band. The band is valid
-    whatever the steps do: only certified points narrow it.
+    close in on the root on the scale u = (theta - inner)**2, where the gap
+    is nearly linear, since its slope vanishes at the minimizer. Once a gap
+    is within the margin, two probes two margins to either side of the root
+    a Newton step predicts certify a tight band. The band is valid whatever
+    the steps do: only certified points narrow it.
     """
-    a, b = lo, hi
-    x0, g0, x1, g1 = lo, gap_lo, hi, gap_hi
+    u0, g0, u1, g1, x1 = (a - inner) ** 2, sign * g_a, (b - inner) ** 2, sign * g_b, b
     for _ in range(_SECANT_STEPS):
-        x = x1 - g1 * (x1 - x0) / (g1 - g0) if g1 != g0 else math.nan
+        u = u1 - g1 * (u1 - u0) / (g1 - g0) if g1 != g0 else math.nan
+        x = inner - sign * math.sqrt(u) if u >= 0.0 else math.nan
         if not a < x < b:
             x = 0.5 * (a + b)
-        g = gap(x)
+        g = sign * gap(x)
         if g > margin:
             a = x
         elif g < -margin:
@@ -187,17 +193,61 @@ def _secant_band(gap, lo: float, hi: float, gap_lo: float, gap_hi: float,
         else:  # at the root to within the margin (or a NaN gap)
             slope = abs((g - g1) / (x - x1)) if x != x1 else 0.0
             if 0.0 < slope < math.inf:
-                width = 4.0 * margin / slope
-                for probe in (x - width, x + width):
+                root, width = x + g / slope, 2.0 * margin / slope
+                for probe in (root - width, root + width):
                     if a < probe < b:
-                        g_probe = gap(probe)
+                        g_probe = sign * gap(probe)
                         if g_probe > margin:
                             a = probe
                         elif g_probe < -margin:
                             b = probe
             break
-        x0, g0, x1, g1 = x1, g1, x, g
+        u0, g0, u1, g1, x1 = u1, g1, (x - inner) ** 2, g, x
     return a, b
+
+
+def _curve(kind: str, params: SystemParams, s: float, minimizer: float):
+    """(gap, margin, minimizer, gap there) of ``kind``'s log-survival at scale
+    ``s``, or None when even its minimum is above the level.
+
+    gap(theta) is one eavesdropper's log-survival less the level
+    (cf.log_sf_level), so the SOP is at most epsilon exactly where gap <= 0;
+    it is unimodal in theta with its minimum at ``minimizer`` (1.0 for one
+    that decreases throughout). A gap beyond the margin is on its side of 0
+    whatever the rounding (see _MARGIN).
+    """
+    level = cf.log_sf_level(kind, params, params.epsilon)
+
+    def gap(theta: float) -> float:
+        return float(cf.log_sf_at(kind, params, theta, s)) - level
+
+    g_min = gap(minimizer)
+    margin = _MARGIN * (1.0 + abs(level) + cf.log_sf_cancellation(kind, params, s))
+    return None if g_min > 0.0 else (gap, margin, minimizer, g_min)
+
+
+def _end(curve, edge: float, outside=None, inside=None) -> float:
+    """The end toward ``edge`` (0.0 or 1.0) of the interval where the gap of
+    ``curve`` (:func:`_curve`) is at most 0: the edge where its gap is not
+    positive, else the crossing between the minimizer and the edge.
+
+    The gap is monotone there, so the crossing is bisected over that span,
+    evaluating only inside the band :func:`_secant_band` certifies. A
+    (theta, gap) pair already evaluated on that span narrows the band:
+    ``outside`` has a gap above the margin (or is the edge, with a positive
+    gap) and ``inside`` one below minus the margin.
+    """
+    gap, margin, inner, g_inner = curve
+    sign = 1.0 if edge == 0.0 else -1.0  # orients the gap to fall away from the edge
+    if outside is None:
+        g_edge = gap(edge)
+        if g_edge <= 0.0:
+            return edge
+        outside = (edge, g_edge)
+    inside = inside if inside and inside[1] < -margin else (inner, g_inner)
+    band = _secant_band(gap, sign, *(outside + inside if sign > 0.0 else inside + outside),
+                        margin, inner)
+    return _bisect(gap, *sorted((edge, inner)), sign > 0.0, band)
 
 
 def _floor_scale(params: SystemParams, beams: int) -> float:
@@ -228,49 +278,42 @@ def theta_floor_active(params: SystemParams, p_a: float, r_s: float) -> float:
     return _floor(params, p_a, r_s, 1)
 
 
-def _floor_interval(params: SystemParams, p_a: float, r_s: float, beams: int) -> ThetaInterval:
-    """[floor, 1] for the perfect-estimate active SOP (empty above 1)."""
-    try:
-        floor = _floor(params, p_a, r_s, beams)
-    except AlphaZero:
-        return ThetaInterval.nothing()
-    return ThetaInterval.nothing() if floor > 1.0 else ThetaInterval(lo=floor, hi=1.0)
-
-
 def _crossings(kind: str, params: SystemParams, p_a: float, r_s: float,
                minimizer: float) -> ThetaInterval:
     """AN ratios where the SOP of ``kind`` is at most epsilon.
 
     The SOP is at most epsilon exactly where one eavesdropper's log-survival
-    is at most a level computed once per curve (cf.log_sf_theta_curve), so
-    the solver compares log-survivals with that level and never forms an
-    SOP. The log-survival is unimodal in theta with its minimum at
-    ``minimizer`` (1.0 for one that decreases throughout), so the admissible
-    set is the interval between the level crossings on either side of it,
-    each bisected on a theta-curve whose alpha/beta is fixed; empty when even
-    the minimum exceeds the level. The log-survival is monotone on each side
-    of the minimizer, so the bisection evaluates only inside the band that
-    :func:`_secant_band` certifies there.
+    is at most a level computed once per curve (:func:`_curve`), so the
+    solver compares log-survivals with that level and never forms an SOP.
+    The log-survival is unimodal in theta with its minimum at ``minimizer``,
+    so the admissible set is the interval between the level crossings on
+    either side of it (:func:`_end`); empty when even the minimum exceeds
+    the level.
     """
-    log_sf, level = cf.log_sf_theta_curve(kind, params, p_a, r_s, params.epsilon)
+    return _interval(_curve(kind, params, cf.log_sf_scale(kind, params, p_a, r_s), minimizer))
 
-    def gap(theta: float) -> float:
-        return float(log_sf(theta)) - level
 
-    g_min = gap(minimizer)
-    if g_min > 0.0:
-        return ThetaInterval.nothing()
-    margin = _MARGIN * (1.0 + abs(level))
+def _interval(constraint) -> ThetaInterval:
+    """The interval of a constraint as :func:`_active` gives it: a
+    ThetaInterval, None (empty) or a curve, whose both ends are solved."""
+    if constraint is None or isinstance(constraint, ThetaInterval):
+        return constraint or ThetaInterval.nothing()
+    return ThetaInterval(lo=_end(constraint, 0.0), hi=_end(constraint, 1.0))
 
-    def crossing(lo: float, hi: float, g_lo: float, g_hi: float, sign: float) -> float:
-        """The one crossing on [lo, hi]; ``sign`` orients the gap to fall."""
-        band = _secant_band(lambda t: sign * gap(t), lo, hi, sign * g_lo, sign * g_hi, margin)
-        return _bisect(gap, lo, hi, sign > 0.0, band)
 
-    g_0, g_1 = gap(0.0), gap(1.0)
-    lo = 0.0 if g_0 <= 0.0 else crossing(0.0, minimizer, g_0, g_min, 1.0)
-    hi = 1.0 if g_1 <= 0.0 else crossing(minimizer, 1.0, g_min, g_1, -1.0)
-    return ThetaInterval(lo=lo, hi=hi)
+def _active(params: SystemParams, p_a: float, r_s: float, kind: str):
+    """The active constraint of ``kind``: [floor, 1] (:func:`_floor`) under a
+    perfect estimate, else the imperfect-estimate curve around the
+    quadratic's positive root (:func:`_active_minimizer`); None when no AN
+    ratio meets it."""
+    if kind != "active_imperfect" or params.rho_ea == 1.0:
+        try:
+            floor = _floor(params, p_a, r_s, params.m_active if kind == "active_multi" else 1)
+        except AlphaZero:
+            return None
+        return None if floor > 1.0 else ThetaInterval(lo=floor, hi=1.0)
+    alpha = float(cf.alpha_ratio(params, p_a, r_s))
+    return _curve(kind, params, alpha, _active_minimizer(params, alpha)) if alpha else None
 
 
 def theta_interval_passive(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
@@ -289,12 +332,7 @@ def theta_interval_active_imperfect(params: SystemParams, p_a: float, r_s: float
     down to the quadratic's positive root and increases beyond it, so the
     admissible set is an interval around that root (clipped to [0,1]).
     """
-    if params.rho_ea == 1.0:
-        return _floor_interval(params, p_a, r_s, 1)
-    alpha = float(cf.alpha_ratio(params, p_a, r_s))
-    if alpha == 0.0:
-        return ThetaInterval.nothing()
-    return _crossings("active_imperfect", params, p_a, r_s, _active_minimizer(params, alpha))
+    return _interval(_active(params, p_a, r_s, "active_imperfect"))
 
 
 def _active_minimizer(params: SystemParams, alpha: float) -> float:
@@ -310,7 +348,7 @@ def _active_minimizer(params: SystemParams, alpha: float) -> float:
 def theta_interval_active_multi(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
     """Admissible AN ratios for the best-of-M active eavesdroppers constraint:
     [floor, 1] at the closed-form floor (their SOP decreases with theta)."""
-    return _floor_interval(params, p_a, r_s, params.m_active)
+    return _interval(_active(params, p_a, r_s, "active_multi"))
 
 
 def theta_interval_passive_multi(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
@@ -329,7 +367,7 @@ def _theta_reference(params: SystemParams, passive_kind: str) -> float:
 # SOP kind -> its theta-interval solver, looked up when called, so a
 # replaced module attribute is used
 _SOLVERS = {
-    "active": lambda *a: _floor_interval(*a, 1),
+    "active": lambda *a: _interval(_active(*a, "active")),
     "active_imperfect": lambda *a: theta_interval_active_imperfect(*a),
     "active_multi": lambda *a: theta_interval_active_multi(*a),
     "passive": lambda *a: theta_interval_passive(*a),
@@ -348,10 +386,59 @@ def theta_interval(kind: str, params: SystemParams, p_a: float, r_s: float) -> T
 
 def _feasible_interval(params: SystemParams, p_a: float, r_s: float,
                        kinds: tuple[str, str]) -> ThetaInterval:
-    active = theta_interval(kinds[0], params, p_a, r_s)
-    if active.empty:
-        return active
-    return active.intersect(theta_interval(kinds[1], params, p_a, r_s))
+    """theta_interval(active) & theta_interval(passive), the same floats,
+    solving only the crossings the intersection reads.
+
+    Both minima are checked before any crossing: the closed-form floor or
+    the imperfect-estimate gap at its minimizer, then the passive gap at the
+    reference. The first interval is then taken whole: the floor, or, where
+    both need crossings, the one whose minimum is nearer its level (the
+    narrower, as a rule, so the one that decides both ends). A crossing of
+    the second is solved only where the first's end does not decide that
+    end of the intersection (:func:`_meet`), and the second's gap a
+    tolerance short of the lower end, above the margin, certifies an empty
+    result before the upper end is solved.
+    """
+    first = _active(params, p_a, r_s, kinds[0])
+    second = first and _curve(kinds[1], params, cf.beta_ratio(params, p_a, r_s),
+                              _theta_reference(params, kinds[1]))
+    if not second:
+        return ThetaInterval.nothing()
+    fixed = isinstance(first, ThetaInterval)
+    if not fixed and abs(second[3]) < abs(first[3]):
+        first, second = second, first
+    lo = _meet(second, first.lo if fixed else _end(first, 0.0), 0.0)
+    gap, margin, inner, _ = second
+    inside = None
+    if lo - _BISECT_TOL > inner:  # the second's upper end must reach lo
+        inside = (lo - _BISECT_TOL, gap(lo - _BISECT_TOL))
+        if inside[1] > margin:  # it lies more than half a tolerance short of lo
+            return ThetaInterval.nothing()
+    hi = _meet(second, first.hi if fixed else _end(first, 1.0), 1.0, inside)
+    return ThetaInterval.nothing() if lo > hi else ThetaInterval(lo=lo, hi=hi)
+
+
+def _meet(curve, end: float, edge: float, inside=None) -> float:
+    """The inner of ``end`` and the end toward ``edge`` of the interval of
+    ``curve`` (:func:`_end`, which ``inside`` is passed to), solving that
+    end only where ``end`` does not decide.
+
+    The curve's end lies beyond its minimizer, so an ``end`` short of the
+    minimizer is the answer; so is one whose neighbour a bisection
+    tolerance outward has a gap below minus the margin: the crossing then
+    lies beyond that neighbour, and its bisection returns a point within
+    half a tolerance of it, still beyond ``end``.
+    """
+    gap, margin, inner, _ = curve
+    out = 1.0 if edge else -1.0
+    if (end - inner) * out <= 0.0:
+        return end
+    t = min(max(end + out * _BISECT_TOL, 0.0), 1.0)
+    g_t = gap(t)
+    if g_t < -margin or (t == edge and g_t <= 0.0):
+        return end
+    other = _end(curve, edge, (t, g_t) if t == edge or g_t > margin else None, inside)
+    return min(end, other) if out > 0.0 else max(end, other)
 
 
 def _infeasible(p_req: float, steps: int, reason: str, trace: dict) -> OptResult:

@@ -67,6 +67,25 @@ def log_sf_minimizer(kind: str, params: SystemParams, p_a: float, r_s: float) ->
     return min(cf.active_sop_theta_profile(params, p_a, r_s).theta_pos, 1.0)
 
 
+def full_intersection(params: SystemParams, p_a: float, r_s: float,
+                      kinds: tuple[str, str]) -> opt.ThetaInterval:
+    """The intersection of the two theta-intervals, each solved in full: what
+    the rate search's ``_feasible_interval`` must return."""
+    active, passive = (opt.theta_interval(kind, params, p_a, r_s) for kind in kinds)
+    lo, hi = max(active.lo, passive.lo), min(active.hi, passive.hi)
+    if active.empty or passive.empty or lo > hi:
+        return opt.ThetaInterval.nothing()
+    return opt.ThetaInterval(lo=lo, hi=hi)
+
+
+def assert_same_interval(got, want, context) -> None:
+    """Equal emptiness, and ends within two bisection tolerances."""
+    assert got.empty == want.empty, context
+    if not want.empty:
+        assert abs(got.lo - want.lo) <= 2 * opt._BISECT_TOL, context
+        assert abs(got.hi - want.hi) <= 2 * opt._BISECT_TOL, context
+
+
 def random_split(rng: np.random.Generator, params: SystemParams):
     p_a, theta, r_s = random_point(rng, params)
     return make_split(params, p_a, theta), r_s

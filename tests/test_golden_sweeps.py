@@ -60,9 +60,9 @@ def test_sweep_rows_match_reference(path):
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_sweep_rows_land_on_the_predicted_boundary(monkeypatch, path):
-    # every row confirms the predicted boundary in at most 3 probes, and the
-    # rows average at most 120 curve evaluations: calls of the one kernel
-    # entry that the prediction and the interval solves share
+    # every row confirms the predicted boundary in at most 3 probes and takes
+    # at most 180 curve evaluations, and the rows average at most 80: calls
+    # of the one kernel entry that the prediction and the interval solves share
     evals = 0
     rows = []
     kernel, maximize = cf.log_sf_at, opt.maximize_for
@@ -83,4 +83,39 @@ def test_sweep_rows_land_on_the_predicted_boundary(monkeypatch, path):
     code, _ = cli.cmd_sweep(cli.load_config(str(path)), None, "auto")
     assert code == 0 and rows
     assert max(probes for probes, _ in rows) <= 3, rows
-    assert sum(count for _, count in rows) <= 120 * len(rows), rows
+    assert max(count for _, count in rows) <= 180, rows
+    assert sum(count for _, count in rows) <= 80 * len(rows), rows
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_probe_with_failing_passive_minimum_solves_no_crossing(monkeypatch, path):
+    # a probe whose passive SOP exceeds epsilon even at its minimizer is
+    # empty after the two minima are checked: at most 3 curve evaluations,
+    # where solving the active interval first took about 35
+    probes = []
+    solve = opt._feasible_interval
+
+    def recording(*args):
+        probes.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(opt, "_feasible_interval", recording)
+    cli.cmd_sweep(cli.load_config(str(path)), None, "auto")
+    monkeypatch.undo()
+    failing = [(params, p_a, r_s, kinds) for params, p_a, r_s, kinds in probes
+               if cf.sop_theta_curve(kinds[1], params, p_a, r_s)(
+                   opt._theta_reference(params, kinds[1])) > params.epsilon]
+    assert failing
+    evals = 0
+    kernel = cf.log_sf_at
+
+    def counting_kernel(*args):
+        nonlocal evals
+        evals += 1
+        return kernel(*args)
+
+    monkeypatch.setattr(cf, "log_sf_at", counting_kernel)
+    for args in failing:
+        evals = 0
+        assert opt._feasible_interval(*args).empty
+        assert evals <= 3, (args[2], args[3], evals)

@@ -9,7 +9,8 @@ import secrate.optimizer as opt
 from secrate.errors import AlphaZero, RangeError
 from secrate.model import SystemParams, make_split, validate
 
-from conftest import MIN_PA_UNDERFLOW, log_sf_minimizer, random_params, random_point
+from conftest import (MIN_PA_UNDERFLOW, assert_same_interval, full_intersection,
+                      log_sf_minimizer, random_params, random_point)
 
 KINDS = ("active", "active_imperfect", "active_multi", "passive", "passive_multi")
 
@@ -457,6 +458,114 @@ def _criterion_5_scenario(rng, algorithm):
         return random_params(rng, rho_ea=float(rng.uniform(0.05, 0.95)),
                              r_b_lo=2.0, r_b_hi=6.0)
     return random_params(rng, r_b_lo=2.0, r_b_hi=6.0)
+
+
+def test_feasible_interval_is_the_full_intersection():
+    # the probe solves only the crossings the intersection reads, at the
+    # rates the search probes (around its answer) and across the grid
+    rng = np.random.default_rng(1613)
+    seen = {"empty": 0, "interior": 0}
+    for index in range(90):
+        algorithm = opt.ALGORITHMS[index % 3]
+        params = _criterion_5_scenario(rng, algorithm)
+        p_a = min(cf.min_pa(params, "noise_limited"), params.p_max)
+        kinds = opt._kinds(params, algorithm)
+        result = opt.maximize_for(params, algorithm=algorithm, pa_mode="noise_limited")
+        rates = [share * params.r_b for share in (0.0, 0.3, 0.6, 0.9)]
+        rates += [r for r in (result.r_s_star, result.r_s_star + 0.01) if r < params.r_b]
+        for r_s in rates:
+            args = (params, p_a, r_s, kinds)
+            want = full_intersection(*args)
+            assert_same_interval(opt._feasible_interval(*args), want, args)
+            seen["empty" if want.empty else "interior"] += (
+                want.empty or 0.0 < want.lo or want.hi < 1.0)
+    assert min(seen.values()) > 30, seen
+
+
+def _near_tie_cases(baseline):
+    """(params, p_a, r_s, kinds, the two ends that tie) where an end of one
+    interval lies within about 1e-13 of the other's crossing: the active
+    floor at the passive lower crossing, and the imperfect-estimate active
+    upper crossing at the passive upper one."""
+    baseline = replace(baseline, k_passive=16)
+    p_a, r_s = 2000.0, 6.5
+    passive = opt.theta_interval("passive", baseline, p_a, r_s)
+    assert 0.0 < passive.lo and passive.hi < 1.0
+    floor = opt.theta_floor_active(baseline, p_a, r_s)
+    for offset in (-2e-13, -1e-13, -5e-14, 0.0, 5e-14, 1e-13, 2e-13):
+        # the floor scales as 1 / var_jea; the passive interval ignores var_jea
+        params = replace(baseline, var_jea=baseline.var_jea * floor / (passive.lo + offset))
+        yield params, p_a, r_s, ("active", "passive"), (
+            opt.theta_floor_active(params, p_a, r_s), passive.lo)
+    # the imperfect upper crossing rises with var_jea: bisect var_jea's
+    # scale for each offset of it from the passive upper crossing
+    imperfect = replace(baseline, rho_ea=0.3)
+    kinds = ("active_imperfect", "passive")
+
+    def upper(scale):
+        return opt.theta_interval(kinds[0], replace(imperfect, var_jea=imperfect.var_jea * scale),
+                                  p_a, r_s).hi
+
+    for offset in (-1e-13, 0.0, 1e-13):
+        lo, hi = 0.1, 1.0  # empty at 0.1; the crossing above the passive one at 1
+        assert upper(hi) > passive.hi + offset
+        for _ in range(80):
+            mid = math.sqrt(lo * hi)
+            lo, hi = (lo, mid) if upper(mid) > passive.hi + offset else (mid, hi)
+        params = replace(imperfect, var_jea=imperfect.var_jea * hi)
+        yield params, p_a, r_s, kinds, (upper(hi), passive.hi)
+
+
+def test_feasible_interval_keeps_the_floats_at_near_ties(baseline_params):
+    # an end of one interval within about 1e-13 of the other's crossing: the
+    # probe skips the crossing where a tolerance outward certifies it (2e-13
+    # away here) and solves it otherwise; either way the floats are the same
+    cases = list(_near_tie_cases(baseline_params))
+    assert len(cases) == 10
+    for params, p_a, r_s, kinds, (end, crossing) in cases:
+        assert abs(end - crossing) <= 3e-13, (kinds, end, crossing)
+        want = full_intersection(params, p_a, r_s, kinds)
+        assert not want.empty
+        assert repr(opt._feasible_interval(params, p_a, r_s, kinds)) == repr(want)
+
+
+def test_band_margin_bounds_the_rounding_of_the_gap(baseline_params):
+    # the band certifies a side of the level only beyond the margin, so the
+    # margin must be at least twice what one evaluation errs by: checked
+    # against mpmath for the passive kernels and the imperfect-estimate one,
+    # whose terms cancel, at s up to the float range's end and rho_ea at and
+    # near 0 and 1; the level is the log-survival itself, as at a crossing
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.prec = 160
+    rng = np.random.default_rng(1621)
+    worst = 0.0
+    for index in range(3000):
+        kind = ("passive", "passive_multi", "active_imperfect")[index % 3]
+        n = int(rng.integers(4, 301))
+        m = int(rng.integers(2, min(n - 2, 8) + 1)) if kind == "passive_multi" else 1
+        rho_ea = float(rng.choice([0.0, rng.uniform(), 10.0 ** rng.uniform(-300, -1),
+                                   1.0 - 10.0 ** rng.uniform(-16, -1)]))
+        params = replace(baseline_params, n_antennas=n, m_active=m, rho_ea=rho_ea)
+        s = float(rng.choice([10.0 ** rng.uniform(-20, 300), 10.0 ** rng.uniform(300, 308.2),
+                              10.0 ** rng.uniform(3, 12)]))
+        # theta near 1 with rho_ea near 0 is where the imperfect kernel cancels most
+        theta = float(rng.choice([rng.uniform(), 10.0 ** rng.uniform(-300, 0),
+                                  1.0 - 10.0 ** rng.uniform(-16, -3)]))
+        got = float(cf.log_sf_at(kind, params, theta, s))
+        # the exact value of the kernel's formula at its own float constants
+        th, x, beams = mpmath.mpf(theta), mpmath.mpf(s), (m if kind == "passive_multi" else 1)
+        if kind == "active_imperfect":
+            rho_bar = mpmath.mpf(1.0 - rho_ea ** 2)
+            exact = ((n - 2) * mpmath.log1p(th * rho_bar * x) - (n - 1) * mpmath.log1p(th * x)
+                     - (n - 2) * mpmath.log1p((1 - th) * rho_bar * x / (n - 2)))
+        else:
+            exact = (-beams * mpmath.log1p(th / beams * x)
+                     - (n - beams - 1) * mpmath.log1p((1 - th) * x / (n - beams - 1)))
+        scale = 1.0 + abs(float(exact)) + cf.log_sf_cancellation(kind, params, s)
+        error = float(abs(got - exact)) / (opt._MARGIN * scale)
+        assert error <= 0.5, (kind, n, m, rho_ea, s, theta, got, exact)
+        worst = max(worst, error)
+    assert worst > 0.0
 
 
 def _assert_matches_linear_walk(params, algorithm, step, pa_mode="noise_limited"):
