@@ -46,6 +46,9 @@ from .model import PowerSplit, SystemParams
 _PHILOX_BLOCK = 4  # Philox advances by 128-bit blocks = 4 uint64 outputs
 _DEN_FLOOR = 1e-300
 _CHUNK_TRIALS = 16384
+# the most uniform slots one draw may take (1 GiB of uint64): a 16384-trial
+# chunk of the largest shipped verify case (M = 3) takes 6.3e6
+_MAX_DRAW_SLOTS = 2 ** 27
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +162,10 @@ def draw_batch(params: SystemParams, seed: int, start: int, stop: int) -> Channe
     """Draw trials [start, stop); bit-identical per trial regardless of batching.
 
     Only the Philox uniforms are drawn here; each field is transformed from
-    its own slot columns when first read.
+    its own slot columns when first read. A RangeError, before anything is
+    drawn, when the range takes more than _MAX_DRAW_SLOTS uniform slots
+    (:func:`slots_per_trial` per trial; the passive channels alone take
+    4 N K).
     """
     if not (isinstance(start, Integral) and isinstance(stop, Integral)):
         raise RangeError(f"trial bounds must be integers, got [{start!r}, {stop!r})")
@@ -169,6 +175,10 @@ def draw_batch(params: SystemParams, seed: int, start: int, stop: int) -> Channe
                          f"got [{start}, {stop})")
     count = stop - start
     slots = slots_per_trial(params)
+    if count * slots > _MAX_DRAW_SLOTS:
+        raise RangeError(f"{count} trials at N = {params.n_antennas}, K = {params.k_passive} "
+                         f"need {count * slots} uniform slots in one draw, more than "
+                         f"{_MAX_DRAW_SLOTS} (1 GiB)")
     u = _uniform_slots(seed, start * slots, count * slots).reshape(count, slots)
     columns, first = {}, 0
     for name, shape, var in _field_table(params):

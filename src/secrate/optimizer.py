@@ -29,6 +29,13 @@ crossing, and the bisection evaluates only the midpoints inside it, with the
 same result bit for bit. A gap to the level is certified only beyond a
 margin set by a rounding bound (_MARGIN, cf.log_sf_cancellation).
 
+Apart from that bisection, every root is solved by one core (:func:`_root`):
+secant steps on the last two iterates, inside a bracket that a step leaving
+it halves (or, while one end is infinite, leaves by 32 toward that end). It
+stops on a value within a tolerance (the band, on (theta - minimizer)**2,
+stops within the margin) or on a secant correction below one (the boundary
+prediction's roots in log s and in theta, to _ROOT_TOL).
+
 A probe of one rate intersects the active and the passive interval in this
 order (:func:`_feasible_interval`): both minima are checked, and an empty
 result returned if either is above its level, before any crossing is
@@ -77,7 +84,7 @@ _BISECT_TOL = 1e-13
 # rounding: an evaluation errs by under 10 ulps (2.2e-15) of |log-survival|
 # plus that magnitude, and a certified side needs twice that bound.
 _MARGIN = 5e-15
-# secant steps per crossing (about 7 are taken); the bisection covers the rest
+# secant steps per crossing (about 5 are taken); the bisection covers the rest
 _SECANT_STEPS = 16
 # the relative error on the smallest feasible threshold x* that the rate
 # search's predicted bracket of grid indices covers: the prediction's roots
@@ -164,46 +171,68 @@ def _bisect(gap, lo: float, hi: float, lo_above: bool, band: tuple[float, float]
     return 0.5 * (lo + hi)
 
 
-def _secant_band(gap, sign: float, a: float, g_a: float, b: float, g_b: float,
-                 margin: float, inner: float) -> tuple[float, float]:
-    """A band (a', b') within [a, b] for :func:`_bisect` around the one root
-    of ``gap`` there, where ``sign * gap`` falls from positive at a to
-    non-positive at b and [a, b] lies on one side of the gap's minimizer
-    ``inner``; a' is a or a point with sign * gap > margin, b' is b or a
-    point with sign * gap < -margin.
+def _root(fn, x0: float, f0: float, x1: float, f1: float, neg: float, pos: float,
+          f_tol: float, x_tol: float, steps: int):
+    """(x, fn(x), slope, neg, pos): a point x where |fn(x)| <= ``f_tol`` or
+    the secant correction |fn(x) / slope| is at most ``x_tol``, with the
+    secant slope of its last step and the bracket; x = None once ``steps``
+    evaluations are spent or no float is left inside the bracket. A NaN
+    value also stops it.
 
-    Safeguarded secant steps (a step leaving the band halves it instead)
-    close in on the root on the scale u = (theta - inner)**2, where the gap
-    is nearly linear, since its slope vanishes at the minimizer. Once a gap
-    is within the margin, two probes two margins to either side of the root
-    a Newton step predicts certify a tight band. The band is valid whatever
-    the steps do: only certified points narrow it.
+    Secant steps on the last two iterates (x0, f0), (x1, f1) run inside the
+    bracket: fn < 0 at ``neg`` and > 0 at ``pos``, on either side, either
+    possibly infinite. A step that does not land strictly inside the bracket
+    halves it instead, or, while an end is infinite, moves 32 toward that
+    end. A point narrows the bracket only after the stop test, so a point
+    that stopped it (within the value tolerance, say) never does.
     """
-    u0, g0, u1, g1, x1 = (a - inner) ** 2, sign * g_a, (b - inner) ** 2, sign * g_b, b
-    for _ in range(_SECANT_STEPS):
-        u = u1 - g1 * (u1 - u0) / (g1 - g0) if g1 != g0 else math.nan
-        x = inner - sign * math.sqrt(u) if u >= 0.0 else math.nan
-        if not a < x < b:
-            x = 0.5 * (a + b)
-        g = sign * gap(x)
-        if g > margin:
-            a = x
-        elif g < -margin:
-            b = x
-        else:  # at the root to within the margin (or a NaN gap)
-            slope = abs((g - g1) / (x - x1)) if x != x1 else 0.0
-            if 0.0 < slope < math.inf:
-                root, width = x + g / slope, 2.0 * margin / slope
-                for probe in (root - width, root + width):
-                    if a < probe < b:
-                        g_probe = sign * gap(probe)
-                        if g_probe > margin:
-                            a = probe
-                        elif g_probe < -margin:
-                            b = probe
-            break
-        u0, g0, u1, g1, x1 = u1, g1, (x - inner) ** 2, g, x
-    return a, b
+    for _ in range(steps):
+        lo, hi = min(neg, pos), max(neg, pos)
+        x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+        if not lo < x < hi:
+            mid = 0.5 * (lo + hi)
+            x = x1 + math.copysign(32.0, mid) if math.isinf(mid) else mid
+            if not lo < x < hi:  # no float left between the ends
+                break
+        fx = fn(x)
+        slope = (fx - f1) / (x - x1)
+        if not abs(fx) > f_tol or abs(fx) <= x_tol * abs(slope) < math.inf:
+            return x, fx, slope, neg, pos
+        neg, pos = (x, pos) if fx < 0.0 else (neg, x)
+        x0, f0, x1, f1 = x1, f1, x, fx
+    return None, math.nan, math.nan, neg, pos
+
+
+def _secant_band(gap, outside: tuple[float, float], inside: tuple[float, float],
+                 margin: float, inner: float) -> tuple[float, float]:
+    """(outside end, inside end) of a band for :func:`_bisect` around the
+    one root of ``gap`` between ``outside`` and ``inside``, (theta, gap)
+    pairs on one side of the gap's minimizer ``inner``, the outside one with
+    a positive gap and the inside one nearer the minimizer with gap <= 0;
+    each end is its pair's theta or a point whose gap is beyond the margin
+    on that side.
+
+    :func:`_root` closes in on the root on the scale u = (theta - inner)**2,
+    where the gap is nearly linear and rises, since its slope vanishes at the
+    minimizer. Once a gap is within the margin, two probes two margins to
+    either side of the root a Newton step predicts certify a tight band.
+    """
+    def theta(u: float) -> float:
+        return inner + math.copysign(math.sqrt(u), outside[0] - inner)
+
+    u_out, u_in = (outside[0] - inner) ** 2, (inside[0] - inner) ** 2
+    u, g, slope, neg, pos = _root(lambda v: gap(theta(v)), u_out, outside[1], u_in, inside[1],
+                                  u_in, u_out, margin, 0.0, _SECANT_STEPS)
+    if u is not None and 0.0 < slope < math.inf:
+        root, width = u - g / slope, 2.0 * margin / slope
+        for probe in (root - width, root + width):
+            if neg < probe < pos:
+                g_probe = gap(theta(probe))
+                if g_probe > margin:
+                    pos = probe
+                elif g_probe < -margin:
+                    neg = probe
+    return outside[0] if pos == u_out else theta(pos), inside[0] if neg == u_in else theta(neg)
 
 
 def _curve(kind: str, params: SystemParams, s: float, minimizer: float):
@@ -238,16 +267,14 @@ def _end(curve, edge: float, outside=None, inside=None) -> float:
     gap) and ``inside`` one below minus the margin.
     """
     gap, margin, inner, g_inner = curve
-    sign = 1.0 if edge == 0.0 else -1.0  # orients the gap to fall away from the edge
     if outside is None:
         g_edge = gap(edge)
         if g_edge <= 0.0:
             return edge
         outside = (edge, g_edge)
     inside = inside if inside and inside[1] < -margin else (inner, g_inner)
-    band = _secant_band(gap, sign, *(outside + inside if sign > 0.0 else inside + outside),
-                        margin, inner)
-    return _bisect(gap, *sorted((edge, inner)), sign > 0.0, band)
+    band = sorted(_secant_band(gap, outside, inside, margin, inner))
+    return _bisect(gap, *sorted((edge, inner)), edge == 0.0, band)
 
 
 def _floor_scale(params: SystemParams, beams: int) -> float:
@@ -322,7 +349,7 @@ def theta_interval_passive(params: SystemParams, p_a: float, r_s: float) -> Thet
     The passive SOP is unimodal in theta (log-convex per eavesdropper) with
     its minimum at 1/(N-1); it is convex only where SOP <= 1-(1-1/K)^K.
     """
-    return _crossings("passive", params, p_a, r_s, _theta_reference(params, "passive"))
+    return theta_interval("passive", params, p_a, r_s)
 
 
 def theta_interval_active_imperfect(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
@@ -332,7 +359,7 @@ def theta_interval_active_imperfect(params: SystemParams, p_a: float, r_s: float
     down to the quadratic's positive root and increases beyond it, so the
     admissible set is an interval around that root (clipped to [0,1]).
     """
-    return _interval(_active(params, p_a, r_s, "active_imperfect"))
+    return theta_interval("active_imperfect", params, p_a, r_s)
 
 
 def _active_minimizer(params: SystemParams, alpha: float) -> float:
@@ -348,14 +375,14 @@ def _active_minimizer(params: SystemParams, alpha: float) -> float:
 def theta_interval_active_multi(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
     """Admissible AN ratios for the best-of-M active eavesdroppers constraint:
     [floor, 1] at the closed-form floor (their SOP decreases with theta)."""
-    return _interval(_active(params, p_a, r_s, "active_multi"))
+    return theta_interval("active_multi", params, p_a, r_s)
 
 
 def theta_interval_passive_multi(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
     """Admissible AN ratios for the passive constraint with M active beams
     (unimodal, log-convex per eavesdropper, minimum at M/(N-1); convex where
     SOP <= 1-(1-1/K)^K)."""
-    return _crossings("passive_multi", params, p_a, r_s, _theta_reference(params, "passive_multi"))
+    return theta_interval("passive_multi", params, p_a, r_s)
 
 
 def _theta_reference(params: SystemParams, passive_kind: str) -> float:
@@ -364,20 +391,11 @@ def _theta_reference(params: SystemParams, passive_kind: str) -> float:
     return beams / (params.n_antennas - 1)
 
 
-# SOP kind -> its theta-interval solver, looked up when called, so a
-# replaced module attribute is used
-_SOLVERS = {
-    "active": lambda *a: _interval(_active(*a, "active")),
-    "active_imperfect": lambda *a: theta_interval_active_imperfect(*a),
-    "active_multi": lambda *a: theta_interval_active_multi(*a),
-    "passive": lambda *a: theta_interval_passive(*a),
-    "passive_multi": lambda *a: theta_interval_passive_multi(*a),
-}
-
-
 def theta_interval(kind: str, params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
     """AN ratios meeting the secrecy target of one SOP kind."""
-    return _SOLVERS[cf.check_kind(kind)](params, p_a, r_s)
+    if cf.check_kind(kind).startswith("passive"):
+        return _crossings(kind, params, p_a, r_s, _theta_reference(params, kind))
+    return _interval(_active(params, p_a, r_s, kind))
 
 
 # ---------------------------------------------------------------------------
@@ -471,64 +489,13 @@ def _exp(u: float) -> float:
     return math.exp(u) if u < 709.78 else math.inf
 
 
-def _illinois(fn, a: float, fa: float, b: float, fb: float, tol: float) -> float:
-    """A point within about ``tol`` of the one sign change of ``fn`` between
-    a and b, where fa and fb have opposite signs.
-
-    Regula falsi that halves the value kept at an end retained twice running
-    (the Illinois method; Dowell & Jarratt, BIT 11, 1971); a step that does
-    not land strictly inside the bracket halves it instead. It stops at a
-    bracket within ``tol`` or a secant correction below it.
-    """
-    side = 0
-    for _ in range(_ROOT_STEPS):
-        x = b - fb * (b - a) / (fb - fa)
-        if not min(a, b) < x < max(a, b):
-            x = 0.5 * (a + b)
-        fx = fn(x)
-        if (fx > 0.0) == (fb > 0.0):
-            b, fb = x, fx
-            fa *= 0.5 if side < 0 else 1.0
-            side = -1
-        else:
-            a, fa = x, fx
-            fb *= 0.5 if side > 0 else 1.0
-            side = 1
-        slope = abs((fb - fa) / (b - a)) if b != a else math.inf
-        if fx == 0.0 or abs(b - a) <= tol or (slope < math.inf and abs(fx) <= tol * slope):
-            return x
-    raise _NoPrediction
-
-
-def _log_root(fn, level: float, u: float, slope: float) -> tuple[float, float]:
-    """(u, slope): the log-scale u at which the log-survival ``fn(s)``, falling
-    from 0 at s = 0 to -inf, meets ``level`` < 0, and the slope there of
-    phi(u) = log(-fn(e**u)) - log(-level).
-
-    phi rises with u, with a slope of about 1 or less (exactly 1 as s -> 0).
-    Secant steps run from the guess ``u``, the first at ``slope``, until the
-    correction is below _ROOT_TOL or they bracket the root, which
-    :func:`_illinois` then closes.
-    """
-    target = math.log(-level)
-
-    def phi(v: float) -> float:
-        g = -float(fn(_exp(v)))
-        return math.log(g) - target if g > 0.0 else -math.inf
-
-    p = phi(u)
-    for _ in range(_ROOT_STEPS):
-        step = -p / slope if math.isfinite(p) else math.copysign(32.0, -p)
-        if abs(step) <= _ROOT_TOL:
-            return u + step, slope
-        v = u + step
-        q = phi(v)
-        rise = (q - p) / step
-        slope = rise if 0.0 < rise < math.inf else slope
-        if (q > 0.0) != (p > 0.0) and abs(q) > _ROOT_TOL * slope:
-            return _illinois(phi, u, p, v, q, _ROOT_TOL), slope
-        u, p = v, q
-    raise _NoPrediction
+def _predicted_root(fn, *start) -> tuple[float, float]:
+    """(x, slope) of :func:`_root` run from ``start`` (iterates and bracket)
+    to a secant correction below _ROOT_TOL; _NoPrediction when it gives up."""
+    x, _, slope, _, _ = _root(fn, *start, 0.0, _ROOT_TOL, _ROOT_STEPS)
+    if x is None:
+        raise _NoPrediction
+    return x, slope
 
 
 def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, str]) -> float:
@@ -562,17 +529,30 @@ def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, st
         s = _exp(log_c[kind] + log_x)
         return float(cf.log_sf_at(kind, params, theta, s)) - level[kind]
 
-    def threshold(kind: str, curve) -> float:
-        """log x at which ``curve(s)``, a log-survival of kind, meets kind's
-        level, warm-started from kind's last root."""
-        warm[kind] = _log_root(curve, level[kind], *warm.get(kind, (math.log(-level[kind]), 1.0)))
-        return warm[kind][0] - log_c[kind]
+    def threshold(kind: str, theta) -> float:
+        """log x at which kind's log-survival at (theta(s), s), falling from 0
+        at s = 0 to -inf, meets kind's level: the root in u = log s of
+        phi(u) = log(-log_sf(e**u)) - log(-level), which rises with a slope
+        of about 1 or less (exactly 1 as s -> 0). It runs from kind's last
+        root and its slope there, the first step at that slope."""
+        target = math.log(-level[kind])
 
-    def at(kind: str, theta: float):
-        return lambda s: cf.log_sf_at(kind, params, theta, s)
+        def phi(v: float) -> float:
+            s = _exp(v)
+            g = -float(cf.log_sf_at(kind, params, theta(s), s))
+            return math.log(g) - target if g > 0.0 else -math.inf
+
+        u, slope = warm.get(kind, (target, 1.0))
+        p = phi(u)
+        if abs(p) > _ROOT_TOL * slope:
+            bracket = (u, math.inf) if p < 0.0 else (-math.inf, u)
+            u, rise = _predicted_root(phi, u - 1.0, p - slope, u, p, *bracket)
+            slope = rise if 0.0 < rise < math.inf else slope
+        warm[kind] = u, slope
+        return u - log_c[kind]
 
     ref = _theta_reference(params, passive)
-    log_xp = threshold(passive, at(passive, ref))
+    log_xp = threshold(passive, lambda s: ref)
     if active != "active_imperfect":
         # x_a(theta) = K / theta: the closed-form floor in x, smallest at theta = 1
         beams = params.m_active if active == "active_multi" else 1
@@ -584,19 +564,15 @@ def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, st
         g_1 = gap(passive, 1.0, log_k)
         if g_1 <= 0.0:
             return log_k
-        theta = _illinois(lambda t: gap(passive, t, log_k - math.log(t)),
-                          ref, g_ref, 1.0, g_1, _ROOT_TOL)
+        theta, _ = _predicted_root(lambda t: gap(passive, t, log_k - math.log(t)),
+                                   ref, g_ref, 1.0, g_1, ref, 1.0)
         return log_k - math.log(theta)
     g_ref = gap(active, ref, log_xp)
     if g_ref <= 0.0:
         return log_xp
-
-    def lowest(s: float) -> float:
-        """The active log-survival at its minimizer, which tends to 1 as alpha -> 0."""
-        return cf.log_sf_at(active, params, _active_minimizer(params, s) if s > 0.0 else 1.0, s)
-
     warm[active] = (log_xp + log_c[active], 1.0)
-    log_xa = threshold(active, lowest)
+    # the least active log-survival: at its minimizer, which tends to 1 as alpha -> 0
+    log_xa = threshold(active, lambda s: _active_minimizer(params, s) if s > 0.0 else 1.0)
     theta_a = _active_minimizer(params, _exp(log_xa + log_c[active]))
     if gap(passive, theta_a, log_xa) <= 0.0:
         return log_xa
@@ -606,13 +582,13 @@ def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, st
     seen = [log_xp]
 
     def active_at_xp(theta: float) -> float:
-        seen[0] = threshold(passive, at(passive, theta))
+        seen[0] = threshold(passive, lambda s: theta)
         return gap(active, theta, seen[0])
 
     g_a = active_at_xp(theta_a)
     if not g_a < 0.0:
         raise _NoPrediction
-    _illinois(active_at_xp, ref, g_ref, theta_a, g_a, _ROOT_TOL)
+    _predicted_root(active_at_xp, theta_a, g_a, ref, g_ref, theta_a, ref)
     return seen[0]
 
 

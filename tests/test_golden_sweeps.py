@@ -61,7 +61,7 @@ def test_sweep_rows_match_reference(path):
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_sweep_rows_land_on_the_predicted_boundary(monkeypatch, path):
     # every row confirms the predicted boundary in at most 3 probes and takes
-    # at most 180 curve evaluations, and the rows average at most 80: calls
+    # at most 100 curve evaluations, and the rows average at most 80: calls
     # of the one kernel entry that the prediction and the interval solves share
     evals = 0
     rows = []
@@ -83,7 +83,7 @@ def test_sweep_rows_land_on_the_predicted_boundary(monkeypatch, path):
     code, _ = cli.cmd_sweep(cli.load_config(str(path)), None, "auto")
     assert code == 0 and rows
     assert max(probes for probes, _ in rows) <= 3, rows
-    assert max(count for _, count in rows) <= 180, rows
+    assert max(count for _, count in rows) <= 100, rows
     assert sum(count for _, count in rows) <= 80 * len(rows), rows
 
 

@@ -1,5 +1,6 @@
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -531,6 +532,20 @@ def test_non_integral_trial_bounds_are_a_range_error():
     # numpy integers are taken as their values (Philox.advance rejected them)
     a = mc.draw_batch(_params(), 1, np.int64(1), np.uint8(3))
     assert np.array_equal(a.g_b, mc.draw_batch(_params(), 1, 1, 3).g_b)
+
+
+def test_an_oversized_draw_is_a_range_error_before_drawing():
+    # 2000 trials at N = 8, K = 1e6 ask for 7.2e10 uniform slots (about
+    # 576 GB); the check comes before any draw, so it fails at once
+    params = _params(n_antennas=8, k_passive=10 ** 6)
+    split = make_split(params, 150.0, 1.0 / 7.0)
+    began = time.perf_counter()
+    with pytest.raises(RangeError, match=r"N = 8, K = 1000000"):
+        mc.verification_rows(params, split, 3.0, 2000, seed=1)
+    assert time.perf_counter() - began < 1.0
+    # the bound is on the slots of one draw, where the passive channels
+    # (4 N K per trial) dominate: one trial of this scenario still fits
+    assert mc.slots_per_trial(params) <= mc._MAX_DRAW_SLOTS
 
 
 def test_removed_modes_are_type_errors_and_noise_is_keyword_only():

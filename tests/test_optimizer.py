@@ -661,6 +661,110 @@ def test_no_theta_at_zero_rate_takes_one_probe():
 
 
 # ---------------------------------------------------------------------------
+# The one root core of the band and the boundary prediction
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rising", [True, False])
+def test_root_core_finds_a_bracketed_root(rising):
+    # the sign change of a curved function, with its negative end on either
+    # side, is found to the argument tolerance, inside the bracket it keeps
+    root = math.log(3.0)
+    sign = 1.0 if rising else -1.0
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return sign * (math.expm1(x) - 2.0)
+
+    neg, pos = (0.0, 3.0) if rising else (3.0, 0.0)
+    x, fx, slope, lo, hi = opt._root(fn, neg, fn(neg), pos, fn(pos), neg, pos,
+                                     0.0, opt._ROOT_TOL, opt._ROOT_STEPS)
+    assert abs(x - root) <= opt._ROOT_TOL and fx == fn(x)
+    assert slope * sign > 0.0 and abs(fx / slope) <= opt._ROOT_TOL
+    assert min(lo, hi) < root < max(lo, hi) and fn(lo) < 0.0 < fn(hi)
+    assert all(0.0 < c < 3.0 for c in calls[2:])
+    assert len(calls) < 20
+
+
+def test_root_core_steps_out_of_an_open_bracket():
+    # phi of the prediction's log-scale roots is -inf where the log-survival
+    # rounds to 0: from there the core steps 32 toward the open end until a
+    # value is finite, then closes in on the root
+    root = 40.0 + math.exp(0.5)
+    calls = []
+
+    def phi(u):
+        calls.append(u)
+        return math.log(u - 40.0) - 0.5 if u > 40.0 else -math.inf
+
+    start = phi(0.0)
+    x, _, _, neg, pos = opt._root(phi, -1.0, start - 1.0, 0.0, start, 0.0, math.inf,
+                                  0.0, opt._ROOT_TOL, opt._ROOT_STEPS)
+    assert calls[1:3] == [32.0, 64.0]
+    assert abs(x - root) <= opt._ROOT_TOL
+    assert neg < root < pos < math.inf
+
+
+def test_band_ends_are_given_or_certified():
+    # only a point whose gap is beyond the margin narrows the band: the point
+    # that stops the secant within the margin never does, nor a probe there
+    rng = np.random.default_rng(1709)
+    checked = 0
+    for _ in range(150):
+        params = random_params(rng, m_active=2, n_lo=4, rho_ea=float(rng.uniform(0.05, 0.95)))
+        p_a, _, r_s = random_point(rng, params)
+        for kind in ("active_imperfect", "passive", "passive_multi"):
+            minimizer = log_sf_minimizer(kind, params, p_a, r_s)
+            curve = opt._curve(kind, params, cf.log_sf_scale(kind, params, p_a, r_s), minimizer)
+            if curve is None:
+                continue
+            gap, margin, inner, g_inner = curve
+            for edge in (0.0, 1.0):
+                g_edge = gap(edge)
+                if edge == inner or g_edge <= 0.0:
+                    continue
+                outer, nearer = opt._secant_band(gap, (edge, g_edge), (inner, g_inner),
+                                                 margin, inner)
+                assert outer == edge or gap(outer) > margin, (kind, edge)
+                assert nearer == inner or gap(nearer) < -margin, (kind, edge)
+                checked += 1
+    assert checked > 100
+
+
+def test_a_spent_budget_leaves_the_prediction_and_the_band(monkeypatch, baseline_params):
+    # no root: the prediction gives up (and the search still bisects to the
+    # same answer), and the band keeps the ends it was given
+    kinds = opt._kinds(baseline_params, "perfect")
+    p_req = cf.min_pa(baseline_params, "noise_limited")
+    assert math.isfinite(opt._smallest_threshold(baseline_params, p_req, kinds))
+    want = opt.maximize_for(baseline_params, algorithm="perfect", pa_mode="noise_limited")
+    monkeypatch.setattr(opt, "_ROOT_STEPS", 0)
+    with pytest.raises(opt._NoPrediction):
+        opt._smallest_threshold(baseline_params, p_req, kinds)
+    got = opt.maximize_for(baseline_params, algorithm="perfect", pa_mode="noise_limited")
+    assert repr(replace(got, steps=0)) == repr(replace(want, steps=0)) and got.steps > 2
+
+    # the upper passive crossing at 0.9 r_b, where the gap at theta = 1 is 0.27
+    r_s = 0.9 * baseline_params.r_b
+    minimizer = opt._theta_reference(baseline_params, "passive")
+    curve = opt._curve("passive", baseline_params,
+                       cf.log_sf_scale("passive", baseline_params, p_req, r_s), minimizer)
+    gap, margin, inner, g_inner = curve
+    outside, inside = (1.0, gap(1.0)), (inner, g_inner)
+    assert outside[1] > margin and g_inner < -margin
+    monkeypatch.setattr(opt, "_SECANT_STEPS", 0)
+    assert opt._secant_band(gap, outside, inside, margin, inner) == (1.0, inner)
+    # a budget that runs out before a gap lands within the margin leaves
+    # only certified ends
+    for steps in (1, 2):
+        monkeypatch.setattr(opt, "_SECANT_STEPS", steps)
+        b, a = opt._secant_band(gap, outside, inside, margin, inner)
+        assert inner <= a < b <= 1.0
+        assert b == 1.0 or gap(b) > margin
+        assert a == inner or gap(a) < -margin
+
+
+# ---------------------------------------------------------------------------
 # The log-survival theta-solver against the SOP-scale solver it replaces
 # ---------------------------------------------------------------------------
 
