@@ -20,6 +20,7 @@ Mode names for the minimum Alice power:
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -31,6 +32,18 @@ from .model import PowerSplit, SystemParams
 PA_MODES = ("noise_limited", "interference_limited", "an_leakage")
 
 _LN2 = np.log(2.0)
+# The rounding bound of the log-survival kernels, relative to 1 + the value's
+# magnitude plus the magnitude the kernel cancels (log_sf_margin): one
+# evaluation errs by under 10 ulps (2.2e-15) of that sum, and a comparison of
+# two, or of one with an exact level, is certified past twice that bound.
+_MARGIN = 5e-15
+# theta points per cell of :func:`sop_grid_mask`. A cell away from the
+# boundary costs two kernel evaluations and one at it costs one per point, so
+# cells near the square root of a 1000-point grid cost least.
+_GRID_CELL = 32
+# the smallest normal float: an SOP below it is rounded by an absolute error
+# far below this, where a relative slack no longer covers it
+_TINY = sys.float_info.min
 
 
 def _maybe_float(x):
@@ -84,7 +97,11 @@ def _jamming_ratio(params: SystemParams, p_a: float, r_s, var_j: float, var_a: f
     then unless 0 < p_a <= p_max (:func:`check_pa`).
     """
     x = rate_gap_threshold(params.r_b, r_s)
-    return (params.p_max / check_pa(params, p_a) - 1.0) * var_j * x / var_a
+    ratio = params.p_max / check_pa(params, p_a) - 1.0
+    if isinstance(x, float):
+        return ratio * var_j * x / var_a
+    with np.errstate(over="ignore"):  # a scale beyond the float range: the kernels' s = inf limit
+        return ratio * var_j * x / var_a
 
 
 def alpha_ratio(params: SystemParams, p_a: float, r_s):
@@ -188,6 +205,17 @@ def check_kind(kind: str) -> str:
     return kind
 
 
+def _sop_map(kind: str, params: SystemParams):
+    """The map from one eavesdropper's log-survival to the SOP of ``kind``.
+    It rises with the log-survival, and a rise of d moves the SOP by a factor
+    of at most e**d."""
+    best_of = _KINDS[check_kind(kind)][3]
+    if best_of is None:
+        return np.exp
+    count = best_of(params)
+    return lambda log_sf: _best_of(log_sf, count)
+
+
 def sop_theta_curve(kind: str, params: SystemParams, p_a: float, r_s):
     """The SOP of ``kind`` as a function of the AN ratio alone.
 
@@ -197,12 +225,9 @@ def sop_theta_curve(kind: str, params: SystemParams, p_a: float, r_s):
     [0, r_b] (RangeError from :func:`rate_gap_threshold` otherwise; at
     r_s = r_b every SOP is 1).
     """
-    best_of = _KINDS[check_kind(kind)][3]
+    sop = _sop_map(kind, params)
     s = log_sf_scale(kind, params, p_a, r_s)
-    if best_of is None:
-        return lambda theta: np.exp(log_sf_at(kind, params, theta, s))
-    count = best_of(params)
-    return lambda theta: _best_of(log_sf_at(kind, params, theta, s), count)
+    return lambda theta: sop(log_sf_at(kind, params, theta, s))
 
 
 def secrecy_level(epsilon: float, count: int) -> float:
@@ -230,7 +255,14 @@ def log_sf_at(kind: str, params: SystemParams, theta, s, w_pas=None):
     prediction and its interval solves alike, evaluate the kernels. The
     kernel sees the AN weights (theta, ``w_pas``), ``w_pas`` = 1 - theta
     unless given (the CDFs pass the split's AN powers). ``kind`` is not
-    checked here."""
+    checked here.
+
+    Every kernel is nonincreasing in each weight taken alone, since more AN
+    at an eavesdropper lowers its survival; for the imperfect estimate the
+    beam-weight derivative (N-2) rho_bar s / (1 + w rho_bar s)
+    - (N-1) s / (1 + w s) is negative because (N-2) rho_bar < N-1. So over
+    theta in [lo, hi] the log-survival lies between its values at the
+    weights (hi, 1 - lo) and (lo, 1 - hi) (:func:`sop_grid_mask`)."""
     active, multi, imperfect, _ = _KINDS[kind]
     m = params.m_active if multi else 1
     w_pas = 1.0 - theta if w_pas is None else w_pas
@@ -246,22 +278,31 @@ def log_sf_scale(kind: str, params: SystemParams, p_a: float, r_s):
     return (alpha_ratio if _KINDS[check_kind(kind)][0] else beta_ratio)(params, p_a, r_s)
 
 
-def log_sf_cancellation(kind: str, params: SystemParams, s: float) -> float:
-    """A bound over theta in [0, 1] on the magnitudes of the terms that the
-    kernel of ``kind`` cancels at scale ``s``.
+def log_sf_cancellation(kind: str, params: SystemParams, s):
+    """A bound over AN weights in [0, 1] on the magnitudes of the terms that
+    the kernel of ``kind`` cancels at scale ``s`` (a float or an array).
 
     The passive and perfect-estimate kernels sum log1p terms of one sign, so
     their rounding error is a few ulps of the result, and this is 0. The
     imperfect-estimate active kernel adds (N-2) log1p(theta rho_bar s) to two
     negative terms; its rounding error is a few ulps of the three terms'
-    magnitudes, each largest at theta = 0 or 1, and this is their sum.
+    magnitudes, each largest at a weight of 1, and this is their sum.
     """
     rho_bar = 1.0 - params.rho_ea ** 2
     if kind != "active_imperfect" or not rho_bar:
         return 0.0
     n = params.n_antennas
-    return ((n - 2) * (math.log1p(rho_bar * s) + math.log1p(rho_bar * s / (n - 2)))
-            + (n - 1) * math.log1p(s))
+    log1p = math.log1p if isinstance(s, float) else np.log1p
+    return ((n - 2) * (log1p(rho_bar * s) + log1p(rho_bar * s / (n - 2)))
+            + (n - 1) * log1p(s))
+
+
+def log_sf_margin(kind: str, params: SystemParams, s, magnitude):
+    """_MARGIN times 1 + ``magnitude`` (a log-survival or a level, taken
+    absolutely) plus the magnitude the kernel of ``kind`` cancels at scale
+    ``s`` (:func:`log_sf_cancellation`): two log-survivals of that magnitude
+    that differ by more than this differ in that order whatever the rounding."""
+    return _MARGIN * (1.0 + abs(magnitude) + log_sf_cancellation(kind, params, s))
 
 
 def log_sf_level(kind: str, params: SystemParams, eps: float) -> float:
@@ -686,3 +727,42 @@ def sop_grid(params: SystemParams, p_a: float, rs_grid: np.ndarray,
     """
     curve = sop_theta_curve(which, params, p_a, np.asarray(rs_grid, dtype=float)[:, None])
     return curve(np.asarray(theta_grid, dtype=float)[None, :])
+
+
+def sop_grid_mask(params: SystemParams, p_a: float, rs_grid: np.ndarray,
+                  theta_grid: np.ndarray, which: str) -> tuple[np.ndarray, int]:
+    """(``sop_grid(...) <= params.epsilon``, bit for bit; the number of grid
+    points whose SOP was formed), for thetas in [0, 1].
+
+    The theta grid is cut into cells of _GRID_CELL consecutive points. Over
+    a cell whose points span [lo, hi], a row's log-survival lies between its
+    values at the AN weights (hi, 1 - lo) and (lo, 1 - hi) (see
+    :func:`log_sf_at`). A cell whose lower bound's SOP is above epsilon, or
+    whose upper bound's is below it, by more than a rounding slack is
+    settled whole; the SOP is formed, as sop_grid forms it, only at the
+    points of the cells left. The slack is twice :func:`log_sf_margin` at the
+    lower bound, the largest magnitude in the cell: one margin for the
+    kernel's rounding at a bound and at a point, one for the SOP map's.
+    """
+    rates = np.asarray(rs_grid, dtype=float)[:, None]
+    theta = np.asarray(theta_grid, dtype=float)
+    sop = _sop_map(which, params)
+    s = log_sf_scale(which, params, p_a, rates)
+    # cells of _GRID_CELL points, the last one padded with the last point
+    cells = -(-theta.size // _GRID_CELL)
+    grid = np.concatenate([theta, np.full(cells * _GRID_CELL - theta.size, theta[-1:])])
+    grid = grid.reshape(cells, _GRID_CELL)
+    lo, hi = grid.min(axis=1), grid.max(axis=1)
+    # the lower bounds of the cells, then their upper bounds
+    bounds = log_sf_at(which, params, np.concatenate([hi, lo]), s, 1.0 - np.concatenate([lo, hi]))
+    slack = 1.0 + 2.0 * log_sf_margin(which, params, s, bounds[:, :cells])
+    eps = params.epsilon
+    bounds = sop(bounds)
+    above = bounds[:, :cells] > eps * slack + _TINY
+    below = bounds[:, cells:] < (eps - _TINY) / slack
+    mask = np.repeat(below, _GRID_CELL, axis=1)
+    rows, open_cells = np.nonzero(~(above | below))
+    mask.reshape(len(rates), cells, _GRID_CELL)[rows, open_cells] = sop(
+        log_sf_at(which, params, grid[open_cells], s[rows])) <= eps
+    points = int(np.minimum(theta.size - open_cells * _GRID_CELL, _GRID_CELL).sum())
+    return mask[:, :theta.size], points

@@ -27,7 +27,7 @@ Every other kind is bisected on each side of its minimizer, where the
 log-survival is monotone; secant steps first certify a band around each
 crossing, and the bisection evaluates only the midpoints inside it, with the
 same result bit for bit. A gap to the level is certified only beyond a
-margin set by a rounding bound (_MARGIN, cf.log_sf_cancellation).
+margin set by a rounding bound (cf.log_sf_margin).
 
 Apart from that bisection, every root is solved by one core (:func:`_root`):
 secant steps on the last two iterates, inside a bracket that a step leaving
@@ -50,15 +50,18 @@ shares only the closed-form grid kernels with the sweep, not its interval
 logic, and compares SOPs with epsilon, not log-survivals with the level. It
 scans the rate grid in fixed blocks of rows from the top rate down and stops
 at the first block holding a feasible row, so it needs no prefix property:
-an infeasible scenario visits every row. Within a block the second SOP is
-formed only on the rows where the first admits some theta.
+an infeasible scenario visits every row. Within a block the second kind's
+mask is formed only on the rows where the first admits some theta, and each
+mask settles whole theta cells from two corner bounds, forming the SOP only
+in the cells at the boundary (cf.sop_grid_mask), with the same bits.
 
 Both searches start at one step: resolve the algorithm and the pa-mode, fix
 Alice's power at :func:`closedform.min_pa` (a RangeError when that power
 rounds to 0), and stop with PA_EXCEEDS_PMAX above p_max. ``OptResult.trace``
 holds only what the search saw: ``pa_mode`` and ``algorithm``; a feasible
 sweep adds ``theta_interval`` (the admissible interval at r_s_star) and
-``theta_reference``, and the oracle adds ``oracle: True``.
+``theta_reference``, and the oracle adds ``oracle: True`` and, once it has
+scanned, ``rows`` and ``points`` (see :func:`grid_search_oracle`).
 """
 from __future__ import annotations
 
@@ -79,11 +82,6 @@ _ALGORITHM_ALIASES = {"alg1": "perfect", "alg2": "imperfect", "perfect": "perfec
 _FAMILY = {"perfect": "single", "imperfect": "single", "multi": "multi"}
 
 _BISECT_TOL = 1e-13
-# A gap this far beyond 0, relative to 1 + |level| plus the magnitude the
-# kernel cancels (cf.log_sf_cancellation), is on its side of 0 whatever the
-# rounding: an evaluation errs by under 10 ulps (2.2e-15) of |log-survival|
-# plus that magnitude, and a certified side needs twice that bound.
-_MARGIN = 5e-15
 # secant steps per crossing (about 5 are taken); the bisection covers the rest
 _SECANT_STEPS = 16
 # the relative error on the smallest feasible threshold x* that the rate
@@ -94,10 +92,17 @@ _PREDICTION_ERROR = 1e-9
 _ROOT_TOL = 1e-12  # on log s (and so on log x), and on theta
 # function evaluations one root of the prediction may take before it gives up
 _ROOT_STEPS = 64
-# rate rows per block of the oracle's top-down scan: a block's SOP temporaries
-# (16 rows x 1000 thetas) stay in a core's L2 cache; on a Xeon with 2 MB of L2
-# per core, 64-row blocks evaluated 5% more rows but ran 1.6x slower
-_ORACLE_BLOCK = 16
+# rate rows per block of the oracle's top-down scan. Its masks settle most
+# theta cells from two corner bounds (cf.sop_grid_mask), so a block costs
+# more per call than per row. On a shared 2-core Xeon the 90 optimize_mix
+# oracle calls took 0.13-0.18 s per pass at 128 rows, 0.17-0.20 s at 64 and
+# 0.36-0.42 s at 16, and perfbench's optimize_mix ran 386-402 ops/s at 128
+# rows against 333-350 at 64 (three 10 s pairs)
+_ORACLE_BLOCK = 128
+# grid points per oracle axis. When no cell settles (an overflowed alpha on
+# the imperfect kind), a mask's temporaries peak near 51 bytes per point
+# (tracemalloc), about 210 MB for a block of 128 rows this wide
+_MAX_GRID_POINTS = 2 ** 15
 
 
 def resolve_algorithm(name: str) -> str:
@@ -243,7 +248,7 @@ def _curve(kind: str, params: SystemParams, s: float, minimizer: float):
     (cf.log_sf_level), so the SOP is at most epsilon exactly where gap <= 0;
     it is unimodal in theta with its minimum at ``minimizer`` (1.0 for one
     that decreases throughout). A gap beyond the margin is on its side of 0
-    whatever the rounding (see _MARGIN).
+    whatever the rounding (cf.log_sf_margin at the level's magnitude).
     """
     level = cf.log_sf_level(kind, params, params.epsilon)
 
@@ -251,7 +256,7 @@ def _curve(kind: str, params: SystemParams, s: float, minimizer: float):
         return float(cf.log_sf_at(kind, params, theta, s)) - level
 
     g_min = gap(minimizer)
-    margin = _MARGIN * (1.0 + abs(level) + cf.log_sf_cancellation(kind, params, s))
+    margin = cf.log_sf_margin(kind, params, s, level)
     return None if g_min > 0.0 else (gap, margin, minimizer, g_min)
 
 
@@ -698,24 +703,30 @@ def maximize_for(params: SystemParams, algorithm: str | None = None, step: float
 # ---------------------------------------------------------------------------
 
 def _feasible_mask(params: SystemParams, p_a: float, rs_grid: np.ndarray,
-                   theta_grid: np.ndarray, kinds: tuple[str, str]) -> np.ndarray:
-    """(rate x theta) mask of the grid points meeting both secrecy targets.
+                   theta_grid: np.ndarray, kinds: tuple[str, str]) -> tuple[np.ndarray, int]:
+    """((rate x theta) mask of the grid points meeting both secrecy targets,
+    the grid points whose SOP was formed) (cf.sop_grid_mask).
 
-    The second kind's SOP is formed only on the rows where the first kind
+    The second kind's mask is formed only on the rows where the first kind
     admits some theta: elsewhere the row is infeasible whatever it holds.
     """
-    feasible = cf.sop_grid(params, p_a, rs_grid, theta_grid, kinds[0]) <= params.epsilon
+    feasible, points = cf.sop_grid_mask(params, p_a, rs_grid, theta_grid, kinds[0])
     rows = feasible.any(axis=1)
     if rows.any():
-        second = cf.sop_grid(params, p_a, rs_grid[rows], theta_grid, kinds[1])
-        feasible[rows] &= second <= params.epsilon
-    return feasible
+        second, more = cf.sop_grid_mask(params, p_a, rs_grid[rows], theta_grid, kinds[1])
+        feasible[rows] &= second
+        points += more
+    return feasible, points
 
 
 def _check_grid_points(*sizes) -> None:
-    if not all(isinstance(size, Integral) and size >= 100 for size in sizes):
+    """RangeError unless each size is an integer in [100, _MAX_GRID_POINTS],
+    before any grid is allocated."""
+    if not all(isinstance(size, Integral) and 100 <= size <= _MAX_GRID_POINTS
+               for size in sizes):
         raise RangeError(f"oracle grids need an integer count of at least 100 points "
-                         f"per axis, got {', '.join(map(repr, sizes))}")
+                         f"per axis, and at most {_MAX_GRID_POINTS}, "
+                         f"got {', '.join(map(repr, sizes))}")
 
 
 def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
@@ -729,8 +740,12 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
     in blocks of _ORACLE_BLOCK from the top rate down, and the scan stops at
     the first block holding a feasible row. It assumes nothing about where
     the feasible rows lie, so the answer is the full grid's and an
-    infeasible scenario visits every row. ``steps`` is the rate-grid size,
-    however many rows were evaluated.
+    infeasible scenario visits every row. Each block's mask is the SOPs
+    compared with epsilon, settled a theta cell at a time from two corner
+    bounds where they decide it (cf.sop_grid_mask). ``steps`` is the
+    rate-grid size, however many rows were evaluated; the trace adds
+    ``rows``, the rate rows scanned, and ``points``, the grid points whose
+    SOP was formed.
     """
     _check_grid_points(rs_grid_points, theta_grid_points)
     kinds, p_req, trace, refused = _start(params, algorithm, pa_mode, oracle=True)
@@ -738,13 +753,16 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
         return refused
     rs_grid = np.linspace(0.0, params.r_b, rs_grid_points, endpoint=False)
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)
+    points = 0
     for stop in range(rs_grid_points, 0, -_ORACLE_BLOCK):
         start = max(stop - _ORACLE_BLOCK, 0)
-        feasible = _feasible_mask(params, p_req, rs_grid[start:stop], theta_grid, kinds)
+        feasible, formed = _feasible_mask(params, p_req, rs_grid[start:stop], theta_grid, kinds)
+        points += formed
         rows = np.nonzero(feasible.any(axis=1))[0]
         if rows.size:
             break
-    else:
+    trace.update(rows=rs_grid_points - start, points=points)
+    if not rows.size:
         return _infeasible(p_req, rs_grid_points, "NO_THETA_AT_RS0", trace)
     row = int(rows[-1])
     reference = _theta_reference(params, kinds[1])
@@ -767,4 +785,4 @@ def feasible_any_theta(params: SystemParams, p_a: float, r_s: float,
     if math.isfinite(r_s) and r_s >= params.r_b:
         return False
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)
-    return bool(_feasible_mask(params, p_a, np.array([r_s]), theta_grid, kinds).any())
+    return bool(_feasible_mask(params, p_a, np.array([r_s]), theta_grid, kinds)[0].any())

@@ -67,6 +67,21 @@ def log_sf_minimizer(kind: str, params: SystemParams, p_a: float, r_s: float) ->
     return min(cf.active_sop_theta_profile(params, p_a, r_s).theta_pos, 1.0)
 
 
+def mp_log_survival(mp, kind: str, params: SystemParams, w_beam, w_pas, s):
+    """log P(SNR >= x) of one eavesdropper from the closed forms, in mpmath."""
+    n = params.n_antennas
+    m = params.m_active if kind.endswith("multi") else 1
+    w_beam, w_pas = mp.mpf(w_beam), mp.mpf(w_pas)
+    if kind.startswith("passive"):
+        return -m * mp.log1p(w_beam * s / m) - (n - m - 1) * mp.log1p(w_pas * s / (n - m - 1))
+    log_g = (2 - m - n) * mp.log1p(w_beam * s / m)
+    if kind == "active_imperfect":
+        rho_bar = 1 - mp.mpf(params.rho_ea) ** 2
+        log_g += (n - 2) * (mp.log1p(w_beam * rho_bar * s)
+                            - mp.log1p(w_pas * rho_bar * s / (n - 2)))
+    return log_g
+
+
 def full_intersection(params: SystemParams, p_a: float, r_s: float,
                       kinds: tuple[str, str]) -> opt.ThetaInterval:
     """The intersection of the two theta-intervals, each solved in full: what

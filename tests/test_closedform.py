@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,8 @@ from secrate.errors import (
 from secrate.model import PowerSplit, SystemParams, make_split, validate
 
 from conftest import (
-    MIN_PA_UNDERFLOW, passive_convex_level, random_params, random_point, random_split,
+    MIN_PA_UNDERFLOW, mp_log_survival, passive_convex_level, random_params, random_point,
+    random_split,
 )
 
 
@@ -620,21 +622,6 @@ _TAIL_TARGETS = (1e-300, 1e-100, 1e-12, 0.5, 1.0 - 1e-12)
 _BELOW_NORMAL = 1e-310  # a value that underflows the doubles may read 0
 
 
-def _mp_log_survival(mp, kind, params, w_beam, w_pas, s):
-    """log P(SNR >= x) of one eavesdropper from the closed forms, in mpmath."""
-    n = params.n_antennas
-    m = params.m_active if kind.endswith("multi") else 1
-    w_beam, w_pas = mp.mpf(w_beam), mp.mpf(w_pas)
-    if kind.startswith("passive"):
-        return -m * mp.log1p(w_beam * s / m) - (n - m - 1) * mp.log1p(w_pas * s / (n - m - 1))
-    log_g = (2 - m - n) * mp.log1p(w_beam * s / m)
-    if kind == "active_imperfect":
-        rho_bar = 1 - mp.mpf(params.rho_ea) ** 2
-        log_g += (n - 2) * (mp.log1p(w_beam * rho_bar * s)
-                            - mp.log1p(w_pas * rho_bar * s / (n - 2)))
-    return log_g
-
-
 def _mp_scale(mp, kind, params, p_a, x):
     """s = var_j * x / (p_a * var_a) of ``kind``'s link."""
     var_j, var_a = ((params.var_jea, params.var_aea) if kind.startswith("active")
@@ -703,13 +690,13 @@ def test_wide_counts_match_mpmath_in_both_tails(kind):
                 x = mp.mpf(2) ** (mp.mpf(params.r_b) - mp.mpf(r_s)) - 1
                 s = _mp_scale(mp, kind, params, split.p_a, x) * (
                     mp.mpf(params.p_max) - mp.mpf(split.p_a))
-                g = mp.exp(_mp_log_survival(mp, kind, params, split.theta, 1.0 - split.theta, s))
+                g = mp.exp(mp_log_survival(mp, kind, params, split.theta, 1.0 - split.theta, s))
                 exact = -mp.expm1(count * mp.log1p(-g))  # 1 - (1 - g)**count
                 got = sop(r_s)
                 assert abs(got - exact) <= 1e-9 * exact + _BELOW_NORMAL, (r_s, got, exact)
             for x in levels:
                 s = _mp_scale(mp, kind, params, split.p_a, mp.mpf(x))
-                exact = -mp.expm1(_mp_log_survival(mp, kind, params, split.p_ja, split.p_jp, s))
+                exact = -mp.expm1(mp_log_survival(mp, kind, params, split.p_ja, split.p_jp, s))
                 got = cdf(x)
                 assert abs(got - exact) <= 1e-9 * exact + _BELOW_NORMAL, (x, got, exact)
     assert reached == {"sop": set(_TAIL_TARGETS), "cdf": set(_TAIL_TARGETS)}
@@ -811,8 +798,65 @@ def test_cdf_reaches_the_overflow_limit_without_a_warning():
     lambda p: cf.sop_theta_curve("bogus", p, 50.0, 1.0),
     lambda p: cf.log_sf_theta_curve("bogus", p, 50.0, 1.0, p.epsilon),
     lambda p: cf.sop_grid(p, 50.0, np.array([1.0]), np.array([0.5]), "bogus"),
+    lambda p: cf.sop_grid_mask(p, 50.0, np.array([1.0]), np.array([0.5]), "bogus"),
     lambda p: opt.theta_interval("bogus", p, 50.0, 1.0),
-], ids=["sop_theta_curve", "log_sf_theta_curve", "sop_grid", "theta_interval"])
+], ids=["sop_theta_curve", "log_sf_theta_curve", "sop_grid", "sop_grid_mask", "theta_interval"])
 def test_unknown_sop_kind_is_a_range_error(call):
     with pytest.raises(RangeError, match="unknown SOP kind 'bogus'; expected one of"):
         call(_raw_params())
+
+
+# ---------------------------------------------------------------------------
+# The SOP mask settled a theta cell at a time
+# ---------------------------------------------------------------------------
+
+def _mask_scenarios(kind):
+    """Two criterion-5-range scenarios of ``kind`` at their minimum power
+    (capped at p_max), and the overflowed-alpha scenario, whose alpha and
+    beta are inf at the low rates, at its own."""
+    rng = np.random.default_rng(KINDS.index(kind) + 331)
+    m = 2 if kind.endswith("multi") else 1
+    out = []
+    for rho in (float(rng.uniform(0.05, 0.95)), 0.0):
+        params = random_params(rng, m_active=m, n_lo=4, r_b_lo=2.0, r_b_hi=6.0,
+                               rho_ea=rho if kind == "active_imperfect" else 1.0)
+        out.append((params, min(cf.min_pa(params, "noise_limited"), params.p_max)))
+    huge = validate(SystemParams(
+        n_antennas=6, k_passive=2, m_active=m, var_ab=1e300, var_aea=2.0, var_aek=2.0,
+        var_eab=1.5, var_jb=1.2, var_jea=1e300, var_jek=1e300, p_max=1e4, p_ea=10.0,
+        r_b=1000.0, delta=0.1, epsilon=0.01, rho_ea=0.5))
+    p_a = cf.min_pa(huge, "noise_limited")
+    assert cf.log_sf_scale(kind, huge, p_a, 0.0) == math.inf
+    return out + [(huge, p_a)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sop_grid_mask_is_the_sop_grid_against_epsilon(kind):
+    # bit for bit, on theta grids whose last cell holds 1 point or a full
+    # cell, at epsilon from the extremes through the criterion-5 range, and
+    # at knife edges: the SOP of a grid point beside a cell corner
+    rng = np.random.default_rng(KINDS.index(kind) + 337)
+    cell = cf._GRID_CELL
+    settled = formed = knife_edges = 0
+    for params, p_a in _mask_scenarios(kind):
+        rates = np.linspace(0.0, params.r_b, 24, endpoint=False)
+        for size in (100, 150, 4 * cell + 1, 1001, 10_000):
+            thetas = np.linspace(0.0, 1.0, size)
+            sop = cf.sop_grid(params, p_a, rates, thetas, kind)
+            eps_list = [1e-300, 1e-12, 0.999, 1.0 - 1e-9] + [
+                float(10.0 ** rng.uniform(-3.0, -0.7)) for _ in range(2)]
+            for row in rng.integers(0, rates.size, 4):
+                for corner in (cell * int(rng.integers(1, -(-size // cell))), size - 1):
+                    for point in (corner - 1, corner):
+                        if 0.0 < sop[row, point] < 1.0:
+                            eps_list.append(float(sop[row, point]))
+                            knife_edges += 1
+            for eps in eps_list:
+                mask, points = cf.sop_grid_mask(replace(params, epsilon=eps), p_a, rates,
+                                                thetas, kind)
+                assert mask.shape == sop.shape
+                assert np.array_equal(mask, sop <= eps), (params, size, eps)
+                assert 0 <= points <= sop.size
+                settled += points < sop.size
+                formed += points > 0
+    assert settled and formed and knife_edges > 50, (settled, formed, knife_edges)

@@ -562,7 +562,7 @@ def test_band_margin_bounds_the_rounding_of_the_gap(baseline_params):
             exact = (-beams * mpmath.log1p(th / beams * x)
                      - (n - beams - 1) * mpmath.log1p((1 - th) * x / (n - beams - 1)))
         scale = 1.0 + abs(float(exact)) + cf.log_sf_cancellation(kind, params, s)
-        error = float(abs(got - exact)) / (opt._MARGIN * scale)
+        error = float(abs(got - exact)) / (cf._MARGIN * scale)
         assert error <= 0.5, (kind, n, m, rho_ea, s, theta, got, exact)
         worst = max(worst, error)
     assert worst > 0.0
@@ -841,6 +841,28 @@ def test_oracle_grids_need_integer_sizes(points):
         params, 100, 100)
 
 
+def test_oracle_grids_beyond_the_cap_are_rejected_before_any_allocation(monkeypatch):
+    # 10**13 points reached np.linspace: numpy's untyped _ArrayMemoryError
+    # ("Unable to allocate 72.8 TiB"), or an OOM kill near the machine's RAM
+    params = random_params(np.random.default_rng(53))
+    p_a = params.p_max
+    over = opt._MAX_GRID_POINTS + 1
+    # the cap itself is accepted (p_a = p_max leaves no AN margin)
+    assert not opt.feasible_any_theta(params, p_a, 0.0, "perfect", opt._MAX_GRID_POINTS)
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(np, "linspace", no_allocation)
+    for points in (over, 10 ** 13):
+        with pytest.raises(RangeError, match=f"at most {opt._MAX_GRID_POINTS}"):
+            opt.grid_search_oracle(params, points, 100)
+        with pytest.raises(RangeError, match=f"at most {opt._MAX_GRID_POINTS}"):
+            opt.grid_search_oracle(params, 100, points)
+        with pytest.raises(RangeError, match=f"at most {opt._MAX_GRID_POINTS}"):
+            opt.feasible_any_theta(params, p_a, 0.0, "perfect", points)
+
+
 def test_algorithm_aliases():
     assert opt.resolve_algorithm("alg1") == "perfect"
     assert opt.resolve_algorithm("alg2") == "imperfect"
@@ -944,6 +966,9 @@ def test_trace_holds_what_the_search_saw(baseline_params):
         result = opt.maximize_for(params, pa_mode="noise_limited")
         oracle = opt.grid_search_oracle(params, 100, 100, pa_mode="noise_limited")
         assert result.infeasibility_reason == oracle.infeasibility_reason == reason
+        if reason != "PA_EXCEEDS_PMAX":  # the scan ran: its rows and formed SOPs
+            rows, points = oracle.trace.pop("rows"), oracle.trace.pop("points")
+            assert 0 < rows <= 100 and 0 <= points <= rows * 100
         assert oracle.trace == {**start, "oracle": True}
         if reason != "NONE":
             assert result.trace == start
@@ -1065,14 +1090,14 @@ def test_oracle_evaluates_only_the_rows_its_answer_needs(monkeypatch, algorithm)
              for base in (_feasible_scenario(rng, algorithm) for _ in range(3))
              for row in (RS_POINTS - 1, RS_POINTS - block, -1)]
     calls = []
-    sop_grid = cf.sop_grid
+    sop_grid_mask = cf.sop_grid_mask
 
     def recording(params, p_a, rs_grid, theta_grid, which):
-        sop = sop_grid(params, p_a, rs_grid, theta_grid, which)
-        calls.append((which, rs_grid.copy(), (sop <= params.epsilon).any(axis=1)))
-        return sop
+        mask, points = sop_grid_mask(params, p_a, rs_grid, theta_grid, which)
+        calls.append((which, rs_grid.copy(), mask.any(axis=1)))
+        return mask, points
 
-    monkeypatch.setattr(cf, "sop_grid", recording)
+    monkeypatch.setattr(cf, "sop_grid_mask", recording)
     skipped = 0
     for params, row in cases:
         first, second = opt._kinds(params, algorithm)
@@ -1091,3 +1116,32 @@ def test_oracle_evaluates_only_the_rows_its_answer_needs(monkeypatch, algorithm)
         else:  # the answer is in the top block: nothing below it
             assert first_rates.min() == rates[RS_POINTS - block]
     assert skipped > 0
+
+
+@pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
+def test_oracle_trace_counts_the_rows_scanned_and_the_sops_formed(monkeypatch, algorithm):
+    rng = np.random.default_rng({"perfect": 721, "imperfect": 722, "multi": 723}[algorithm])
+    base = _feasible_scenario(rng, algorithm)
+    formed = []
+    sop_grid_mask = cf.sop_grid_mask
+
+    def recording(*args):
+        mask, points = sop_grid_mask(*args)
+        formed.append(points)
+        return mask, points
+
+    monkeypatch.setattr(cf, "sop_grid_mask", recording)
+    total = 0
+    block = opt._ORACLE_BLOCK
+    for row, rows in ((-1, RS_POINTS), (RS_POINTS - 1, block),
+                      (RS_POINTS - block - 1, min(2 * block, RS_POINTS))):
+        params = _with_last_row(base, algorithm, row)
+        formed.clear()
+        oracle = opt.grid_search_oracle(params, RS_POINTS, THETA_POINTS, algorithm=algorithm,
+                                        pa_mode="noise_limited")
+        assert oracle.feasible == (row >= 0)
+        # an infeasible scenario scans every row
+        assert oracle.trace["rows"] == rows
+        assert oracle.trace["points"] == sum(formed) < rows * THETA_POINTS
+        total += oracle.trace["points"]
+    assert total > 0

@@ -22,7 +22,9 @@ import secrate.optimizer as opt  # noqa: E402
 from secrate.errors import RangeError, SecrateError  # noqa: E402
 from secrate.model import SystemParams, make_split, validate  # noqa: E402
 
-from conftest import assert_same_interval, full_intersection, log_sf_minimizer  # noqa: E402
+from conftest import (  # noqa: E402
+    assert_same_interval, full_intersection, log_sf_minimizer, mp_log_survival,
+)
 
 KINDS = ("active", "active_imperfect", "active_multi", "passive", "passive_multi")
 
@@ -204,6 +206,40 @@ def test_sops_lie_in_unit_interval(params, power_share, theta, rate_share):
         grid = cf.sop_grid(params, p_a, rates, thetas, kind)
         for sop in (curve(split.theta), grid):
             assert np.all((sop >= 0.0) & (sop <= 1.0)), (kind, sop)
+
+
+@given(scenarios(), st.sampled_from(KINDS), _log_uniform(-12.0, 300.0),
+       st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_log_survival_falls_in_each_an_weight(params, kind, s, other, w_a, w_b):
+    # what the oracle's cell bounds rest on, for the kernels' formulas at
+    # float inputs in 50-digit mpmath: more AN on the beams, or on the passive
+    # subspace, never raises one eavesdropper's log-survival
+    mp = pytest.importorskip("mpmath")
+    w_lo, w_hi = sorted((w_a, w_b))
+    with mp.workdps(50):
+        def log_sf(w_beam, w_pas):
+            return mp_log_survival(mp, kind, params, w_beam, w_pas, mp.mpf(s))
+
+        assert log_sf(w_hi, other) <= log_sf(w_lo, other)
+        assert log_sf(other, w_hi) <= log_sf(other, w_lo)
+
+
+@given(scenarios(), st.sampled_from(KINDS), _log_uniform(-12.0, 300.0), st.integers(100, 400))
+def test_grid_values_lie_between_their_cells_corner_bounds(params, kind, s, size):
+    # the float kernel at each grid point, against the float kernel at its
+    # cell's corners (lo, hi): (hi, 1 - lo) below and (lo, 1 - hi) above,
+    # each within the rounding margin
+    thetas = np.linspace(0.0, 1.0, size)
+    values = cf.log_sf_at(kind, params, thetas, s)
+    for start in range(0, size, cf._GRID_CELL):
+        cell = thetas[start:start + cf._GRID_CELL]
+        lo, hi = cell.min(), cell.max()
+        lower = float(cf.log_sf_at(kind, params, hi, s, 1.0 - lo))
+        upper = float(cf.log_sf_at(kind, params, lo, s, 1.0 - hi))
+        margin = cf.log_sf_margin(kind, params, s, lower)
+        got = values[start:start + cf._GRID_CELL]
+        assert np.all(got >= lower - margin), (start, lower, got.min())
+        assert np.all(got <= upper + margin), (start, upper, got.max())
 
 
 @given(scenarios())
