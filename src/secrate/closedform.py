@@ -37,9 +37,9 @@ _LN2 = np.log(2.0)
 # evaluation errs by under 10 ulps (2.2e-15) of that sum, and a comparison of
 # two, or of one with an exact level, is certified past twice that bound.
 _MARGIN = 5e-15
-# theta points per cell of :func:`sop_grid_mask`. A cell away from the
-# boundary costs two kernel evaluations and one at it costs one per point, so
-# cells near the square root of a 1000-point grid cost least.
+# theta points per cell of :func:`sop_grid_mask` and :func:`sop_tiles`. A cell
+# away from the boundary costs two kernel evaluations and one at it costs one
+# per point, so cells near the square root of a 1000-point grid cost least.
 _GRID_CELL = 32
 # the smallest normal float: an SOP below it is rounded by an absolute error
 # far below this, where a relative slack no longer covers it
@@ -260,9 +260,13 @@ def log_sf_at(kind: str, params: SystemParams, theta, s, w_pas=None):
     Every kernel is nonincreasing in each weight taken alone, since more AN
     at an eavesdropper lowers its survival; for the imperfect estimate the
     beam-weight derivative (N-2) rho_bar s / (1 + w rho_bar s)
-    - (N-1) s / (1 + w s) is negative because (N-2) rho_bar < N-1. So over
-    theta in [lo, hi] the log-survival lies between its values at the
-    weights (hi, 1 - lo) and (lo, 1 - hi) (:func:`sop_grid_mask`)."""
+    - (N-1) s / (1 + w s) is negative because (N-2) rho_bar < N-1. Every
+    kernel is nonincreasing in s too; for the imperfect estimate the terms
+    in the beam weight w give (N-2) w rho_bar / (1 + w rho_bar s)
+    - (N-1) w / (1 + w s) <= 0, since w rho_bar / (1 + w rho_bar s)
+    <= w / (1 + w s). So over theta in [lo, hi] and s in [s_min, s_max] the
+    log-survival lies between its values at (hi, 1 - lo, s_max) and
+    (lo, 1 - hi, s_min) (:func:`sop_tiles`, :func:`sop_grid_mask`)."""
     active, multi, imperfect, _ = _KINDS[kind]
     m = params.m_active if multi else 1
     w_pas = 1.0 - theta if w_pas is None else w_pas
@@ -729,40 +733,66 @@ def sop_grid(params: SystemParams, p_a: float, rs_grid: np.ndarray,
     return curve(np.asarray(theta_grid, dtype=float)[None, :])
 
 
+def _settle(which: str, params: SystemParams, theta: np.ndarray, s_max, s_min):
+    """(theta cut into cells of _GRID_CELL consecutive points, the last one
+    padded with the last point; whether the SOP of ``which`` is above
+    epsilon, and whether it is at most epsilon, at every point of each cell
+    and every scale in [s_min, s_max]), the scales a column per tile row.
+
+    Over a cell whose points span [lo, hi], the log-survival lies between
+    its values at (hi, 1 - lo, s_max) and (lo, 1 - hi, s_min) (see
+    :func:`log_sf_at`). A tile whose lower bound's SOP is above epsilon, or
+    whose upper bound's is below it, by more than a rounding slack is
+    settled. The slack is twice :func:`log_sf_margin` at the lower bound, the
+    largest magnitude and scale in the tile: one margin for the kernel's
+    rounding at a bound and at a point, one for the SOP map's.
+    """
+    cells = -(-theta.size // _GRID_CELL)
+    grid = np.concatenate([theta, np.full(cells * _GRID_CELL - theta.size, theta[-1:])])
+    grid = grid.reshape(cells, _GRID_CELL)
+    # the lower bounds, at (hi, 1 - lo, s_max), over the upper ones, at (lo, 1 - hi, s_min)
+    corners = np.array([grid.max(axis=1), grid.min(axis=1)])[:, None, :]
+    bounds = log_sf_at(which, params, corners, np.array([s_max, s_min]), 1.0 - corners[::-1])
+    slack = 1.0 + 2.0 * log_sf_margin(which, params, s_max, bounds[0])
+    lower, upper = _sop_map(which, params)(bounds)
+    eps = params.epsilon
+    return grid, lower > eps * slack + _TINY, upper < (eps - _TINY) / slack
+
+
+def sop_tiles(params: SystemParams, p_a: float, rs_grid: np.ndarray, theta_grid: np.ndarray,
+              which: str, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(above, below): for each tile of the (rate x theta) grid, whether the
+    SOP of ``which`` is above epsilon at all its points, and whether it is
+    at most epsilon at all of them, decided from two corner bounds alone.
+
+    A tile is one group of consecutive rate rows, from each index of the
+    increasing ``starts`` (the first one 0) to the next, by one theta cell of
+    :func:`sop_grid_mask`. Every kernel falls as its scale s grows, and s
+    falls as the rate rises; the tile's bounds take the least and the
+    greatest float s of its rows (:func:`_settle`).
+    """
+    s = log_sf_scale(which, params, p_a, np.asarray(rs_grid, dtype=float))
+    return _settle(which, params, np.asarray(theta_grid, dtype=float),
+                   np.maximum.reduceat(s, starts)[:, None],
+                   np.minimum.reduceat(s, starts)[:, None])[1:]
+
+
 def sop_grid_mask(params: SystemParams, p_a: float, rs_grid: np.ndarray,
                   theta_grid: np.ndarray, which: str) -> tuple[np.ndarray, int]:
     """(``sop_grid(...) <= params.epsilon``, bit for bit; the number of grid
     points whose SOP was formed), for thetas in [0, 1].
 
-    The theta grid is cut into cells of _GRID_CELL consecutive points. Over
-    a cell whose points span [lo, hi], a row's log-survival lies between its
-    values at the AN weights (hi, 1 - lo) and (lo, 1 - hi) (see
-    :func:`log_sf_at`). A cell whose lower bound's SOP is above epsilon, or
-    whose upper bound's is below it, by more than a rounding slack is
-    settled whole; the SOP is formed, as sop_grid forms it, only at the
-    points of the cells left. The slack is twice :func:`log_sf_margin` at the
-    lower bound, the largest magnitude in the cell: one margin for the
-    kernel's rounding at a bound and at a point, one for the SOP map's.
+    Each row's theta cells are settled as one-row tiles (:func:`_settle`);
+    the SOP is formed, as sop_grid forms it, only at the points of the cells
+    left.
     """
     rates = np.asarray(rs_grid, dtype=float)[:, None]
     theta = np.asarray(theta_grid, dtype=float)
-    sop = _sop_map(which, params)
     s = log_sf_scale(which, params, p_a, rates)
-    # cells of _GRID_CELL points, the last one padded with the last point
-    cells = -(-theta.size // _GRID_CELL)
-    grid = np.concatenate([theta, np.full(cells * _GRID_CELL - theta.size, theta[-1:])])
-    grid = grid.reshape(cells, _GRID_CELL)
-    lo, hi = grid.min(axis=1), grid.max(axis=1)
-    # the lower bounds of the cells, then their upper bounds
-    bounds = log_sf_at(which, params, np.concatenate([hi, lo]), s, 1.0 - np.concatenate([lo, hi]))
-    slack = 1.0 + 2.0 * log_sf_margin(which, params, s, bounds[:, :cells])
-    eps = params.epsilon
-    bounds = sop(bounds)
-    above = bounds[:, :cells] > eps * slack + _TINY
-    below = bounds[:, cells:] < (eps - _TINY) / slack
+    grid, above, below = _settle(which, params, theta, s, s)
     mask = np.repeat(below, _GRID_CELL, axis=1)
     rows, open_cells = np.nonzero(~(above | below))
-    mask.reshape(len(rates), cells, _GRID_CELL)[rows, open_cells] = sop(
-        log_sf_at(which, params, grid[open_cells], s[rows])) <= eps
+    mask.reshape(len(rates), len(grid), _GRID_CELL)[rows, open_cells] = _sop_map(which, params)(
+        log_sf_at(which, params, grid[open_cells], s[rows])) <= params.epsilon
     points = int(np.minimum(theta.size - open_cells * _GRID_CELL, _GRID_CELL).sum())
     return mask[:, :theta.size], points

@@ -48,12 +48,18 @@ two intervals solved in full.
 ``grid_search_oracle`` is the brute-force cross-check used by the tests; it
 shares only the closed-form grid kernels with the sweep, not its interval
 logic, and compares SOPs with epsilon, not log-survivals with the level. It
-scans the rate grid in fixed blocks of rows from the top rate down and stops
-at the first block holding a feasible row, so it needs no prefix property:
-an infeasible scenario visits every row. Within a block the second kind's
-mask is formed only on the rows where the first admits some theta, and each
-mask settles whole theta cells from two corner bounds, forming the SOP only
-in the cells at the boundary (cf.sop_grid_mask), with the same bits.
+cuts the rate grid into groups of rows that end at the top rate, and each
+group by one theta cell is a tile whose SOPs two corner bounds bracket
+(cf.sop_tiles): one pass per kind settles the tiles of the whole grid.
+Groups where each tile is infeasible for one kind or the other are passed
+over; from the top down, the first group left is the answer's when a tile
+there is feasible for both kinds (its top row is then the last feasible),
+and is masked row by row otherwise, the scan going on below it when no row
+is feasible. It needs no prefix property: an infeasible scenario covers
+every row, by a tile or by a mask. The second kind's mask is formed only on
+the rows where the first admits some theta, and each mask settles whole
+theta cells of a row the same way, forming the SOP only in the cells at the
+boundary (cf.sop_grid_mask), with the same bits.
 
 Both searches start at one step: resolve the algorithm and the pa-mode, fix
 Alice's power at :func:`closedform.min_pa` (a RangeError when that power
@@ -61,7 +67,7 @@ rounds to 0), and stop with PA_EXCEEDS_PMAX above p_max. ``OptResult.trace``
 holds only what the search saw: ``pa_mode`` and ``algorithm``; a feasible
 sweep adds ``theta_interval`` (the admissible interval at r_s_star) and
 ``theta_reference``, and the oracle adds ``oracle: True`` and, once it has
-scanned, ``rows`` and ``points`` (see :func:`grid_search_oracle`).
+scanned, ``rows``, ``points`` and ``tiles`` (see :func:`grid_search_oracle`).
 """
 from __future__ import annotations
 
@@ -92,16 +98,14 @@ _PREDICTION_ERROR = 1e-9
 _ROOT_TOL = 1e-12  # on log s (and so on log x), and on theta
 # function evaluations one root of the prediction may take before it gives up
 _ROOT_STEPS = 64
-# rate rows per block of the oracle's top-down scan. Its masks settle most
-# theta cells from two corner bounds (cf.sop_grid_mask), so a block costs
-# more per call than per row. On a shared 2-core Xeon the 90 optimize_mix
-# oracle calls took 0.13-0.18 s per pass at 128 rows, 0.17-0.20 s at 64 and
-# 0.36-0.42 s at 16, and perfbench's optimize_mix ran 386-402 ops/s at 128
-# rows against 333-350 at 64 (three 10 s pairs)
-_ORACLE_BLOCK = 128
-# grid points per oracle axis. When no cell settles (an overflowed alpha on
-# the imperfect kind), a mask's temporaries peak near 51 bytes per point
-# (tracemalloc), about 210 MB for a block of 128 rows this wide
+# rate rows per group of the oracle's scan: a group by one theta cell is a
+# tile that two corner bounds settle (cf.sop_tiles), and a group with no
+# settled answer is masked row by row
+_ORACLE_GROUP = 32
+# grid points per oracle axis. When no tile or cell settles (an overflowed
+# alpha on the imperfect kind), the masks of a group of 32 rows this wide
+# peak at 53 MB (tracemalloc, about 50 bytes per point), and the tile pass
+# over this many rows and thetas at 51 MB
 _MAX_GRID_POINTS = 2 ** 15
 
 
@@ -705,7 +709,9 @@ def maximize_for(params: SystemParams, algorithm: str | None = None, step: float
 def _feasible_mask(params: SystemParams, p_a: float, rs_grid: np.ndarray,
                    theta_grid: np.ndarray, kinds: tuple[str, str]) -> tuple[np.ndarray, int]:
     """((rate x theta) mask of the grid points meeting both secrecy targets,
-    the grid points whose SOP was formed) (cf.sop_grid_mask).
+    the grid points whose SOP was formed) (cf.sop_grid_mask), the same bits
+    whatever rows ``rs_grid`` holds: the oracle passes a group of rows, or
+    the one row whose theta it reads, and :func:`feasible_any_theta` one rate.
 
     The second kind's mask is formed only on the rows where the first kind
     admits some theta: elsewhere the row is infeasible whatever it holds.
@@ -736,16 +742,26 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
 
     Test-side cross-check for the sweeps: returns the largest feasible grid
     rate and, at that rate, the feasible theta closest to the passive-SOP
-    minimizer (ties toward the smaller theta). The rate rows are evaluated
-    in blocks of _ORACLE_BLOCK from the top rate down, and the scan stops at
-    the first block holding a feasible row. It assumes nothing about where
-    the feasible rows lie, so the answer is the full grid's and an
-    infeasible scenario visits every row. Each block's mask is the SOPs
-    compared with epsilon, settled a theta cell at a time from two corner
-    bounds where they decide it (cf.sop_grid_mask). ``steps`` is the
-    rate-grid size, however many rows were evaluated; the trace adds
-    ``rows``, the rate rows scanned, and ``points``, the grid points whose
-    SOP was formed.
+    minimizer (ties toward the smaller theta).
+
+    The rate rows fall in groups of _ORACLE_GROUP that end at the top row,
+    the bottom group short. A group by one theta cell is a tile, which the
+    SOP of each kind lies above epsilon throughout, lies at or below it
+    throughout, or is left open (cf.sop_tiles). Groups where each tile is
+    above for one kind or the other hold no feasible row and are passed
+    over. Of those left, from the top down, a group with a tile at or below
+    for both kinds has its top row as the last feasible, and its mask is
+    formed on that row alone, for theta; any other group is masked row by
+    row (:func:`_feasible_mask`), and the scan stops at the first that
+    holds a feasible row. It assumes nothing about where the feasible rows
+    lie, so the answer is the full grid's and an infeasible scenario covers
+    every row once, by a tile or by a mask.
+
+    ``steps`` is the rate-grid size, however many rows were evaluated; the
+    trace adds ``rows``, the rate rows from the top down to the lowest one
+    resolved (every row when none is feasible), ``points``, the grid points
+    whose SOP the masks formed, and ``tiles``, the tiles the two kinds left
+    open over the whole grid.
     """
     _check_grid_points(rs_grid_points, theta_grid_points)
     kinds, p_req, trace, refused = _start(params, algorithm, pa_mode, oracle=True)
@@ -753,15 +769,26 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
         return refused
     rs_grid = np.linspace(0.0, params.r_b, rs_grid_points, endpoint=False)
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)
-    points = 0
-    for stop in range(rs_grid_points, 0, -_ORACLE_BLOCK):
-        start = max(stop - _ORACLE_BLOCK, 0)
+    # groups of _ORACLE_GROUP rows that end at the top row, the bottom one short
+    starts = np.maximum(np.arange(rs_grid_points % -_ORACLE_GROUP, rs_grid_points,
+                                  _ORACLE_GROUP), 0)
+    stops = np.append(starts[1:], rs_grid_points)
+    (above, below), (above_2, below_2) = (
+        cf.sop_tiles(params, p_req, rs_grid, theta_grid, kind, starts) for kind in kinds)
+    # the rows of a group that are masked: none where each tile is infeasible
+    # for one kind or the other, the top row alone where a tile is feasible
+    # for both (that row is then the group's last feasible), else all
+    scanned = np.flatnonzero(~(above | above_2).all(axis=1))[::-1]
+    starts = np.where((below & below_2).any(axis=1), stops - 1, starts)
+    points, rows = 0, np.empty(0)
+    for start, stop in zip(starts[scanned], stops[scanned]):
         feasible, formed = _feasible_mask(params, p_req, rs_grid[start:stop], theta_grid, kinds)
         points += formed
         rows = np.nonzero(feasible.any(axis=1))[0]
         if rows.size:
             break
-    trace.update(rows=rs_grid_points - start, points=points)
+    trace.update(rows=int(rs_grid_points - start) if rows.size else rs_grid_points, points=points,
+                 tiles=int((~(above | below)).sum() + (~(above_2 | below_2)).sum()))
     if not rows.size:
         return _infeasible(p_req, rs_grid_points, "NO_THETA_AT_RS0", trace)
     row = int(rows[-1])

@@ -799,8 +799,10 @@ def test_cdf_reaches_the_overflow_limit_without_a_warning():
     lambda p: cf.log_sf_theta_curve("bogus", p, 50.0, 1.0, p.epsilon),
     lambda p: cf.sop_grid(p, 50.0, np.array([1.0]), np.array([0.5]), "bogus"),
     lambda p: cf.sop_grid_mask(p, 50.0, np.array([1.0]), np.array([0.5]), "bogus"),
+    lambda p: cf.sop_tiles(p, 50.0, np.array([1.0]), np.array([0.5]), "bogus", np.array([0])),
     lambda p: opt.theta_interval("bogus", p, 50.0, 1.0),
-], ids=["sop_theta_curve", "log_sf_theta_curve", "sop_grid", "sop_grid_mask", "theta_interval"])
+], ids=["sop_theta_curve", "log_sf_theta_curve", "sop_grid", "sop_grid_mask", "sop_tiles",
+        "theta_interval"])
 def test_unknown_sop_kind_is_a_range_error(call):
     with pytest.raises(RangeError, match="unknown SOP kind 'bogus'; expected one of"):
         call(_raw_params())
@@ -860,3 +862,35 @@ def test_sop_grid_mask_is_the_sop_grid_against_epsilon(kind):
                 settled += points < sop.size
                 formed += points > 0
     assert settled and formed and knife_edges > 50, (settled, formed, knife_edges)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sop_tiles_settle_only_what_every_point_of_the_tile_agrees_with(kind):
+    # a tile of consecutive rate rows by one theta cell is above epsilon only
+    # where every SOP in it is, and at most epsilon only where every SOP is,
+    # with knife-edge epsilons at the SOPs of the tiles' corner points
+    rng = np.random.default_rng(KINDS.index(kind) + 347)
+    cell = cf._GRID_CELL
+    settled = 0
+    for params, p_a in _mask_scenarios(kind):
+        for rows, size, group in ((24, 150, 5), (129, 1001, 32), (64, 100, 1)):
+            rates = np.linspace(0.0, params.r_b, rows, endpoint=False)
+            thetas = np.linspace(0.0, 1.0, size)
+            sop = cf.sop_grid(params, p_a, rates, thetas, kind)
+            starts = np.maximum(np.arange(rows % -group, rows, group), 0)
+            ends = np.append(starts[1:], rows)
+            corners = sop[np.ix_(np.concatenate([starts, ends - 1]),
+                                 np.arange(0, size, cell))].ravel()
+            knife_edges = rng.permutation(corners[(corners > 0.0) & (corners < 1.0)])[:4]
+            eps_list = [1e-300, 0.999, 1.0 - 1e-9] + [float(e) for e in knife_edges]
+            for eps in eps_list:
+                above, below = cf.sop_tiles(replace(params, epsilon=eps), p_a, rates, thetas,
+                                            kind, starts)
+                assert above.shape == below.shape == (starts.size, -(-size // cell))
+                for g, (start, end) in enumerate(zip(starts, ends)):
+                    for c in range(above.shape[1]):
+                        tile = sop[start:end, c * cell:(c + 1) * cell]
+                        assert not above[g, c] or (tile > eps).all(), (params, eps, g, c)
+                        assert not below[g, c] or (tile <= eps).all(), (params, eps, g, c)
+                settled += int(above.sum() + below.sum())
+    assert settled > 0

@@ -966,9 +966,11 @@ def test_trace_holds_what_the_search_saw(baseline_params):
         result = opt.maximize_for(params, pa_mode="noise_limited")
         oracle = opt.grid_search_oracle(params, 100, 100, pa_mode="noise_limited")
         assert result.infeasibility_reason == oracle.infeasibility_reason == reason
-        if reason != "PA_EXCEEDS_PMAX":  # the scan ran: its rows and formed SOPs
+        if reason != "PA_EXCEEDS_PMAX":  # the scan ran: its rows, formed SOPs and open tiles
             rows, points = oracle.trace.pop("rows"), oracle.trace.pop("points")
             assert 0 < rows <= 100 and 0 <= points <= rows * 100
+            assert 0 <= oracle.trace.pop("tiles") <= 2 * -(-100 // opt._ORACLE_GROUP) * -(
+                -100 // cf._GRID_CELL)
         assert oracle.trace == {**start, "oracle": True}
         if reason != "NONE":
             assert result.trace == start
@@ -1007,31 +1009,41 @@ def test_feasible_any_theta_checks_power_and_algorithm_at_every_rate(
 
 
 # ---------------------------------------------------------------------------
-# The oracle's top-down block scan against the exhaustive mask
+# The oracle's tile pass and group scan against the exhaustive mask
 # ---------------------------------------------------------------------------
 
 RS_POINTS, THETA_POINTS = 200, 150
+GROUP = opt._ORACLE_GROUP
 
 
-def _sop_grids(params, algorithm):
+def _sop_grids(params, algorithm, rs_points=RS_POINTS, theta_points=THETA_POINTS):
     """(rates, thetas, the SOP grid of each of the algorithm's two kinds) on
     the oracle's grids at the minimum power."""
     p_a = cf.min_pa(params, "noise_limited")
-    rates = np.linspace(0.0, params.r_b, RS_POINTS, endpoint=False)
-    thetas = np.linspace(0.0, 1.0, THETA_POINTS)
+    rates = np.linspace(0.0, params.r_b, rs_points, endpoint=False)
+    thetas = np.linspace(0.0, 1.0, theta_points)
     return rates, thetas, [cf.sop_grid(params, p_a, rates, thetas, kind)
                            for kind in opt._kinds(params, algorithm)]
 
 
-def _with_last_row(params, algorithm, row):
-    """``params`` with epsilon between the least worse-of-two SOP of grid row
-    ``row`` and that of the row above, so ``row`` is the last feasible one
-    (-1: none is); SOPs do not depend on epsilon."""
-    least = np.maximum(*_sop_grids(params, algorithm)[2]).min(axis=1)
+def _last_row_epsilon(grids, row, at="middle"):
+    """An epsilon at least the least worse-of-two SOP of grid row ``row``
+    and below that of the row above, so ``row`` is the last feasible one
+    (-1: none is): midway between them, or ``at`` the knife edge "low" (the
+    least SOP itself) or "high" (the float below the next); SOPs do not
+    depend on epsilon."""
+    least = np.maximum(*grids[2]).min(axis=1)
     lo = least[row] if row >= 0 else 0.0
-    hi = least[row + 1] if row + 1 < RS_POINTS else 1.0
+    hi = least[row + 1] if row + 1 < least.size else 1.0
     assert lo < hi, (row, lo, hi)
-    return validate(replace(params, epsilon=0.5 * (lo + hi)))
+    edges = {"low": lo or 5e-324, "middle": 0.5 * (lo + hi), "high": np.nextafter(hi, 0.0)}
+    return float(edges[at])
+
+
+def _with_last_row(params, algorithm, row):
+    """``params`` with the epsilon of :func:`_last_row_epsilon`."""
+    epsilon = _last_row_epsilon(_sop_grids(params, algorithm), row)
+    return validate(replace(params, epsilon=epsilon))
 
 
 def _feasible_scenario(rng, algorithm):
@@ -1041,11 +1053,23 @@ def _feasible_scenario(rng, algorithm):
             return params
 
 
-def _exhaustive_answer(params, algorithm):
+def _overflow_scenario(algorithm):
+    """alpha and beta beyond the float range at all but the top rates: every
+    oracle tile holds an infinite scale, so none settles."""
+    return validate(SystemParams(
+        n_antennas=6, k_passive=2, m_active=2 if algorithm == "multi" else 1,
+        var_ab=1e300, var_aea=2.0, var_aek=2.0, var_eab=1.5,
+        var_jb=1.2, var_jea=1e300, var_jek=1e300,
+        p_max=1e4, p_ea=10.0, r_b=1000.0, delta=0.1, epsilon=0.01,
+        rho_ea=0.5 if algorithm == "imperfect" else 1.0))
+
+
+def _exhaustive_answer(params, algorithm, grids=None):
     """(last feasible rate, its theta nearest the reference with ties toward
-    the smaller theta, the feasible rows), from the full mask; None for the
-    first two when no row is feasible."""
-    rates, thetas, (first, second) = _sop_grids(params, algorithm)
+    the smaller theta, the feasible rows), from the full mask (of ``grids``,
+    the SOP grids of :func:`_sop_grids`, when given); None for the first two
+    when no row is feasible."""
+    rates, thetas, (first, second) = grids or _sop_grids(params, algorithm)
     mask = (first <= params.epsilon) & (second <= params.epsilon)
     rows = np.nonzero(mask.any(axis=1))[0]
     if rows.size == 0:
@@ -1055,93 +1079,156 @@ def _exhaustive_answer(params, algorithm):
     return rates[rows[-1]], candidates[distance == distance.min()].min(), rows
 
 
+def _group_edges(rs_points):
+    """Rows at the edges of the oracle's groups, which end at the top row:
+    the row below the top row, the bottom row of the top group and the rows
+    either side of it, the row below the next group's top row, the bottom
+    row of the next group, the top row of a short bottom group and the row
+    above it, row 0, and -1 (no feasible row)."""
+    edges = [rs_points - 2, rs_points - GROUP, rs_points - GROUP - 1, rs_points - GROUP + 1,
+             rs_points - GROUP - 2, rs_points - 2 * GROUP]
+    short = rs_points % GROUP
+    if short:
+        edges += [short - 1, short]
+    return sorted({row for row in edges if row >= 0} | {0, -1})
+
+
 @pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
 def test_oracle_returns_the_last_row_of_the_exhaustive_mask(algorithm):
+    # rate grids that are not a multiple of the group, so the bottom group is
+    # short, and a fine theta grid, whose tiles are narrow enough to settle
+    # beside the last feasible row, so that a tile misplaced by a row
+    # changes the answer
+    theta_points = 1000
     rng = np.random.default_rng({"perfect": 701, "imperfect": 702, "multi": 703}[algorithm])
-    block = opt._ORACLE_BLOCK
-    top_block_bottom = RS_POINTS - block
-    for _ in range(3):
-        base = _feasible_scenario(rng, algorithm)
-        vacuous = validate(replace(base, delta=1.0 - 1e-9, epsilon=1.0 - 1e-9))
-        cases = [(vacuous, RS_POINTS - 1)] + [
-            (_with_last_row(base, algorithm, row), row)
-            for row in (top_block_bottom, top_block_bottom - 1, 0, -1,
-                        int(rng.integers(1, RS_POINTS - 1)))]
-        for params, row in cases:
-            oracle = opt.grid_search_oracle(params, RS_POINTS, THETA_POINTS,
+    bases = [_feasible_scenario(rng, algorithm) for _ in range(2)]
+    checked = 0
+    for rs_points in (100, 129, 200, 1000):
+        for base in bases:
+            grids = _sop_grids(base, algorithm, rs_points, theta_points)
+            vacuous = validate(replace(base, delta=1.0 - 1e-9, epsilon=1.0 - 1e-9))
+            cases = [(vacuous, rs_points - 1)] + [
+                (validate(replace(base, epsilon=_last_row_epsilon(grids, row, at))), row)
+                for row in _group_edges(rs_points) + [int(rng.integers(1, rs_points - 1))]
+                for at in ("low", "middle", "high")]
+            for params, row in cases:
+                oracle = opt.grid_search_oracle(params, rs_points, theta_points,
+                                                algorithm=algorithm, pa_mode="noise_limited")
+                # the vacuous case's delta moves the minimum power, and so its SOPs
+                r_s, theta, rows = _exhaustive_answer(params, algorithm, grids if (
+                    params is not vacuous) else _sop_grids(params, algorithm, rs_points,
+                                                           theta_points))
+                assert oracle.steps == rs_points
+                if row < 0:
+                    assert rows.size == 0
+                    assert not oracle.feasible
+                    assert oracle.infeasibility_reason == "NO_THETA_AT_RS0"
+                    continue
+                assert rows[-1] == row and (row > 0 or rows.tolist() == [0])
+                assert oracle.feasible and oracle.infeasibility_reason == "NONE"
+                assert (oracle.r_s_star, oracle.theta_star) == (r_s, theta), (rs_points, row)
+                checked += 1
+        # no tile settles where every tile holds an overflowed scale
+        for epsilon in (1e-300, 0.01):
+            params = replace(_overflow_scenario(algorithm), epsilon=epsilon)
+            oracle = opt.grid_search_oracle(params, rs_points, theta_points,
                                             algorithm=algorithm, pa_mode="noise_limited")
-            r_s, theta, rows = _exhaustive_answer(params, algorithm)
-            assert oracle.steps == RS_POINTS
-            if row < 0:
-                assert rows.size == 0
-                assert not oracle.feasible
-                assert oracle.infeasibility_reason == "NO_THETA_AT_RS0"
-                continue
-            assert rows[-1] == row and (row > 0 or rows.tolist() == [0])
-            assert oracle.feasible and oracle.infeasibility_reason == "NONE"
-            assert (oracle.r_s_star, oracle.theta_star) == (r_s, theta), row
+            r_s, theta, rows = _exhaustive_answer(
+                params, algorithm, _sop_grids(params, algorithm, rs_points, theta_points))
+            assert oracle.feasible and (oracle.r_s_star, oracle.theta_star) == (r_s, theta)
+            tiles = -(-rs_points // GROUP) * -(-theta_points // cf._GRID_CELL)
+            assert oracle.trace["tiles"] == 2 * tiles
+    assert checked > 0
 
 
-@pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
-def test_oracle_evaluates_only_the_rows_its_answer_needs(monkeypatch, algorithm):
-    rng = np.random.default_rng({"perfect": 711, "imperfect": 712, "multi": 713}[algorithm])
-    block = opt._ORACLE_BLOCK
-    cases = [(_with_last_row(base, algorithm, row), row)
-             for base in (_feasible_scenario(rng, algorithm) for _ in range(3))
-             for row in (RS_POINTS - 1, RS_POINTS - block, -1)]
+def _recorded_masks(monkeypatch):
+    """The (kind, rates, rows admitting some theta, points formed) of every
+    sop_grid_mask call, as the oracle makes them."""
     calls = []
     sop_grid_mask = cf.sop_grid_mask
 
     def recording(params, p_a, rs_grid, theta_grid, which):
         mask, points = sop_grid_mask(params, p_a, rs_grid, theta_grid, which)
-        calls.append((which, rs_grid.copy(), mask.any(axis=1)))
+        calls.append((which, rs_grid.copy(), mask.any(axis=1), points))
         return mask, points
 
     monkeypatch.setattr(cf, "sop_grid_mask", recording)
-    skipped = 0
+    return calls
+
+
+def _tiles(params, algorithm):
+    """(the group of each row, by index from the bottom group up; whether
+    each group is infeasible in every theta cell for one kind or the other;
+    the tiles left open by both kinds) as cf.sop_tiles decides them over
+    groups of GROUP rows that end at the top row."""
+    p_a = cf.min_pa(params, "noise_limited")
+    rates = np.linspace(0.0, params.r_b, RS_POINTS, endpoint=False)
+    thetas = np.linspace(0.0, 1.0, THETA_POINTS)
+    from_top = (RS_POINTS - 1 - np.arange(RS_POINTS)) // GROUP
+    group = from_top.max() - from_top
+    starts = np.searchsorted(group, np.arange(group.max() + 1))
+    (above, below), (above_2, below_2) = (
+        cf.sop_tiles(params, p_a, rates, thetas, kind, starts)
+        for kind in opt._kinds(params, algorithm))
+    open_tiles = int((~(above | below)).sum() + (~(above_2 | below_2)).sum())
+    return group, (above | above_2).all(axis=1), open_tiles
+
+
+@pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
+def test_oracle_evaluates_only_the_rows_its_answer_needs(monkeypatch, algorithm):
+    rng = np.random.default_rng({"perfect": 711, "imperfect": 712, "multi": 713}[algorithm])
+    cases = [(_with_last_row(base, algorithm, row), row)
+             for base in (_feasible_scenario(rng, algorithm) for _ in range(3))
+             for row in (RS_POINTS - 1, RS_POINTS - GROUP, RS_POINTS - GROUP - 1, -1)]
+    calls = _recorded_masks(monkeypatch)
+    skipped = ruled_out = 0
     for params, row in cases:
         first, second = opt._kinds(params, algorithm)
         rates = np.linspace(0.0, params.r_b, RS_POINTS, endpoint=False)
+        group, infeasible, _ = _tiles(params, algorithm)
         calls.clear()
         opt.grid_search_oracle(params, RS_POINTS, THETA_POINTS, algorithm=algorithm,
                                pa_mode="noise_limited")
-        first_rates = np.concatenate([r for kind, r, _ in calls if kind == first])
-        admitted = np.concatenate([r[a] for kind, r, a in calls if kind == first])
-        second_rates = np.concatenate([[]] + [r for kind, r, _ in calls if kind == second])
+        first_rows = np.searchsorted(rates, np.concatenate(
+            [[]] + [r for kind, r, _, _ in calls if kind == first]))
+        admitted = np.concatenate([[]] + [r[a] for kind, r, a, _ in calls if kind == first])
+        second_rates = np.concatenate([[]] + [r for kind, r, _, _ in calls if kind == second])
         # the second kind only where the first admits a theta
         assert set(second_rates) <= set(admitted)
-        skipped += first_rates.size - second_rates.size
-        if row < 0:  # an infeasible scenario visits every row once
-            assert sorted(first_rates) == rates.tolist()
-        else:  # the answer is in the top block: nothing below it
-            assert first_rates.min() == rates[RS_POINTS - block]
-    assert skipped > 0
+        skipped += first_rows.size - second_rates.size
+        # each row is masked at most once, and never in a group its tiles rule out
+        assert np.unique(first_rows).size == first_rows.size
+        assert not infeasible[group[first_rows]].any()
+        ruled_out += infeasible.sum()
+        if row < 0:  # every row once: by an infeasible tile or by a row mask
+            assert sorted(first_rows.tolist() + np.flatnonzero(
+                infeasible[group]).tolist()) == list(range(RS_POINTS))
+        else:  # only the answer's group and the groups above it not ruled out
+            assert group[first_rows].min() == group[row]
+    assert skipped > 0 and ruled_out > 0
 
 
 @pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
 def test_oracle_trace_counts_the_rows_scanned_and_the_sops_formed(monkeypatch, algorithm):
     rng = np.random.default_rng({"perfect": 721, "imperfect": 722, "multi": 723}[algorithm])
     base = _feasible_scenario(rng, algorithm)
-    formed = []
-    sop_grid_mask = cf.sop_grid_mask
-
-    def recording(*args):
-        mask, points = sop_grid_mask(*args)
-        formed.append(points)
-        return mask, points
-
-    monkeypatch.setattr(cf, "sop_grid_mask", recording)
+    calls = _recorded_masks(monkeypatch)
     total = 0
-    block = opt._ORACLE_BLOCK
-    for row, rows in ((-1, RS_POINTS), (RS_POINTS - 1, block),
-                      (RS_POINTS - block - 1, min(2 * block, RS_POINTS))):
+    for row in (-1, RS_POINTS - 1, RS_POINTS - GROUP - 1, RS_POINTS - 2 * GROUP - 1):
         params = _with_last_row(base, algorithm, row)
-        formed.clear()
+        rates = np.linspace(0.0, params.r_b, RS_POINTS, endpoint=False)
+        _, _, open_tiles = _tiles(params, algorithm)
+        calls.clear()
         oracle = opt.grid_search_oracle(params, RS_POINTS, THETA_POINTS, algorithm=algorithm,
                                         pa_mode="noise_limited")
         assert oracle.feasible == (row >= 0)
-        # an infeasible scenario scans every row
-        assert oracle.trace["rows"] == rows
-        assert oracle.trace["points"] == sum(formed) < rows * THETA_POINTS
-        total += oracle.trace["points"]
+        # from the top down to the lowest row resolved: every row when
+        # none is feasible, else the lowest row masked
+        lowest = min(np.searchsorted(rates, r).min() for _, r, _, _ in calls) if row >= 0 else 0
+        assert oracle.trace["rows"] == RS_POINTS - lowest
+        assert row < 0 or lowest <= row
+        formed = sum(points for *_, points in calls)
+        assert oracle.trace["points"] == formed < oracle.trace["rows"] * THETA_POINTS
+        assert oracle.trace["tiles"] == open_tiles
+        total += formed
     assert total > 0

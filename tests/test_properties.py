@@ -224,6 +224,45 @@ def test_log_survival_falls_in_each_an_weight(params, kind, s, other, w_a, w_b):
         assert log_sf(other, w_hi) <= log_sf(other, w_lo)
 
 
+@given(scenarios(), st.sampled_from(KINDS), _log_uniform(-12.0, 300.0),
+       _log_uniform(-12.0, 300.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_log_survival_falls_in_the_scale(params, kind, s_a, s_b, w_beam, w_pas):
+    # what the oracle's tile bounds rest on besides the weights, in 50-digit
+    # mpmath: a larger jamming scale never raises one eavesdropper's
+    # log-survival, whatever the AN weights
+    mp = pytest.importorskip("mpmath")
+    s_lo, s_hi = sorted((s_a, s_b))
+    with mp.workdps(50):
+        assert (mp_log_survival(mp, kind, params, w_beam, w_pas, mp.mpf(s_hi))
+                <= mp_log_survival(mp, kind, params, w_beam, w_pas, mp.mpf(s_lo)))
+
+
+@given(scenarios(), st.sampled_from(KINDS), _log_uniform(-12.0, 300.0), _log_uniform(0.0, 12.0),
+       st.integers(1, 40), st.booleans(), st.integers(100, 400))
+def test_grid_values_lie_between_their_tiles_corner_bounds(params, kind, s, spread, rows,
+                                                           overflow, size):
+    # the float kernel at each point of a tile of ``rows`` scales spread
+    # over [s, s * spread] (its largest overflowed to inf, when asked), and
+    # each theta cell, against the float kernel at the tile's corners:
+    # (hi, 1 - lo) at the largest scale below, (lo, 1 - hi) at the least
+    # above, each within the rounding margin at the lower bound
+    with np.errstate(over="ignore"):  # a product beyond the float range is inf too
+        scales = s * np.geomspace(1.0, spread, rows)
+    if overflow:
+        scales[-1] = math.inf
+    thetas = np.linspace(0.0, 1.0, size)
+    values = cf.log_sf_at(kind, params, thetas[None, :], scales[:, None])
+    for start in range(0, size, cf._GRID_CELL):
+        cell = thetas[start:start + cf._GRID_CELL]
+        lo, hi = cell.min(), cell.max()
+        lower = float(cf.log_sf_at(kind, params, hi, scales.max(), 1.0 - lo))
+        upper = float(cf.log_sf_at(kind, params, lo, scales.min(), 1.0 - hi))
+        margin = cf.log_sf_margin(kind, params, scales.max(), lower)
+        got = values[:, start:start + cf._GRID_CELL]
+        assert np.all(got >= lower - margin), (start, lower, got.min())
+        assert np.all(got <= upper + margin), (start, upper, got.max())
+
+
 @given(scenarios(), st.sampled_from(KINDS), _log_uniform(-12.0, 300.0), st.integers(100, 400))
 def test_grid_values_lie_between_their_cells_corner_bounds(params, kind, s, size):
     # the float kernel at each grid point, against the float kernel at its
