@@ -52,12 +52,9 @@ cuts the rate grid into groups of rows that end at the top rate, and each
 group by one theta cell is a tile whose SOPs two corner bounds bracket
 (cf.sop_tiles): one pass per kind settles the tiles of the whole grid.
 Groups where each tile is infeasible for one kind or the other are passed
-over; from the top down, the first group left is the answer's when a tile
-there is feasible for both kinds (its top row is then the last feasible),
-and is masked row by row otherwise, the scan going on below it when no row
-is feasible. It needs no prefix property: an infeasible scenario covers
-every row, by a tile or by a mask. The second kind's mask is formed only on
-the rows where the first admits some theta, and each mask settles whole
+over; every other group is masked whole for both kinds, from the top down,
+until one holds a feasible row. It needs no prefix property: an infeasible
+scenario covers every row, by a tile or by a mask. Each mask settles whole
 theta cells of a row the same way, forming the SOP only in the cells at the
 boundary (cf.sop_grid_mask), with the same bits.
 
@@ -99,13 +96,13 @@ _ROOT_TOL = 1e-12  # on log s (and so on log x), and on theta
 # function evaluations one root of the prediction may take before it gives up
 _ROOT_STEPS = 64
 # rate rows per group of the oracle's scan: a group by one theta cell is a
-# tile that two corner bounds settle (cf.sop_tiles), and a group with no
-# settled answer is masked row by row
+# tile that two corner bounds settle (cf.sop_tiles), and a group that neither
+# kind rules out in every tile is masked whole for both kinds
 _ORACLE_GROUP = 32
 # grid points per oracle axis. When no tile or cell settles (an overflowed
-# alpha on the imperfect kind), the masks of a group of 32 rows this wide
-# peak at 53 MB (tracemalloc, about 50 bytes per point), and the tile pass
-# over this many rows and thetas at 51 MB
+# alpha on the imperfect kind), the two masks of a group of 32 rows this wide
+# peak at 53 MB (tracemalloc, about 50 bytes per point; each kind's mask is
+# formed in turn), and the tile pass over this many rows and thetas at 68 MB
 _MAX_GRID_POINTS = 2 ** 15
 
 
@@ -625,7 +622,11 @@ def _predicted_bracket(params: SystemParams, p_req: float, kinds: tuple[str, str
             min(index(log_x - _PREDICTION_ERROR) + 1, last + 1))
 
 
-def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str | None) -> OptResult:
+def maximize_for(params: SystemParams, algorithm: str | None = None, step: float = 0.01,
+                 pa_mode: str = "auto") -> OptResult:
+    """The rate sweep of ``algorithm`` (default: the scenario's own kinds):
+    the largest grid rate below r_b at which some AN ratio meets both
+    targets, at the minimum Alice power."""
     kinds, p_req, trace, refused = _start(params, algorithm, pa_mode)
     # an unknown algorithm is reported first, and a bad step even over p_max
     if not (math.isfinite(step) and step > 0.0):
@@ -680,26 +681,20 @@ def _maximize(params: SystemParams, step: float, pa_mode: str, algorithm: str | 
 def maximize_secrecy_rate(params: SystemParams, step: float = 0.01,
                           pa_mode: str = "auto") -> OptResult:
     """Rate sweep under the perfect-estimate secrecy constraints."""
-    return _maximize(params, step, pa_mode, "perfect")
+    return maximize_for(params, "perfect", step, pa_mode)
 
 
 def maximize_secrecy_rate_imperfect(params: SystemParams, step: float = 0.01,
                                     pa_mode: str = "auto") -> OptResult:
     """Rate sweep with an imperfect jammer->active-eavesdropper estimate;
     identical to the perfect sweep at rho_ea = 1."""
-    return _maximize(params, step, pa_mode, "imperfect")
+    return maximize_for(params, "imperfect", step, pa_mode)
 
 
 def maximize_secrecy_rate_multi(params: SystemParams, step: float = 0.01,
                                 pa_mode: str = "auto") -> OptResult:
     """Rate sweep with M >= 2 active eavesdroppers (perfect estimates)."""
-    return _maximize(params, step, pa_mode, "multi")
-
-
-def maximize_for(params: SystemParams, algorithm: str | None = None, step: float = 0.01,
-                 pa_mode: str = "auto") -> OptResult:
-    """Dispatch to the sweep matching ``algorithm`` (default: inferred)."""
-    return _maximize(params, step, pa_mode, algorithm)
+    return maximize_for(params, "multi", step, pa_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -709,20 +704,12 @@ def maximize_for(params: SystemParams, algorithm: str | None = None, step: float
 def _feasible_mask(params: SystemParams, p_a: float, rs_grid: np.ndarray,
                    theta_grid: np.ndarray, kinds: tuple[str, str]) -> tuple[np.ndarray, int]:
     """((rate x theta) mask of the grid points meeting both secrecy targets,
-    the grid points whose SOP was formed) (cf.sop_grid_mask), the same bits
-    whatever rows ``rs_grid`` holds: the oracle passes a group of rows, or
-    the one row whose theta it reads, and :func:`feasible_any_theta` one rate.
-
-    The second kind's mask is formed only on the rows where the first kind
-    admits some theta: elsewhere the row is infeasible whatever it holds.
-    """
-    feasible, points = cf.sop_grid_mask(params, p_a, rs_grid, theta_grid, kinds[0])
-    rows = feasible.any(axis=1)
-    if rows.any():
-        second, more = cf.sop_grid_mask(params, p_a, rs_grid[rows], theta_grid, kinds[1])
-        feasible[rows] &= second
-        points += more
-    return feasible, points
+    the grid points whose SOP was formed): the AND of the two kinds'
+    cf.sop_grid_mask over every row of ``rs_grid``, a group of rows for the
+    oracle and one rate for :func:`feasible_any_theta`."""
+    (first, points), (second, more) = (
+        cf.sop_grid_mask(params, p_a, rs_grid, theta_grid, kind) for kind in kinds)
+    return first & second, points + more
 
 
 def _check_grid_points(*sizes) -> None:
@@ -749,13 +736,11 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
     SOP of each kind lies above epsilon throughout, lies at or below it
     throughout, or is left open (cf.sop_tiles). Groups where each tile is
     above for one kind or the other hold no feasible row and are passed
-    over. Of those left, from the top down, a group with a tile at or below
-    for both kinds has its top row as the last feasible, and its mask is
-    formed on that row alone, for theta; any other group is masked row by
-    row (:func:`_feasible_mask`), and the scan stops at the first that
-    holds a feasible row. It assumes nothing about where the feasible rows
-    lie, so the answer is the full grid's and an infeasible scenario covers
-    every row once, by a tile or by a mask.
+    over. Every other group is masked whole, for both kinds
+    (:func:`_feasible_mask`), from the top down, and the scan stops at the
+    first that holds a feasible row. It assumes nothing about where the
+    feasible rows lie, so the answer is the full grid's and an infeasible
+    scenario covers every row once, by a tile or by a mask.
 
     ``steps`` is the rate-grid size, however many rows were evaluated; the
     trace adds ``rows``, the rate rows from the top down to the lowest one
@@ -775,11 +760,9 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
     stops = np.append(starts[1:], rs_grid_points)
     (above, below), (above_2, below_2) = (
         cf.sop_tiles(params, p_req, rs_grid, theta_grid, kind, starts) for kind in kinds)
-    # the rows of a group that are masked: none where each tile is infeasible
-    # for one kind or the other, the top row alone where a tile is feasible
-    # for both (that row is then the group's last feasible), else all
+    # the groups masked, from the top down: those with a tile that neither
+    # kind rules out
     scanned = np.flatnonzero(~(above | above_2).all(axis=1))[::-1]
-    starts = np.where((below & below_2).any(axis=1), stops - 1, starts)
     points, rows = 0, np.empty(0)
     for start, stop in zip(starts[scanned], stops[scanned]):
         feasible, formed = _feasible_mask(params, p_req, rs_grid[start:stop], theta_grid, kinds)

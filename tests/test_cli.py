@@ -52,6 +52,8 @@ def test_parse_config_errors_name_key_and_line():
         cli.parse_config("r_b=8\nbogus_key=3\n")
     with pytest.raises(ConfigError, match="line 1.*integer"):
         cli.parse_config("n_antennas=4.5\n")
+    with pytest.raises(ConfigError, match="line 1: key 'n_antennas' needs an integer, got 'abc'"):
+        cli.parse_config("n_antennas=abc\n")
     with pytest.raises(ConfigError, match="line 3.*duplicate"):
         cli.parse_config("r_b=8\nvar_ab=1\nr_b=9\n")
     with pytest.raises(ConfigError, match="line 1.*key=value"):
@@ -374,3 +376,31 @@ def test_minimum_power_that_rounds_to_zero_exits_2(tmp_path, capsys, command, fi
     code, out, err = _run([command, "--config", path, "--pa-mode", mode], capsys)
     assert (code, out) == (2, "")
     assert err.startswith("secrate: ") and "minimum Alice power" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_minimum_power_over_p_max_exits_3(tmp_path, capsys, command):
+    path = _write(tmp_path, BASE_CFG.replace("p_max_db=40", "p_max=0.001"))
+    code, out, err = _run([command, "--config", path, "--trials", "10000"], capsys)
+    assert code == 3 and out == ""
+    assert err.startswith("secrate: infeasible: required Alice power ")
+    assert err.rstrip().endswith("exceeds p_max=0.001")
+
+
+def test_non_integer_seed_env_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SECRATE_SEED", "abc")
+    code, out, err = _run(["verify", "--config", _write(tmp_path, BASE_CFG),
+                           "--trials", "10000"], capsys)
+    assert code == 2 and out == ""
+    assert err == "secrate: SECRATE_SEED must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("axis=r_b\nvalues=\n", "values must not be empty"),
+    ("axis=r_b\nvalues=a,b\n", "values must be a comma-separated number list, got 'a,b'"),
+    ("values=1,2\n", "sweep configs need 'axis' and 'values' keys"),
+])
+def test_sweep_values_and_axis_errors_exit_2(tmp_path, capsys, extra, message):
+    code, out, err = _run(["sweep", "--config", _write(tmp_path, BASE_CFG + extra)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"secrate: config error: {message}\n"

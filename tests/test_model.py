@@ -64,6 +64,7 @@ def test_validate_rejects_nonpositive(field):
     ("rho_b", -0.1), ("rho_b", 1.1), ("rho_ea", 1.0001),
     ("p_max", float("inf")), ("var_jek", float("inf")), ("r_b", float("inf")),
     ("n_antennas", 6.5), ("k_passive", 2.5), ("m_active", 1.5),
+    ("k_passive", 0), ("m_active", 0),
 ])
 def test_validate_rejects_out_of_range(field, value):
     with pytest.raises(RangeError):

@@ -119,6 +119,8 @@ def test_ks_statistic_behaviour():
     # point mass below the continuous support: distance saturates at 1
     low = np.full(1000, -5.0)
     assert mc.ks_statistic(low, lambda x: np.clip(x, 0.0, 1.0)) == pytest.approx(1.0)
+    with pytest.raises(RangeError, match="need samples"):
+        mc.ks_statistic(np.array([]), lambda x: np.clip(x, 0.0, 1.0))
 
 
 def test_bob_cdf_matches_closed_form():

@@ -791,6 +791,27 @@ def _sop_scale_crossings(kind, params, p_a, r_s, minimizer):
     return opt.ThetaInterval(lo=lo, hi=hi)
 
 
+def test_prediction_gives_up_on_an_overflowing_scale():
+    # alpha per unit threshold overflows (var_jea = 1e300) while beta stays
+    # finite: the prediction gives up, and the search bisects the grid to the
+    # oracle's answer within its probe bound
+    params = validate(SystemParams(
+        n_antennas=6, k_passive=2, var_ab=10.0, var_aea=1e-10, var_aek=2.0, var_eab=1.5,
+        var_jb=1.2, var_jea=1e300, var_jek=5.0, p_max=1e4, p_ea=10.0, r_b=4.0, delta=0.1,
+        epsilon=0.01))
+    kinds = opt._kinds(params, "perfect")
+    p_req = cf.min_pa(params, "noise_limited")
+    with pytest.raises(opt._NoPrediction):
+        opt._smallest_threshold(params, p_req, kinds)
+    assert opt._predicted_bracket(params, p_req, kinds, 0.01, params.r_b) is None
+    result = opt.maximize_for(params, algorithm="perfect", step=0.01, pa_mode="noise_limited")
+    oracle = opt.grid_search_oracle(params, 1000, 1000, algorithm="perfect",
+                                    pa_mode="noise_limited")
+    assert 2 < result.steps <= math.ceil(math.log2(params.r_b / 0.01 + 2)) + 1
+    assert result.feasible and oracle.feasible
+    assert abs(result.r_s_star - oracle.r_s_star) <= 0.01 + 1e-12
+
+
 def test_log_survival_crossings_match_sop_scale():
     rng = np.random.default_rng(607)
     seen = {"empty": 0, "interior": 0}
@@ -1142,14 +1163,14 @@ def test_oracle_returns_the_last_row_of_the_exhaustive_mask(algorithm):
 
 
 def _recorded_masks(monkeypatch):
-    """The (kind, rates, rows admitting some theta, points formed) of every
-    sop_grid_mask call, as the oracle makes them."""
+    """The (kind, rates, points formed) of every sop_grid_mask call, as the
+    oracle makes them."""
     calls = []
     sop_grid_mask = cf.sop_grid_mask
 
     def recording(params, p_a, rs_grid, theta_grid, which):
         mask, points = sop_grid_mask(params, p_a, rs_grid, theta_grid, which)
-        calls.append((which, rs_grid.copy(), mask.any(axis=1), points))
+        calls.append((which, rs_grid.copy(), points))
         return mask, points
 
     monkeypatch.setattr(cf, "sop_grid_mask", recording)
@@ -1181,31 +1202,30 @@ def test_oracle_evaluates_only_the_rows_its_answer_needs(monkeypatch, algorithm)
              for base in (_feasible_scenario(rng, algorithm) for _ in range(3))
              for row in (RS_POINTS - 1, RS_POINTS - GROUP, RS_POINTS - GROUP - 1, -1)]
     calls = _recorded_masks(monkeypatch)
-    skipped = ruled_out = 0
+    ruled_out = 0
     for params, row in cases:
-        first, second = opt._kinds(params, algorithm)
         rates = np.linspace(0.0, params.r_b, RS_POINTS, endpoint=False)
         group, infeasible, _ = _tiles(params, algorithm)
         calls.clear()
         opt.grid_search_oracle(params, RS_POINTS, THETA_POINTS, algorithm=algorithm,
                                pa_mode="noise_limited")
-        first_rows = np.searchsorted(rates, np.concatenate(
-            [[]] + [r for kind, r, _, _ in calls if kind == first]))
-        admitted = np.concatenate([[]] + [r[a] for kind, r, a, _ in calls if kind == first])
-        second_rates = np.concatenate([[]] + [r for kind, r, _, _ in calls if kind == second])
-        # the second kind only where the first admits a theta
-        assert set(second_rates) <= set(admitted)
-        skipped += first_rows.size - second_rates.size
-        # each row is masked at most once, and never in a group its tiles rule out
+        first_rows, second_rows = (np.searchsorted(rates, np.concatenate(
+            [[]] + [r for which, r, _ in calls if which == kind])).astype(int)
+            for kind in opt._kinds(params, algorithm))
+        # both kinds see the same rows, each at most once
+        assert np.array_equal(first_rows, second_rows)
         assert np.unique(first_rows).size == first_rows.size
-        assert not infeasible[group[first_rows]].any()
+        # a group is masked whole, and never where its tiles rule it out
+        masked = np.unique(group[first_rows])
+        assert sorted(first_rows) == np.flatnonzero(np.isin(group, masked)).tolist()
+        assert not infeasible[masked].any()
         ruled_out += infeasible.sum()
         if row < 0:  # every row once: by an infeasible tile or by a row mask
             assert sorted(first_rows.tolist() + np.flatnonzero(
                 infeasible[group]).tolist()) == list(range(RS_POINTS))
         else:  # only the answer's group and the groups above it not ruled out
-            assert group[first_rows].min() == group[row]
-    assert skipped > 0 and ruled_out > 0
+            assert masked.min() == group[row]
+    assert ruled_out > 0
 
 
 @pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
@@ -1224,7 +1244,7 @@ def test_oracle_trace_counts_the_rows_scanned_and_the_sops_formed(monkeypatch, a
         assert oracle.feasible == (row >= 0)
         # from the top down to the lowest row resolved: every row when
         # none is feasible, else the lowest row masked
-        lowest = min(np.searchsorted(rates, r).min() for _, r, _, _ in calls) if row >= 0 else 0
+        lowest = min(np.searchsorted(rates, r).min() for _, r, _ in calls) if row >= 0 else 0
         assert oracle.trace["rows"] == RS_POINTS - lowest
         assert row < 0 or lowest <= row
         formed = sum(points for *_, points in calls)
