@@ -520,17 +520,25 @@ def sop_passive_multi(params: SystemParams, split: PowerSplit, r_s: float):
     return _sop("passive_multi", params, split, r_s)
 
 
-# Scenario families -> SOP kinds of their (active, passive) constraints. The
-# single family reads rho_ea; perfect CSI is its rho_ea = 1 case, where the
-# 'active_imperfect' kernel reduces bit for bit to 'active', whose name the
-# case keeps.
-FAMILIES = {"single": ("active_imperfect", "passive"),
-            "multi": ("active_multi", "passive_multi")}
+# Rate-search algorithms -> SOP kinds of their (active, passive) constraints.
+# 'perfect' reads rho_ea as 1; at rho_ea = 1 the 'active_imperfect' kernel
+# reduces bit for bit to 'active', whose name 'imperfect' then takes.
+ALGORITHM_KINDS = {"perfect": ("active", "passive"),
+                   "imperfect": ("active_imperfect", "passive"),
+                   "multi": ("active_multi", "passive_multi")}
 
 
-def scenario_kinds(params: SystemParams, family: str | None = None) -> tuple[str, str]:
-    """(active, passive) SOP kinds of ``family``, by default the scenario's own."""
-    active, passive = FAMILIES[family or ("multi" if params.m_active > 1 else "single")]
+def default_algorithm(params: SystemParams) -> str:
+    """The algorithm that reads the scenario's own SOP kinds: 'multi' for
+    M > 1 beams, else 'perfect' at rho_ea = 1 and 'imperfect' below it."""
+    return "multi" if params.m_active > 1 else "perfect" if params.rho_ea == 1.0 else "imperfect"
+
+
+def scenario_kinds(params: SystemParams, algorithm: str | None = None) -> tuple[str, str]:
+    """(active, passive) SOP kinds that ``algorithm`` (by default
+    :func:`default_algorithm`) reads the scenario with; 'active_imperfect'
+    is named 'active' at rho_ea = 1."""
+    active, passive = ALGORITHM_KINDS[algorithm or default_algorithm(params)]
     if active == "active_imperfect" and params.rho_ea == 1.0:
         active = "active"
     return active, passive

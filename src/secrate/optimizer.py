@@ -8,9 +8,15 @@ rate at fixed theta, so the feasible grid rates form a prefix of the grid,
 and a bisection over the grid index finds its end. Before it runs, the
 boundary is predicted: with x = 2**(r_b - r_s) - 1, the smallest feasible x
 is x* = min over theta of max(x_a(theta), x_p(theta)), where each x_k is
-quasiconvex in theta, so a few 1-D roots give it. The grid index of x* and
-the one past it are probed first, and the bisection closes whatever bracket
-they leave; the prediction orders the probes and never decides the result.
+quasiconvex in theta, x_p least at the reference M/(N-1) and x_a at
+theta_a. One flow serves every active kind: x* is x_p(reference) when the
+active target holds there, else x_a(theta_a) when the passive target holds
+there, else x_a at the one root in theta between the two of the passive
+gap along x_a. Only x_a(theta) and theta_a depend on the kind: K / theta
+and 1 with perfect estimates, a root in log x and the active minimizer with
+imperfect ones. The grid index of x* and the one past it are probed first,
+and the bisection closes whatever bracket they leave; the prediction orders
+the probes and never decides the result.
 ``OptResult.steps`` counts the interval solves: 2 when the prediction lands,
 1 for NO_THETA_AT_RS0, and never more than ceil(log2(r_b/step + 2)) + 1.
 Feasibility is checked on the full interval intersection, which
@@ -69,7 +75,7 @@ scanned, ``rows``, ``points`` and ``tiles`` (see :func:`grid_search_oracle`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
@@ -78,11 +84,8 @@ from . import closedform as cf
 from .errors import AlphaZero, RangeError
 from .model import SystemParams
 
-ALGORITHMS = ("perfect", "imperfect", "multi")
-_ALGORITHM_ALIASES = {"alg1": "perfect", "alg2": "imperfect", "perfect": "perfect",
-                      "imperfect": "imperfect", "multi": "multi"}
-# algorithm -> the scenario family it reads; 'perfect' reads rho_ea as 1
-_FAMILY = {"perfect": "single", "imperfect": "single", "multi": "multi"}
+ALGORITHMS = tuple(cf.ALGORITHM_KINDS)
+_ALGORITHM_ALIASES = {"alg1": "perfect", "alg2": "imperfect"}
 
 _BISECT_TOL = 1e-13
 # secant steps per crossing (about 5 are taken); the bisection covers the rest
@@ -107,23 +110,10 @@ _MAX_GRID_POINTS = 2 ** 15
 
 
 def resolve_algorithm(name: str) -> str:
-    try:
-        return _ALGORITHM_ALIASES[name]
-    except KeyError:
-        raise RangeError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}") from None
-
-
-def _kinds(params: SystemParams, algorithm: str) -> tuple[str, str]:
-    """(active, passive) SOP kinds that ``algorithm`` reads the scenario with."""
-    if algorithm == "perfect":
-        params = replace(params, rho_ea=1.0)
-    return cf.scenario_kinds(params, _FAMILY[algorithm])
-
-
-def default_algorithm(params: SystemParams) -> str:
-    """The first algorithm that reads the scenario's own SOP kinds."""
-    own = cf.scenario_kinds(params)
-    return next(a for a in ALGORITHMS if _kinds(params, a) == own)
+    name = _ALGORITHM_ALIASES.get(name, name)
+    if name not in ALGORITHMS:
+        raise RangeError(f"unknown algorithm {name!r}; expected one of {ALGORITHMS}")
+    return name
 
 
 @dataclass(frozen=True)
@@ -478,12 +468,12 @@ def _start(params: SystemParams, algorithm: str | None, pa_mode: str, **trace):
     then fixes Alice's power at :func:`closedform.min_pa`. The trace starts
     with the pa-mode and the algorithm, followed by the ``trace`` entries.
     """
-    algorithm = default_algorithm(params) if algorithm is None else resolve_algorithm(algorithm)
+    algorithm = cf.default_algorithm(params) if algorithm is None else resolve_algorithm(algorithm)
     mode = cf.resolve_pa_mode(params, pa_mode)
     p_req = cf.min_pa(params, mode)
     trace = {"pa_mode": mode, "algorithm": algorithm, **trace}
     refused = _infeasible(p_req, 0, "PA_EXCEEDS_PMAX", trace) if p_req > params.p_max else None
-    return _kinds(params, algorithm), p_req, trace, refused
+    return cf.scenario_kinds(params, algorithm), p_req, trace, refused
 
 
 class _NoPrediction(Exception):
@@ -511,11 +501,14 @@ def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, st
     meets its level (every kernel falls as x grows). inf when there is no AN
     margin, so that no rate is feasible; _NoPrediction when a root fails.
 
-    Each x_k is quasiconvex in theta, and the passive one is smallest at the
-    reference M/(N-1) whatever x is. So x* is x_p at the reference unless the
-    active target fails there; then it lies where the two meet, between the
-    reference and the active minimizer, unless the active target alone binds
-    at its own minimizer.
+    Each x_k is quasiconvex in theta: x_p is least at the reference M/(N-1)
+    whatever x is, and x_a at theta_a. So x* is x_p at the reference when the
+    active target holds there (to a tolerance); else x_a at theta_a when the
+    passive target holds there; else x_a where the two meet, the one root in
+    theta between the reference and theta_a of the passive gap along x_a.
+    Only x_a(theta) and theta_a depend on the active kind: the closed-form
+    floor K / theta and 1 with perfect estimates, else a root in log x at
+    each theta and the active minimizer at x_a's least value.
     """
     # alpha and beta are c_a x and c_p x; their ratios to x at a rate whose x is at most 1
     r_s = max(params.r_b - 1.0, 0.0)
@@ -559,43 +552,39 @@ def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, st
 
     ref = _theta_reference(params, passive)
     log_xp = threshold(passive, lambda s: ref)
-    if active != "active_imperfect":
-        # x_a(theta) = K / theta: the closed-form floor in x, smallest at theta = 1
+    # the active target holds at (reference, x_p); near the level its gap
+    # moves by at most about |level| per unit of log x
+    if gap(active, ref, log_xp) <= _ROOT_TOL * abs(level[active]):
+        return log_xp
+    # x_a(theta) and theta_a, where x_a is least: the one branch on the kind
+    if active == "active_imperfect":
+        warm[active] = (log_xp + log_c[active], 1.0)
+
+        def log_xa(theta: float) -> float:
+            return threshold(active, lambda s: theta)
+
+        # the least active log-survival: at its minimizer, which tends to 1 as alpha -> 0
+        log_x = threshold(active, lambda s: _active_minimizer(params, s) if s > 0.0 else 1.0)
+        theta_a = _active_minimizer(params, _exp(log_x + log_c[active]))
+    else:  # x_a(theta) = K / theta, the closed-form floor in x
         beams = params.m_active if active == "active_multi" else 1
         log_k = math.log(_floor_scale(params, beams)) - log_c[active]
-        g_ref = gap(passive, ref, log_k - math.log(ref))
-        if g_ref >= 0.0:  # the floor is at most the reference at x_p(reference)
-            return log_xp
-        # the passive target at (theta, K / theta) only worsens as theta grows
-        g_1 = gap(passive, 1.0, log_k)
-        if g_1 <= 0.0:
-            return log_k
-        theta, _ = _predicted_root(lambda t: gap(passive, t, log_k - math.log(t)),
-                                   ref, g_ref, 1.0, g_1, ref, 1.0)
-        return log_k - math.log(theta)
-    g_ref = gap(active, ref, log_xp)
-    if g_ref <= 0.0:
-        return log_xp
-    warm[active] = (log_xp + log_c[active], 1.0)
-    # the least active log-survival: at its minimizer, which tends to 1 as alpha -> 0
-    log_xa = threshold(active, lambda s: _active_minimizer(params, s) if s > 0.0 else 1.0)
-    theta_a = _active_minimizer(params, _exp(log_xa + log_c[active]))
-    if gap(passive, theta_a, log_xa) <= 0.0:
-        return log_xa
-    # both bind where x_a and x_p meet: the active target at x_p(theta) fails
-    # at the reference and holds at the active minimizer, and changes once
-    # between them
-    seen = [log_xp]
 
-    def active_at_xp(theta: float) -> float:
-        seen[0] = threshold(passive, lambda s: theta)
-        return gap(active, theta, seen[0])
+        def log_xa(theta: float) -> float:
+            return log_k - math.log(theta)
 
-    g_a = active_at_xp(theta_a)
-    if not g_a < 0.0:
-        raise _NoPrediction
-    _predicted_root(active_at_xp, theta_a, g_a, ref, g_ref, theta_a, ref)
-    return seen[0]
+        log_x, theta_a = log_k, 1.0
+    g_a = gap(passive, theta_a, log_x)
+    if g_a <= 0.0:  # the passive target holds at (theta_a, x_a*)
+        return log_x
+
+    # both bind where x_a and x_p meet: the passive target along x_a(theta)
+    # holds at the reference and fails at theta_a, and changes once between
+    def passive_at_xa(theta: float) -> float:
+        return gap(passive, theta, log_xa(theta))
+
+    theta, _ = _predicted_root(passive_at_xa, ref, passive_at_xa(ref), theta_a, g_a, ref, theta_a)
+    return log_xa(theta)
 
 
 def _predicted_bracket(params: SystemParams, p_req: float, kinds: tuple[str, str],
@@ -790,7 +779,7 @@ def feasible_any_theta(params: SystemParams, p_a: float, r_s: float,
     non-finite one. The grid size, ``algorithm`` and ``p_a`` are checked
     first, at every rate."""
     _check_grid_points(theta_grid_points)
-    kinds = _kinds(params, resolve_algorithm(algorithm))
+    kinds = cf.scenario_kinds(params, resolve_algorithm(algorithm))
     cf.check_pa(params, p_a)
     if math.isfinite(r_s) and r_s >= params.r_b:
         return False

@@ -6,6 +6,7 @@ plus imperfect-estimate, zero-correlation, multi-eavesdropper, and wide-array
 cases, so that every closed form meets its sampling oracle at least once.
 """
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from secrate.model import SystemParams, db_to_linear as dB, make_split, validate
 from conftest import passive_convex_level, random_params, random_point
 
 STEP = 0.01
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _report(number: int, name: str) -> None:
@@ -373,7 +375,23 @@ def test_criterion_7_sweep_claims():
         pa_mode="noise_limited")
     assert r8.feasible and r9.feasible
     assert r8.r_s_star >= r9.r_s_star
-    _report(7, "qualitative sweep claims reproduced")
+
+    # the headline claim: an imperfect jammer->Bob estimate (rho_b) costs more
+    # secrecy rate than an equally imperfect jammer->active-eavesdropper one
+    # (rho_ea), on three shipped scenarios. Under auto the two sides resolve
+    # to different pa-modes: an_leakage at rho_b < 1, noise_limited at rho_b = 1
+    for name in ("sweep_bob_estimate", "sweep_active_gain_estimates", "sweep_antennas"):
+        scn = cli.build_params(cli.load_config(str(CONFIGS / f"{name}.cfg")))
+        for rho in (0.3, 0.5, 0.7, 0.9, 0.99):
+            bob, active = (opt.maximize_for(
+                validate(SystemParams(**{**scn.__dict__, "rho_b": rho_b, "rho_ea": rho_ea})),
+                "imperfect", STEP, "auto") for rho_b, rho_ea in ((rho, 1.0), (1.0, rho)))
+            assert (bob.trace["pa_mode"], active.trace["pa_mode"]) == ("an_leakage",
+                                                                       "noise_limited")
+            assert active.feasible, (name, rho)
+            assert not bob.feasible or bob.r_s_star < active.r_s_star, (name, rho)
+    _report(7, "qualitative sweep claims reproduced; an imperfect jammer->Bob estimate "
+               "costs more secrecy rate than a jammer->active-eavesdropper one")
 
 
 def test_criterion_8_beamformer_invariants_and_distributions():

@@ -426,7 +426,7 @@ def _linear_walk(params, algorithm, step, pa_mode):
         return opt.OptResult(feasible=False, r_s_star=0.0, theta_star=math.nan,
                              p_a_star=p_req, steps=0, infeasibility_reason="PA_EXCEEDS_PMAX",
                              trace={"pa_mode": mode, "algorithm": algorithm})
-    kinds = opt._kinds(params, algorithm)
+    kinds = cf.scenario_kinds(params, algorithm)
     best = None
     steps = i = 0
     while i * step < params.r_b - 1e-12:
@@ -469,7 +469,7 @@ def test_feasible_interval_is_the_full_intersection():
         algorithm = opt.ALGORITHMS[index % 3]
         params = _criterion_5_scenario(rng, algorithm)
         p_a = min(cf.min_pa(params, "noise_limited"), params.p_max)
-        kinds = opt._kinds(params, algorithm)
+        kinds = cf.scenario_kinds(params, algorithm)
         result = opt.maximize_for(params, algorithm=algorithm, pa_mode="noise_limited")
         rates = [share * params.r_b for share in (0.0, 0.3, 0.6, 0.9)]
         rates += [r for r in (result.r_s_star, result.r_s_star + 0.01) if r < params.r_b]
@@ -660,6 +660,20 @@ def test_no_theta_at_zero_rate_takes_one_probe():
         assert result.infeasibility_reason == "NO_THETA_AT_RS0" and result.steps == 1
 
 
+@pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
+def test_the_prediction_lands_for_every_algorithm(algorithm):
+    # every active kind runs the prediction's three cases (x_p at the
+    # reference, x_a at theta_a, where the two meet); where it lands, a
+    # feasible search probes the last feasible rate and the one past it, and
+    # an infeasible one probes only rate 0
+    rng = np.random.default_rng(2111 + opt.ALGORITHMS.index(algorithm))
+    for _ in range(100):
+        params = _criterion_5_scenario(rng, algorithm)
+        for pa_mode in ("noise_limited", "auto"):
+            result = opt.maximize_for(params, algorithm=algorithm, pa_mode=pa_mode)
+            assert result.steps <= (2 if result.feasible else 1), (params, pa_mode, result)
+
+
 # ---------------------------------------------------------------------------
 # The one root core of the band and the boundary prediction
 # ---------------------------------------------------------------------------
@@ -734,7 +748,7 @@ def test_band_ends_are_given_or_certified():
 def test_a_spent_budget_leaves_the_prediction_and_the_band(monkeypatch, baseline_params):
     # no root: the prediction gives up (and the search still bisects to the
     # same answer), and the band keeps the ends it was given
-    kinds = opt._kinds(baseline_params, "perfect")
+    kinds = cf.scenario_kinds(baseline_params, "perfect")
     p_req = cf.min_pa(baseline_params, "noise_limited")
     assert math.isfinite(opt._smallest_threshold(baseline_params, p_req, kinds))
     want = opt.maximize_for(baseline_params, algorithm="perfect", pa_mode="noise_limited")
@@ -799,7 +813,7 @@ def test_prediction_gives_up_on_an_overflowing_scale():
         n_antennas=6, k_passive=2, var_ab=10.0, var_aea=1e-10, var_aek=2.0, var_eab=1.5,
         var_jb=1.2, var_jea=1e300, var_jek=5.0, p_max=1e4, p_ea=10.0, r_b=4.0, delta=0.1,
         epsilon=0.01))
-    kinds = opt._kinds(params, "perfect")
+    kinds = cf.scenario_kinds(params, "perfect")
     p_req = cf.min_pa(params, "noise_limited")
     with pytest.raises(opt._NoPrediction):
         opt._smallest_threshold(params, p_req, kinds)
@@ -882,6 +896,38 @@ def test_oracle_grids_beyond_the_cap_are_rejected_before_any_allocation(monkeypa
             opt.grid_search_oracle(params, 100, points)
         with pytest.raises(RangeError, match=f"at most {opt._MAX_GRID_POINTS}"):
             opt.feasible_any_theta(params, p_a, 0.0, "perfect", points)
+
+
+_PERFECT, _IMPERFECT = ("active", "passive"), ("active_imperfect", "passive")
+_MULTI = ("active_multi", "passive_multi")
+# (m_active, rho_ea) -> algorithm -> (the algorithm resolved, the SOP kinds it reads)
+_ALGORITHM_TABLE = {
+    (1, 1.0): {None: ("perfect", _PERFECT), "perfect": ("perfect", _PERFECT),
+               "imperfect": ("imperfect", _PERFECT), "multi": ("multi", _MULTI),
+               "alg1": ("perfect", _PERFECT), "alg2": ("imperfect", _PERFECT)},
+    (1, 0.5): {None: ("imperfect", _IMPERFECT), "perfect": ("perfect", _PERFECT),
+               "imperfect": ("imperfect", _IMPERFECT), "multi": ("multi", _MULTI),
+               "alg1": ("perfect", _PERFECT), "alg2": ("imperfect", _IMPERFECT)},
+    (2, 1.0): {None: ("multi", _MULTI), "perfect": ("perfect", _PERFECT),
+               "imperfect": ("imperfect", _PERFECT), "multi": ("multi", _MULTI),
+               "alg1": ("perfect", _PERFECT), "alg2": ("imperfect", _PERFECT)},
+    (2, 0.5): {None: ("multi", _MULTI), "perfect": ("perfect", _PERFECT),
+               "imperfect": ("imperfect", _IMPERFECT), "multi": ("multi", _MULTI),
+               "alg1": ("perfect", _PERFECT), "alg2": ("imperfect", _IMPERFECT)},
+}
+
+
+@pytest.mark.parametrize("algorithm", [None, "perfect", "imperfect", "multi", "alg1", "alg2"])
+@pytest.mark.parametrize("m_active, rho_ea", list(_ALGORITHM_TABLE))
+def test_algorithm_kinds_table(baseline_params, m_active, rho_ea, algorithm):
+    # 'perfect' reads rho_ea as 1, 'multi' always reads M beams, and the
+    # default is the algorithm that reads the scenario's own kinds
+    params = validate(replace(baseline_params, m_active=m_active, rho_ea=rho_ea))
+    name, kinds = _ALGORITHM_TABLE[m_active, rho_ea][algorithm]
+    resolved = None if algorithm is None else opt.resolve_algorithm(algorithm)
+    assert cf.scenario_kinds(params, resolved) == kinds
+    assert opt._start(params, algorithm, "auto")[0] == kinds
+    assert opt.maximize_for(params, algorithm).trace["algorithm"] == name
 
 
 def test_algorithm_aliases():
@@ -1044,7 +1090,7 @@ def _sop_grids(params, algorithm, rs_points=RS_POINTS, theta_points=THETA_POINTS
     rates = np.linspace(0.0, params.r_b, rs_points, endpoint=False)
     thetas = np.linspace(0.0, 1.0, theta_points)
     return rates, thetas, [cf.sop_grid(params, p_a, rates, thetas, kind)
-                           for kind in opt._kinds(params, algorithm)]
+                           for kind in cf.scenario_kinds(params, algorithm)]
 
 
 def _last_row_epsilon(grids, row, at="middle"):
@@ -1096,7 +1142,8 @@ def _exhaustive_answer(params, algorithm, grids=None):
     if rows.size == 0:
         return None, None, rows
     candidates = thetas[mask[rows[-1]]]
-    distance = np.abs(candidates - opt._theta_reference(params, opt._kinds(params, algorithm)[1]))
+    reference = opt._theta_reference(params, cf.scenario_kinds(params, algorithm)[1])
+    distance = np.abs(candidates - reference)
     return rates[rows[-1]], candidates[distance == distance.min()].min(), rows
 
 
@@ -1190,7 +1237,7 @@ def _tiles(params, algorithm):
     starts = np.searchsorted(group, np.arange(group.max() + 1))
     (above, below), (above_2, below_2) = (
         cf.sop_tiles(params, p_a, rates, thetas, kind, starts)
-        for kind in opt._kinds(params, algorithm))
+        for kind in cf.scenario_kinds(params, algorithm))
     open_tiles = int((~(above | below)).sum() + (~(above_2 | below_2)).sum())
     return group, (above | above_2).all(axis=1), open_tiles
 
@@ -1211,7 +1258,7 @@ def test_oracle_evaluates_only_the_rows_its_answer_needs(monkeypatch, algorithm)
                                pa_mode="noise_limited")
         first_rows, second_rows = (np.searchsorted(rates, np.concatenate(
             [[]] + [r for which, r, _ in calls if which == kind])).astype(int)
-            for kind in opt._kinds(params, algorithm))
+            for kind in cf.scenario_kinds(params, algorithm))
         # both kinds see the same rows, each at most once
         assert np.array_equal(first_rows, second_rows)
         assert np.unique(first_rows).size == first_rows.size

@@ -70,7 +70,7 @@ def test_feasible_rates_form_a_prefix_of_the_grid(params, algorithm):
     # at the bisection's own answer and the grid point after it
     p_a = cf.min_pa(params)
     hypothesis.assume(p_a <= params.p_max)
-    kinds = opt._kinds(params, algorithm)
+    kinds = cf.scenario_kinds(params, algorithm)
 
     def feasible(r_s):
         return r_s < params.r_b and not opt._feasible_interval(params, p_a, r_s, kinds).empty
@@ -128,7 +128,7 @@ def test_feasible_interval_is_the_full_intersection_at_float_extremes(params, al
     # at a random rate and at the rates the search's answer is decided by,
     # the probe returns the intersection of the two intervals solved in full,
     # or the same typed error
-    kinds = opt._kinds(params, algorithm)
+    kinds = cf.scenario_kinds(params, algorithm)
     p_a = min(cf.min_pa(params, "noise_limited"), params.p_max) or params.p_max
     rates = [rate_share * params.r_b]
     try:
