@@ -115,7 +115,8 @@ def beta_ratio(params: SystemParams, p_a: float, r_s):
 def derived_ratios(params: SystemParams, p_a: float, r_s: float) -> DerivedRatios:
     a = alpha_ratio(params, p_a, r_s)
     b = beta_ratio(params, p_a, r_s)
-    lam = (1.0 - params.rho_ea ** 2) * a / (params.n_antennas - 1)
+    rho_bar = 1.0 - params.rho_ea ** 2
+    lam = rho_bar and rho_bar * a / (params.n_antennas - 1)  # 0 at rho_ea = 1, alpha = inf too
     return DerivedRatios(alpha=float(a), beta=float(b), lambda_cap=float(lam))
 
 
@@ -349,7 +350,11 @@ def _cdf(kind: str, x, params: SystemParams, split: PowerSplit):
 
 def cdf_snr_bob(x, params: SystemParams, p_a: float):
     """CDF of Bob's SNR: the information link over the active jamming link."""
-    t = np.asarray(x, dtype=float) * params.p_ea * params.var_eab / (p_a * params.var_ab)
+    # a ratio t beyond the float range is clipped to the largest float, where
+    # t / (1 + t) rounds to its limit 1; a finite t keeps its bits
+    with np.errstate(over="ignore", divide="ignore"):
+        t = np.minimum(np.asarray(x, dtype=float) * params.p_ea * params.var_eab
+                       / (p_a * params.var_ab), sys.float_info.max)
     return _maybe_float(t / (1.0 + t))
 
 
@@ -407,7 +412,7 @@ def transmission_outage(params: SystemParams, p_a: float) -> float:
 def transmission_outage_noise_limited(params: SystemParams, p_a: float) -> float:
     """Bob outage with unit thermal noise as the only impairment."""
     x = rate_gap_threshold(params.r_b, 0.0)
-    return float(-np.expm1(-x / (p_a * params.var_ab)))
+    return float(-np.expm1(-_over(x, p_a, params.var_ab)))
 
 
 def transmission_outage_an_leakage(params: SystemParams, p_a: float) -> float:
@@ -569,6 +574,9 @@ def outage_metrics(params: SystemParams, split: PowerSplit, r_s: float) -> Outag
 # ---------------------------------------------------------------------------
 # Derivatives in theta and rho, and the theta-derivative quadratic
 # ---------------------------------------------------------------------------
+# Each derivative of an SOP is a thin view of the kernels: the slope of one
+# eavesdropper's log-survival (:func:`_log_sf_slope`) times the slope of the
+# SOP map at the kernel's value (:func:`_sop_slope`).
 
 def _quadratic_coeffs(n: int, alpha: float, rho: float) -> tuple[float, float, float]:
     """Coefficients (a, b, c) of the quadratic factor of d(sop_active)/d(theta).
@@ -628,27 +636,34 @@ class ThetaProfile:
     decreasing_on_unit: bool
 
 
+def _quadratic_alpha(params: SystemParams, p_a: float, r_s: float) -> float:
+    """alpha, for the theta-derivative quadratic: Undefined at rho_ea in
+    {0, 1}, where the quadratic degenerates, and AlphaZero at alpha = 0."""
+    if params.rho_ea in (0.0, 1.0):
+        raise Undefined("theta profile requires 0 < rho_ea < 1 (the quadratic degenerates)")
+    alpha = float(alpha_ratio(params, p_a, r_s))
+    if alpha <= 0.0:
+        raise AlphaZero("alpha is zero: no AN margin at this rate/power")
+    return alpha
+
+
 def active_sop_theta_profile(params: SystemParams, p_a: float, r_s: float) -> ThetaProfile:
     """Roots and minimum of the theta-derivative quadratic for rho_ea in (0,1).
 
     An alpha that overflows to inf gives the limit: theta_pos = 1/(N-1), not
     decreasing on [0,1] (see :func:`_quadratic_roots`).
     """
-    rho = params.rho_ea
-    if rho in (0.0, 1.0):
-        raise Undefined("theta profile requires 0 < rho_ea < 1 (the quadratic degenerates)")
-    alpha = float(alpha_ratio(params, p_a, r_s))
-    if alpha <= 0.0:
-        raise AlphaZero("alpha is zero: no AN margin at this rate/power")
-    t_neg, t_pos, vmin = _quadratic_roots(params.n_antennas, alpha, rho)
+    alpha = _quadratic_alpha(params, p_a, r_s)
+    t_neg, t_pos, vmin = _quadratic_roots(params.n_antennas, alpha, params.rho_ea)
     return ThetaProfile(theta_neg=float(t_neg), theta_pos=float(t_pos),
                         min_value=float(vmin), decreasing_on_unit=bool(t_pos > 1.0))
 
 
 def active_sop_theta_quadratic(params: SystemParams, p_a: float, r_s: float, theta) -> float:
-    """Value of the theta-derivative quadratic at ``theta`` (for root checks)."""
-    alpha = float(alpha_ratio(params, p_a, r_s))
-    a, b, c = _quadratic_coeffs(params.n_antennas, alpha, params.rho_ea)
+    """Value of the theta-derivative quadratic at ``theta`` (for root checks);
+    the same typed errors as :func:`active_sop_theta_profile`."""
+    a, b, c = _quadratic_coeffs(params.n_antennas, _quadratic_alpha(params, p_a, r_s),
+                                params.rho_ea)
     th = np.asarray(theta, dtype=float)
     return _maybe_float((a * th + b) * th + c)
 
@@ -666,47 +681,81 @@ def monotone_condition(params: SystemParams, p_a: float, r_s: float) -> bool:
     return rho ** 2 * (1.0 + lam) > lam * (1.0 + (n - 1) * lam)
 
 
-def sop_active_dtheta(params: SystemParams, split: PowerSplit, r_s: float) -> float:
-    """d(sop_active)/d(theta) at the split's theta.
+def _log_sf_slope(kind: str, params: SystemParams, theta: float, s: float,
+                  rho: bool = False) -> float:
+    """d/d(theta) of the log-survival of one eavesdropper of ``kind`` at AN
+    ratio ``theta`` and scale 0 < s < inf; with ``rho``, d/d(rho_ea) of the
+    imperfect-estimate active kernel, whose rho_bar = 1 - rho_ea^2 moves by
+    -2 rho_ea.
 
-    Perfect estimates give the strictly negative closed form; with
-    rho_ea < 1 the derivative is A(theta) times the quadratic, where A > 0.
+    A kernel term c log1p(w s / d) moves by c / (d/s + w) per unit of its
+    weight w, a form that neither overflows at a large s nor divides by 0 at
+    w = 0; 1 - theta is one value, so that a small d/s is not lost at
+    theta = 1. Terms whose sum changes sign share one denominator, so that
+    the sign is read from (N-1) theta - M, formed with one rounding: the
+    passive slope and the rho slope are exactly 0 where it is. The imperfect
+    estimate's three theta terms, -(N-1) / (1/s + theta) + (N-2) / (1/r +
+    theta) + (N-2) / ((N-2)/r + 1 - theta) with r = rho_bar s, are each
+    O(N^2) near theta = 1/(N-1) but sum to O(1/s) at a large s; taken over
+    the first one's denominator they leave (N-1) theta - 1 over
+    ((N-2)/r + 1 - theta) less two negative terms.
     """
-    n = params.n_antennas
-    alpha = float(alpha_ratio(params, split.p_a, r_s))
-    if alpha == 0.0:
+    active, multi, imperfect, _ = _KINDS[kind]
+    n, m = params.n_antennas, params.m_active if multi else 1
+    rho_ea = params.rho_ea if imperfect else 1.0
+    rho_bar, w_pas = 1.0 - rho_ea ** 2, 1.0 - theta
+    if not active:
+        return ((n - 1) * theta - m) / ((m / s + theta) * ((n - m - 1) / s + w_pas))
+    r, lead = rho_bar * s, (n - 1) * theta - 1.0
+    if rho:
+        return -2.0 * rho_ea * (n - 2) * lead / ((1.0 + theta * r) * ((n - 2) / s + w_pas * rho_bar))
+    if not rho_bar:
+        return (2 - m - n) / (m / s + theta)
+    return ((lead / ((n - 2) / rho_bar / s + w_pas)
+             - (n - 2) * rho_ea ** 2 * (1.0 / ((n - 2) + w_pas * r) + 1.0 / (1.0 + theta * r)))
+            / (1.0 / s + theta))
+
+
+def _sop_slope(kind: str, params: SystemParams, split: PowerSplit, r_s: float,
+               rho: bool = False) -> float:
+    """The derivative of the SOP of ``kind`` at the split, in theta (or in
+    rho_ea, see :func:`_log_sf_slope`): the kernel's slope times the SOP
+    map's slope at the kernel's value G, which is G for the single active
+    eavesdropper and K (1 - G)^(K-1) G for the best of K. 0 where the SOP is
+    flat: at s = 0 (no AN margin) and in the s = inf limit."""
+    s = float(log_sf_scale(kind, params, split.p_a, r_s))
+    if not 0.0 < s < math.inf:
         return 0.0
-    theta = split.theta
-    if params.rho_ea == 1.0:
-        return float((1.0 - n) * alpha * np.exp(-n * np.log1p(theta * alpha)))
-    rho_bar = 1.0 - params.rho_ea ** 2
-    log_a = ((n - 3) * np.log1p(theta * rho_bar * alpha)
-             - n * np.log1p(theta * alpha)
-             - (n - 1) * np.log1p((1.0 - theta) * rho_bar * alpha / (n - 2)))
-    a_factor = rho_bar * alpha ** 2 * np.exp(log_a)
-    a, b, c = _quadratic_coeffs(n, alpha, params.rho_ea)
-    return float(a_factor * ((a * theta + b) * theta + c))
+    g = math.exp(log_sf_at(kind, params, split.theta, s))
+    best_of = _KINDS[kind][3]
+    k = 1 if best_of is None else best_of(params)
+    # (1 - G)^(K-1) is 0 where G rounds to 1 (an s below the float resolution of 1 + s)
+    g *= k * math.exp((k - 1) * math.log1p(-g)) if g < 1.0 else float(k == 1)
+    # a G that underflows: the SOP is 0 to the float, and so is its slope
+    return float(g * _log_sf_slope(kind, params, split.theta, s, rho)) if g else 0.0
+
+
+def sop_active_dtheta(params: SystemParams, split: PowerSplit, r_s: float) -> float:
+    """d(sop_active_imperfect)/d(theta) at the split's theta, which is
+    d(sop_active)/d(theta) at rho_ea = 1.
+
+    Perfect estimates give a strictly negative derivative; with rho_ea < 1
+    it is A(theta) times the theta-derivative quadratic
+    (:func:`active_sop_theta_quadratic`), where A > 0, so its sign is the
+    quadratic's.
+    """
+    return _sop_slope("active_imperfect", params, split, r_s)
 
 
 def sop_passive_dtheta(params: SystemParams, split: PowerSplit, r_s: float) -> float:
     """d(sop_passive)/d(theta): negative below theta = 1/(N-1), zero there,
     positive above."""
-    n, k = params.n_antennas, params.k_passive
-    b = float(beta_ratio(params, split.p_a, r_s))
-    if b == 0.0:
-        return 0.0
-    theta = split.theta
-    g = float(np.exp(_log_sf_passive(theta, 1.0 - theta, b, n, 1)))
-    # SOP = 1 - (1-G)^K moves by K (1-G)^(K-1) G d(log G)/d(theta); (1-G)^(K-1)
-    # is 0 where G rounds to 1 (a beta below the float resolution of 1 + beta)
-    outer = 1.0 if k == 1 else k * np.exp((k - 1) * np.log1p(-g)) if g < 1.0 else 0.0
-    dlog_g = (b * b * ((n - 1) * theta - 1.0)
-              / ((n - 2) * (1.0 + b * theta) * (1.0 + b * (1.0 - theta) / (n - 2))))
-    return float(outer * g * dlog_g)
+    return _sop_slope("passive", params, split, r_s)
 
 
 def sop_active_imperfect_drho(params: SystemParams, split: PowerSplit, r_s: float) -> float:
-    """d(sop_active_imperfect)/d(rho_ea).
+    """d(sop_active_imperfect)/d(rho_ea); at rho_ea = 1 the left derivative,
+    -2 alpha ((N-1) theta - 1) SOP.
 
     Carries the sign of 1 - theta (N-1): a sharper estimate steers AN more
     precisely at the active eavesdropper (lowering its SOP) only when the
@@ -714,17 +763,7 @@ def sop_active_imperfect_drho(params: SystemParams, split: PowerSplit, r_s: floa
     AN leaking through the estimation error was doing the jamming, and a
     better estimate removes it.
     """
-    n = params.n_antennas
-    rho = params.rho_ea
-    alpha = float(alpha_ratio(params, split.p_a, r_s))
-    if alpha == 0.0 or rho in (0.0, 1.0):
-        return 0.0
-    rho_bar = 1.0 - rho ** 2
-    theta = split.theta
-    p = float(sop_active_imperfect(params, split, r_s))
-    num = -2.0 * rho * alpha * (n - 2) * (theta * (n - 1) - 1.0) * p
-    den = (1.0 + theta * rho_bar * alpha) * ((n - 2) + (1.0 - theta) * rho_bar * alpha)
-    return float(num / den)
+    return _sop_slope("active_imperfect", params, split, r_s, rho=True)
 
 
 # ---------------------------------------------------------------------------

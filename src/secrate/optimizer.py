@@ -362,10 +362,13 @@ def _active_minimizer(params: SystemParams, alpha: float) -> float:
     """Where the imperfect-estimate active log-survival is smallest on [0, 1]
     at this alpha > 0: the positive root of its theta-derivative quadratic,
     clipped to 1 (exactly 1/(N-1) at rho_ea = 0, where the quadratic
-    degenerates)."""
+    degenerates). The root tends to +inf as alpha -> 0: at a subnormal alpha,
+    where the quadratic's coefficients overflow and the root comes out as no
+    positive float, the minimizer is 1."""
     if params.rho_ea == 0.0:
         return 1.0 / (params.n_antennas - 1)
-    return min(float(cf._quadratic_roots(params.n_antennas, alpha, params.rho_ea)[1]), 1.0)
+    root = float(cf._quadratic_roots(params.n_antennas, alpha, params.rho_ea)[1])
+    return min(root, 1.0) if root > 0.0 else 1.0
 
 
 def theta_interval_active_multi(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:

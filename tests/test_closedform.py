@@ -63,6 +63,26 @@ def test_cdf_snr_bob_anchors():
     assert cf.cdf_snr_bob(1.0, params, 1.0) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_cdf_snr_bob_takes_its_limit_when_the_ratio_overflows():
+    # x p_ea var_eab / (p_a var_ab) beyond the float range overflowed with a
+    # warning, and t / (1 + t) was inf / inf, NaN; the limit is 1
+    params = _raw_params(p_ea=1.0, var_eab=1.0, var_ab=1.0)
+    tiny = _raw_params(var_ab=1e-10)  # p_a var_ab rounds to 0 at p_a = 1e-320
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cf.cdf_snr_bob(1.0, params, 1e-310) == 1.0
+        assert cf.cdf_snr_bob(np.array([1e300, 0.0]), params, 1e-10).tolist() == [1.0, 0.0]
+        assert cf.cdf_snr_bob(1.0, tiny, 1e-320) == 1.0
+        assert cf.transmission_outage(params, 1e-310) == 1.0
+        # the noise-limited outage divided by p_a var_ab = 0 (ZeroDivisionError)
+        assert cf.transmission_outage_noise_limited(tiny, 1e-320) == 1.0
+    # a finite ratio keeps the plain formula's bits
+    rng = np.random.default_rng(59)
+    x = 10.0 ** rng.uniform(-10.0, 10.0, 200)
+    t = x * params.p_ea * params.var_eab / (0.3 * params.var_ab)
+    assert np.array_equal(cf.cdf_snr_bob(x, params, 0.3), t / (1.0 + t))
+
+
 @pytest.mark.parametrize("which", ["bob", "active", "passive", "active_imperfect",
                                    "active_multi", "passive_multi"])
 def test_cdf_shape_properties(which):
@@ -433,6 +453,31 @@ def test_sop_active_imperfect_drho_fd_and_sign():
             assert sign == expected or deriv == 0.0
 
 
+def test_sop_active_imperfect_drho_at_a_perfect_estimate_is_the_left_derivative():
+    # at rho_ea = 1 (where 0 was returned) the derivative is the one-sided
+    # one toward rho_ea < 1, -2 alpha ((N-1) theta - 1) SOP. The one-sided
+    # difference errs by O(h) with a factor that grows with alpha, so the
+    # step shrinks until the rounding of rho_bar takes over
+    rng = np.random.default_rng(151)
+    for _ in range(100):
+        params = random_params(rng)
+        p_a, theta, r_s = random_point(rng, params)
+        split = make_split(params, p_a, theta)
+        sop = cf.sop_active_imperfect(params, split, r_s)
+        deriv = cf.sop_active_imperfect_drho(params, split, r_s)
+        errors = []
+        for k in range(5, 11):
+            rho = 1.0 - 10.0 ** -k
+            below = cf.sop_active_imperfect(replace(params, rho_ea=rho), split, r_s)
+            errors.append(abs((sop - below) / (1.0 - rho) - deriv))
+        assert min(errors) <= 1e-5 * abs(deriv)
+        lead = theta * (params.n_antennas - 1) - 1.0
+        assert deriv == pytest.approx(-2.0 * cf.alpha_ratio(params, p_a, r_s) * lead * sop,
+                                      rel=1e-12)
+        if abs(lead) > 1e-6:
+            assert np.sign(deriv) == -np.sign(lead)
+
+
 def test_theta_profile_roots_and_condition():
     rng = np.random.default_rng(103)
     for _ in range(200):
@@ -461,6 +506,19 @@ def test_theta_profile_alpha_zero():
     params = random_params(rng, rho_ea=0.5)
     with pytest.raises(AlphaZero):
         cf.active_sop_theta_profile(params, params.p_max, 1.0)
+
+
+def test_theta_quadratic_raises_the_profiles_typed_errors():
+    # it raised ZeroDivisionError at rho_ea = 1 and at alpha = 0
+    rng = np.random.default_rng(157)
+    for rho in (0.0, 1.0):
+        params = random_params(rng, rho_ea=rho)
+        p_a, theta, r_s = random_point(rng, params)
+        with pytest.raises(Undefined):
+            cf.active_sop_theta_quadratic(params, p_a, r_s, theta)
+    params = random_params(rng, rho_ea=0.5)
+    with pytest.raises(AlphaZero):
+        cf.active_sop_theta_quadratic(params, params.p_max, 1.0, 0.5)
 
 
 def test_derivative_vanishes_at_profile_root():
@@ -792,6 +850,31 @@ def test_cdf_reaches_the_overflow_limit_without_a_warning():
         assert cf.cdf_snr_active_imperfect(np.array([1e10]), params, split).tolist() == [1.0]
         assert cf.cdf_snr_active_imperfect(1e10, params, split) == 1.0
         assert cf.cdf_snr_passive(np.array([1e10, 1e-10]), params, split)[0] == 1.0
+
+
+def test_lambda_cap_is_zero_at_a_perfect_estimate_when_alpha_overflows():
+    # (1 - rho_ea^2) alpha was 0 * inf, NaN
+    huge = _raw_params(var_jea=1e300, var_aea=1e-300, r_b=1000.0)
+    ratios = cf.derived_ratios(huge, 10.0, 0.0)
+    assert ratios.alpha == math.inf and ratios.lambda_cap == 0.0
+    assert cf.derived_ratios(replace(huge, rho_ea=0.5), 10.0, 0.0).lambda_cap == math.inf
+
+
+def test_derivatives_stay_finite_at_the_float_extremes():
+    # alpha ** 2 overflowed (OverflowError) and 0 * inf gave NaN; the SOP is
+    # flat at s = inf, and a slope at an SOP that underflows is 0
+    rng = np.random.default_rng(163)
+    derivatives = (cf.sop_active_dtheta, cf.sop_passive_dtheta, cf.sop_active_imperfect_drho)
+    for _ in range(300):
+        rho = float(rng.choice([0.0, 0.5, 1.0 - 1e-16, 1.0]))
+        huge = 10.0 ** float(rng.uniform(-300.0, 300.0))
+        params = _raw_params(n_antennas=int(rng.integers(3, 40)), var_jea=huge, var_jek=huge,
+                             k_passive=int(rng.integers(1, 100)), rho_ea=rho)
+        theta = float(rng.choice([0.0, 1.0, float(rng.random())]))
+        split = make_split(params, params.p_max * 10.0 ** float(rng.uniform(-300.0, 0.0)), theta)
+        r_s = float(rng.choice([0.0, rng.uniform(0.0, params.r_b)]))
+        for derivative in derivatives:
+            assert not math.isnan(derivative(params, split, r_s))
 
 
 @pytest.mark.parametrize("call", [

@@ -351,6 +351,21 @@ def test_theta_star_at_passive_minimum_when_active_slack():
     assert abs(result.r_s_star - oracle.r_s_star) <= 0.01 + 1e-12
 
 
+def test_active_minimizer_is_one_at_a_subnormal_alpha():
+    # the positive root tends to +inf as alpha -> 0; at a subnormal alpha the
+    # quadratic's coefficients overflow, and -inf was returned, which
+    # theta_interval passed on to log1p (an invalid-value warning)
+    params = validate(SystemParams(
+        n_antennas=6, k_passive=2, m_active=1,
+        var_ab=1.0, var_aea=1.0, var_aek=1.0, var_eab=1.0,
+        var_jb=1.0, var_jea=1.1e-311, var_jek=1.0,
+        p_max=1.0, p_ea=1.0, r_b=1.0, delta=0.1, epsilon=0.1, rho_ea=0.5,
+    ))
+    assert cf.alpha_ratio(params, 0.5, 0.0) == 1.1e-311
+    assert opt._active_minimizer(params, 1.1e-311) == 1.0
+    assert opt.theta_interval("active_imperfect", params, 0.5, 0.0).empty
+
+
 def test_theta_star_tracks_active_minimizer_when_passive_slack():
     # weak jammer->passive channel, imperfect active estimate: the admissible
     # window collapses around the active-SOP minimizer at the last rate

@@ -164,18 +164,36 @@ def _extreme_example(**fields) -> SystemParams:
 # the passive outage G rounds to 1 at this tiny beta, where the derivative's
 # (1 - G)**(K - 1) is 0
 @example(_extreme_example(n_antennas=3, k_passive=2, var_aek=1e15, var_jek=0.01, p_max=0.1,
-                          delta=1.0 - 1e-16, epsilon=1.0 - 1e-16), 0.0, 0.0)
-@given(extreme_scenarios(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-def test_eval_ends_with_a_result_or_a_typed_error_at_float_extremes(params, theta, rate_share):
+                          delta=1.0 - 1e-16, epsilon=1.0 - 1e-16), 0.0, 0.0, None)
+# alpha ** 2 in the imperfect-estimate theta-derivative raised OverflowError
+@example(_extreme_example(n_antennas=6, k_passive=2, rho_ea=0.5), 0.2, 0.5, 1e-160)
+# (1 - G)**(K - 1) G times the passive slope's beta**2 = inf was 0 * inf, NaN
+@example(_extreme_example(n_antennas=6, k_passive=2), 0.2, 0.5, 1e-200)
+# Bob's jamming-to-signal ratio overflowed with a warning (then NaN), and
+# lambda_cap = (1 - rho_ea^2) alpha was 0 * inf at alpha = inf
+@example(_extreme_example(n_antennas=6, k_passive=2), 0.2, 0.5, 1e-310)
+@given(extreme_scenarios(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+       st.none() | st.floats(1e-6, 1.0))
+def test_eval_ends_with_a_result_or_a_typed_error_at_float_extremes(params, theta, rate_share,
+                                                                    power_share):
     # under every pa-mode: a table or a SecrateError, and no RuntimeWarning
-    # (the suite turns one into an error)
+    # (the suite turns one into an error); p_a is the pa-mode's minimum
+    # power when no power share is drawn. No outage, ratio or (where it is
+    # defined, M = 1) derivative in the table is NaN.
     cfg = {**dataclasses.asdict(params), "theta": theta, "r_s": rate_share * params.r_b}
+    if power_share is not None:
+        cfg["p_a"] = power_share * params.p_max
+    defined = ["p_to", "p_so1", "p_so2", "alpha", "beta", "lambda_cap"]
+    if params.m_active == 1:
+        defined += ["dsop_active_dtheta", "dsop_passive_dtheta"]
     for pa_mode in ("auto", *cf.PA_MODES):
         try:
             code, text = cli.cmd_eval(cfg, pa_mode)
         except SecrateError:
             continue
         assert code == 0 and len(text.splitlines()) == 2
+        row = dict(zip(*(line.split(",") for line in text.splitlines())))
+        assert [name for name in defined if row[name] == "nan"] == []
 
 
 @pytest.mark.filterwarnings("ignore::secrate.errors.DegenerateDistributionWarning")
