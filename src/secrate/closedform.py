@@ -98,10 +98,12 @@ def _jamming_ratio(params: SystemParams, p_a: float, r_s, var_j: float, var_a: f
     """
     x = rate_gap_threshold(params.r_b, r_s)
     ratio = params.p_max / check_pa(params, p_a) - 1.0
+    # 0 at x = 0 (r_s = r_b), also where p_max / p_a overflows and inf * 0 is
+    # NaN; a scale beyond the float range is the kernels' s = inf limit
     if isinstance(x, float):
-        return ratio * var_j * x / var_a
-    with np.errstate(over="ignore"):  # a scale beyond the float range: the kernels' s = inf limit
-        return ratio * var_j * x / var_a
+        return ratio * var_j * x / var_a if x else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, ratio * var_j * x / var_a)
 
 
 def alpha_ratio(params: SystemParams, p_a: float, r_s):
@@ -351,10 +353,18 @@ def _cdf(kind: str, x, params: SystemParams, split: PowerSplit):
 def cdf_snr_bob(x, params: SystemParams, p_a: float):
     """CDF of Bob's SNR: the information link over the active jamming link."""
     # a ratio t beyond the float range is clipped to the largest float, where
-    # t / (1 + t) rounds to its limit 1; a finite t keeps its bits
-    with np.errstate(over="ignore", divide="ignore"):
-        t = np.minimum(np.asarray(x, dtype=float) * params.p_ea * params.var_eab
-                       / (p_a * params.var_ab), sys.float_info.max)
+    # t / (1 + t) rounds to its limit 1; a finite t keeps its bits. Where both
+    # products overflow or both round to 0 (inf/inf, 0/0), t is taken through
+    # logs, in which every scenario factor is finite
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = x * params.p_ea * params.var_eab / (p_a * params.var_ab)
+        lost = np.isnan(t)
+        if lost.any():
+            log_q = (math.log(params.p_ea) + math.log(params.var_eab) - math.log(p_a)
+                     - math.log(params.var_ab))
+            t = np.where(lost, np.exp(np.log(x) + log_q), t)
+    t = np.minimum(t, sys.float_info.max)
     return _maybe_float(t / (1.0 + t))
 
 

@@ -12,15 +12,19 @@ the chunks on a thread pool, one thread per usable CPU (Philox, the
 Box-Muller ufuncs and ``einsum`` release the GIL). Each chunk draws its own
 trial range and the results are put together in trial order, so every
 output is byte-identical to a one-thread run on any number of cores; a call
-with a single chunk runs inline, without a pool.
+with a single chunk runs inline, without a pool. A chunk of 4096 trials
+keeps each worker's uniforms at a few MB (12.6 MB at N = 8, K = 3, M = 3).
 
 Draws are lazy per field. :func:`draw_batch` takes the Philox uniforms of
 its whole trial range at once; a field table fixes each field's slot
 columns in stream order, and a field is Box-Mullered and scaled on its own
-columns only when an SNR kernel first reads it. A field of zero variance
-(an exact estimate) is an exact zero and is never transformed. A field's
-values do not depend on which other fields are read, so a block that
-computes only active SNRs transforms only the fields those read.
+columns only when an SNR kernel first reads it. The transform runs in
+place on a contiguous copy of those columns, and the scaled normals are
+the complex field's real and imaginary parts in turn, viewed as complex;
+``np.cos`` is the floor of its cost. A field of zero variance (an exact
+estimate) is an exact zero and is never transformed. A field's values do
+not depend on which other fields are read, so a block that computes only
+active SNRs transforms only the fields those read.
 
 SNRs are interference-limited to match the closed forms (receiver noise is
 excluded unless ``include_noise`` is set, which is a sensitivity option
@@ -45,9 +49,9 @@ from .model import PowerSplit, SystemParams
 
 _PHILOX_BLOCK = 4  # Philox advances by 128-bit blocks = 4 uint64 outputs
 _DEN_FLOOR = 1e-300
-_CHUNK_TRIALS = 16384
-# the most uniform slots one draw may take (1 GiB of uint64): a 16384-trial
-# chunk of the largest shipped verify case (M = 3) takes 6.3e6
+_CHUNK_TRIALS = 4096
+# the most uniform slots one draw may take (1 GiB of uint64): a 4096-trial
+# chunk of the largest shipped verify case (M = 3) takes 1.6e6
 _MAX_DRAW_SLOTS = 2 ** 27
 
 
@@ -91,10 +95,17 @@ def _uniform_slots(seed: int, start_slot: int, count: int) -> np.ndarray:
 
 
 def _standard_normals(u: np.ndarray) -> np.ndarray:
-    """Box-Muller on consecutive slot pairs; returns half as many normals."""
-    u1 = u[..., 0::2]
-    u2 = u[..., 1::2]
-    return np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
+    """Box-Muller on consecutive slot pairs; returns half as many normals.
+
+    sqrt(-2 log1p(-u1)) cos(2 pi u2), with each ufunc run in place on the u1
+    and the u2 slots of one contiguous copy of ``u``, as two 1-D views: the
+    same values as on ``u``'s own columns, without a temporary per step.
+    """
+    slots = np.array(u).reshape(-1)
+    r, c = slots[0::2], slots[1::2]
+    np.sqrt(np.multiply(-2.0, np.log1p(np.negative(r, out=r), out=r), out=r), out=r)
+    np.cos(np.multiply(2.0 * np.pi, c, out=c), out=c)
+    return np.multiply(r, c).reshape(*u.shape[:-1], u.shape[-1] // 2)
 
 
 class ChannelBatch:
@@ -195,8 +206,16 @@ def draw_batch(params: SystemParams, seed: int, start: int, stop: int) -> Channe
         if var == 0.0:
             c = np.zeros((count, width), dtype=complex)
         else:
+            # the normals alternate real and imaginary parts, so scaling them in
+            # place and viewing them as complex gives (z0 + 1j z1) / sqrt(2) *
+            # sqrt(var) bit for bit: that complex sum turns a -0 normal (u1 = 0)
+            # into +0, as + 0.0 does, and numpy divides a complex by a real
+            # through its reciprocal
             z = _standard_normals(u[:, first:first + 4 * width])
-            c = (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0) * np.sqrt(var)
+            z += 0.0
+            z *= 1.0 / np.sqrt(2.0)
+            z *= np.sqrt(var)
+            c = z.view(complex)
         # the stream holds an (N, J) field column by column: (T, J, N) -> (T, N, J)
         return c.reshape(count, *shape[::-1]).transpose(0, *range(len(shape), 0, -1))
 

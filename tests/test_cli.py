@@ -1,12 +1,14 @@
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 import secrate.cli as cli
+import secrate.closedform as cf
 import secrate.optimizer as opt
 from secrate.errors import ConfigError
-from secrate.model import SystemParams
+from secrate.model import SystemParams, make_split
 
 from conftest import MIN_PA_UNDERFLOW
 
@@ -311,6 +313,27 @@ def test_operating_point_rejects_r_s_outside_0_r_b(tmp_path, capsys, command, r_
 def test_eval_at_r_s_equal_r_b_is_certain_outage(tmp_path, capsys):
     values = _eval_row(tmp_path, capsys, BASE_CFG + "p_a=242\ntheta=0.3\nr_s=8\n")
     assert values["p_so1"] == values["p_so2"] == "1"
+
+
+def test_eval_at_r_s_equal_r_b_is_certain_outage_where_p_max_over_p_a_overflows(
+        tmp_path, capsys):
+    # p_max / p_a = inf at p_a = 1e-310, and alpha = (p_max/p_a - 1) x at the
+    # threshold x = 0 was inf * 0: alpha, beta and both SOPs printed nan
+    text = ("n_antennas=6\nk_passive=2\nvar_ab=1\nvar_aea=1\nvar_aek=1\nvar_eab=1\n"
+            "var_jb=1\nvar_jea=1\nvar_jek=1\np_max=1\np_ea=1\nr_b=1\ndelta=0.1\n"
+            "epsilon=0.01\ntheta=1\nr_s=1\n")
+    tiny = _eval_row(tmp_path, capsys, text + "p_a=1e-310\n")
+    assert [tiny[name] for name in ("alpha", "beta", "p_so1", "p_so2")] == ["0", "0", "1", "1"]
+    assert "nan" not in [tiny[name] for name in ("lambda_cap", "p_to", "dsop_active_dtheta",
+                                                 "dsop_passive_dtheta")]
+    # past p_a, the row of a p_a at which p_max / p_a is finite: the floor and
+    # the (empty) intervals print nan as at every alpha = 0
+    finite = _eval_row(tmp_path, capsys, text + "p_a=1e-300\n")
+    assert list(tiny.values())[1:] == list(finite.values())[1:]
+    params = cli.build_params(cli.load_config(_write(tmp_path, text)))
+    assert cf.alpha_ratio(params, 1e-310, params.r_b) == 0.0
+    assert cf.alpha_ratio(params, 1e-310, np.array([params.r_b, 0.5])).tolist() == [0.0, np.inf]
+    assert cf.sop_passive(params, make_split(params, 1e-310, 1.0), params.r_b) == 1.0
 
 
 def test_pa_mode_config_line_exits_2_naming_the_key(tmp_path, capsys):

@@ -83,6 +83,30 @@ def test_cdf_snr_bob_takes_its_limit_when_the_ratio_overflows():
     assert np.array_equal(cf.cdf_snr_bob(x, params, 0.3), t / (1.0 + t))
 
 
+def test_cdf_snr_bob_where_both_products_leave_the_float_range():
+    # x p_ea var_eab and p_a var_ab both beyond the float range (inf / inf) or
+    # both rounded to 0 (0 / 0) gave NaN with an invalid-value warning; the
+    # ratio t is 1 at every point below, so the CDF is 1/2
+    big = _raw_params(p_ea=2.0 ** 300, var_eab=2.0 ** 200, var_ab=2.0 ** 1000)
+    small = _raw_params(p_ea=2.0 ** -300, var_eab=2.0 ** -200, var_ab=2.0 ** -1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cf.cdf_snr_bob(np.array([2.0 ** 600, 2.0 ** 1000, np.inf, 0.0]), big, 2.0 ** 100)
+        assert got[:2] == pytest.approx([0.5, 2.0 ** 400 / (1.0 + 2.0 ** 400)], rel=1e-12)
+        assert got[2:].tolist() == [1.0, 0.0]
+        assert cf.cdf_snr_bob(2.0 ** -600, small, 2.0 ** -100) == pytest.approx(0.5, rel=1e-12)
+        assert cf.cdf_snr_bob(0.0, small, 2.0 ** -100) == 0.0
+        # the scenario a fuzz run met, at r_s = 0 (x about 9e307): t is exact
+        # in rationals
+        fuzz = _raw_params(p_ea=1.65e110, var_eab=2.5e75, var_ab=2.7e176, r_b=1023.0)
+        x = cf.rate_gap_threshold(fuzz.r_b, 0.0)
+        for p_a in (1e132, 3e140, 1e300):
+            t = (Fraction(x) * Fraction(fuzz.p_ea) * Fraction(fuzz.var_eab)
+                 / (Fraction(p_a) * Fraction(fuzz.var_ab)))
+            assert cf.cdf_snr_bob(x, fuzz, p_a) == pytest.approx(float(t / (1 + t)), rel=1e-12)
+    assert np.isnan(cf.cdf_snr_bob(np.nan, big, 2.0 ** 100))
+
+
 @pytest.mark.parametrize("which", ["bob", "active", "passive", "active_imperfect",
                                    "active_multi", "passive_multi"])
 def test_cdf_shape_properties(which):

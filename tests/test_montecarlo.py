@@ -357,6 +357,49 @@ def test_lazy_fields_bit_identical_to_eager_draw():
             assert getattr(batch, name) is lazy  # cached
 
 
+def _complex_box_muller(u, var):
+    """The transform as a formula: Box-Muller on ``u``'s strided slot columns,
+    then (z0 + 1j z1) / sqrt(2) * sqrt(var) in complex arithmetic."""
+    z = np.sqrt(-2.0 * np.log1p(-u[:, 0::2])) * np.cos(2.0 * np.pi * u[:, 1::2])
+    return (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0) * np.sqrt(var)
+
+
+@pytest.mark.parametrize("variances", [{}, {"var_ab": 1e-300, "var_jek": 1e300,
+                                            "var_aek": 5e-324, "var_jb": 0.3}],
+                         ids=["moderate", "extreme"])
+def test_in_place_transform_bit_identical_to_the_complex_formula(monkeypatch, variances):
+    # crafted uniforms: every (u1, u2) pair below, each pair next to every
+    # other in a complex entry's four slots. u1 = 0 gives a -0 normal where
+    # cos(2 pi u2) < 0, which the complex sum turns into +0; u1 next to 1
+    # gives the largest normal
+    next_to_1 = 1.0 - 2.0 ** -53
+    pairs = [(u1, u2) for u1 in (0.0, 2.0 ** -53, 0.3, next_to_1)
+             for u2 in (0.0, 0.25, 0.5, 0.75, 0.9, next_to_1)]
+    groups = np.array([a + b for a in pairs for b in pairs])
+    params = _params(rho_b=0.6, rho_ea=0.8, **variances)
+    slots = mc.slots_per_trial(params)
+    count = -(-groups.size // slots)
+    u = np.resize(groups.ravel(), (count, slots))
+    monkeypatch.setattr(mc, "_uniform_slots", lambda seed, start, n: u.ravel().copy())
+    batch = mc.draw_batch(params, 1, 0, count)
+    first = 0
+    for name, shape, var in mc._field_table(params):
+        width = 4 * int(np.prod(shape))
+        lazy = getattr(batch, name)
+        stream = lazy.transpose(0, *range(lazy.ndim - 1, 0, -1)).reshape(count, -1)
+        want = _complex_box_muller(u[:, first:first + width], var)
+        assert np.array_equal(stream.view(np.uint64), want.view(np.uint64)), name
+        first += width
+    assert first == slots
+    # the normals themselves, on views of any column range
+    for lo, hi in [(0, slots), (4, 12), (slots - 8, slots)]:
+        z = mc._standard_normals(u[:, lo:hi])
+        want = np.sqrt(-2.0 * np.log1p(-u[:, lo:hi:2])) * np.cos(2.0 * np.pi * u[:, lo + 1:hi:2])
+        assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
+    z = mc._standard_normals(u)
+    assert np.any(np.signbit(z) & (z == 0.0))  # a -0 normal was met
+
+
 def test_branch_active_column_bit_identical_to_full_kernel():
     # M >= 8 included: the channel sum then has as many terms as numpy's
     # pairwise summation unrolls, where a per-column reduction could reorder it
@@ -377,12 +420,14 @@ def test_branch_active_column_bit_identical_to_full_kernel():
 
 
 def test_verification_transforms_each_field_once(monkeypatch):
-    # M = 3, rho_ea = 1, rho_b < 1: the main block transforms, once, every
-    # field but the zero e_ea and f_eab (the AN-leakage Bob SNR leaves it out);
-    # branch blocks transform only what their active column reads
+    # M = 3, rho_ea = 1, rho_b < 1: each draw of the main block transforms,
+    # once, every field but the zero e_ea and f_eab (the AN-leakage Bob SNR
+    # leaves it out); the draws of branch blocks transform only what their
+    # active column reads. A block of more trials than a chunk is drawn
+    # chunk by chunk, every chunk the same way
     params = _params(m_active=3, n_antennas=8, rho_b=0.9)
     split = make_split(params, 150.0, 0.5)
-    trials = 5_000
+    trials = mc._CHUNK_TRIALS + 904
     slots = mc.slots_per_trial(params)
     n, m, k = params.n_antennas, params.m_active, params.k_passive
     widths = {"g_b_est": n, "e_b": n, "g_ea_est": n * m, "e_ea": n * m, "g_ek": n * k,
@@ -417,13 +462,17 @@ def test_verification_transforms_each_field_once(monkeypatch):
     monkeypatch.setattr(mc, "_standard_normals", recording_normals)
     mc.verification_rows(params, split, 3.0, trials, seed=3)
     assert len(transformed) == len(set(transformed))
-    per_block = {}
+    per_draw = {}
     for first_trial, name in transformed:
-        per_block.setdefault(first_trial, set()).add(name)
-    assert sorted(per_block) == [0, trials, 2 * trials]
-    assert per_block[0] == set(widths) - {"e_ea", "f_eab"}
-    for branch in (1, 2):
-        assert per_block[branch * trials] == {"g_b_est", "g_ea_est", "h_aea"}
+        per_draw.setdefault(first_trial, set()).add(name)
+    chunk_starts = [start for start, _ in mc._chunks(trials)]
+    assert len(chunk_starts) == 2
+    assert sorted(per_draw) == [branch * trials + start for branch in range(3)
+                                for start in chunk_starts]
+    for start in chunk_starts:
+        assert per_draw[start] == set(widths) - {"e_ea", "f_eab"}
+        for branch in (1, 2):
+            assert per_draw[branch * trials + start] == {"g_b_est", "g_ea_est", "h_aea"}
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 128], ids=["negative", "2**128"])

@@ -172,6 +172,8 @@ def _extreme_example(**fields) -> SystemParams:
 # Bob's jamming-to-signal ratio overflowed with a warning (then NaN), and
 # lambda_cap = (1 - rho_ea^2) alpha was 0 * inf at alpha = inf
 @example(_extreme_example(n_antennas=6, k_passive=2), 0.2, 0.5, 1e-310)
+# p_max / p_a = inf times the threshold 0 at r_s = r_b made alpha and beta NaN
+@example(_extreme_example(n_antennas=6, k_passive=2), 1.0, 1.0, 1e-310)
 @given(extreme_scenarios(), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
        st.none() | st.floats(1e-6, 1.0))
 def test_eval_ends_with_a_result_or_a_typed_error_at_float_extremes(params, theta, rate_share,
