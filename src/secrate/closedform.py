@@ -125,61 +125,47 @@ def derived_ratios(params: SystemParams, p_a: float, r_s: float) -> DerivedRatio
 # ---------------------------------------------------------------------------
 # Log-survival kernels
 # ---------------------------------------------------------------------------
-# Each kernel is log P(SNR >= x) at one eavesdropper. ``w_beam`` and ``w_pas``
+# Each kernel is log P(SNR >= x) at one eavesdropper, the bare formula that
+# ``tests/conftest.py::mp_log_survival`` mirrors. ``w_beam`` and ``w_pas``
 # weigh the AN on the active beams and on the passive subspace, and ``s`` is
 # the jamming-to-signal scale at the threshold x. The SOPs pass the AN shares
 # (theta, 1 - theta) with s = alpha or beta, computed once per call; the CDFs
 # pass the split's powers with s = var_j * x / (p_a * var_a). The kernels
 # broadcast over arrays and take plain floats as they are.
 #
-# An s that overflowed to inf (alpha, beta or x beyond the float range) would
-# give 0 * inf or inf - inf; the kernels take the limit s -> inf there
-# instead: -inf where AN reaches the eavesdropper, 0 where every AN weight it
-# sees is zero. Finite entries of s keep the plain formula's floats.
+# They are evaluated only through :func:`log_sf_at`, which takes the limit
+# s -> inf where s overflowed (alpha, beta or x beyond the float range): -inf
+# where the kind reads a positive AN weight (:func:`_an_seen`), 0 where no AN
+# reaches the eavesdropper. Every CDF reads that limit: where it is 0 the CDF
+# warns with DegenerateDistributionWarning and is 0, and every CDF is +0.0 at
+# x <= 0.
 
-def _finite_scale(s):
-    """(s with its overflowed entries set to 1, mask of those entries)."""
-    overflow = np.asarray(s) == math.inf
-    return np.where(overflow, 1.0, s), overflow
-
-
-def _limit_at_overflow(log_sf, overflow, w_beam, w_pas):
-    """``log_sf`` with the limit s -> inf where ``overflow`` is set."""
-    if not overflow.any():  # no full-grid pass without one
-        return log_sf
-    jammed = (w_beam > 0.0) | (w_pas > 0.0)
-    return np.where(overflow, np.where(jammed, -np.inf, 0.0), log_sf)[()]
-
-
-def _log_sf_active(w_beam, w_pas, s, n: int, m: int, rho_ea: float):
+def _log_sf_active(w_beam, w_pas, s, n: int, m: int, rho_bar: float):
     """One active eavesdropper, its beam one of M sharing ``w_beam``. An
-    imperfect estimate (rho_ea < 1, single beam) mispoints the beam and lets
-    passive AN through the estimation error; a perfect one keeps all passive
-    AN away from it.
+    imperfect estimate (rho_bar = 1 - rho_ea^2 > 0, single beam) mispoints
+    the beam and lets passive AN through the estimation error; a perfect one
+    (rho_bar = 0) keeps all passive AN away from it.
     """
-    rho_bar = 1.0 - rho_ea ** 2
-    overflow = None
-    if not (isinstance(s, float) and s < math.inf):  # a finite float: the optimizer's case
-        s, overflow = _finite_scale(s)
     log_sf = (2 - m - n) * np.log1p(w_beam / m * s)
     if rho_bar:
         log_sf = ((n - 2) * np.log1p(w_beam * rho_bar * s) + log_sf
                   - (n - 2) * np.log1p(w_pas * rho_bar * s / (n - 2)))
-    if overflow is None:
-        return log_sf
-    return _limit_at_overflow(log_sf, overflow, w_beam, w_pas if rho_bar else 0.0)
+    return log_sf
 
 
 def _log_sf_passive(w_beam, w_pas, s, n: int, m: int):
     """One passive eavesdropper: AN from the M beams and from the N-M-1
     passive-subspace dimensions."""
-    overflow = None
-    if not (isinstance(s, float) and s < math.inf):
-        s, overflow = _finite_scale(s)
-    log_sf = -m * np.log1p(w_beam / m * s) - (n - m - 1) * np.log1p(w_pas * s / (n - m - 1))
-    if overflow is None:
-        return log_sf
-    return _limit_at_overflow(log_sf, overflow, w_beam, w_pas)
+    return -m * np.log1p(w_beam / m * s) - (n - m - 1) * np.log1p(w_pas * s / (n - m - 1))
+
+
+def _an_seen(kind: str, params: SystemParams, w_beam, w_pas):
+    """The largest AN weight that the kernel of ``kind`` reads: the beam
+    weight, and the passive weight too for a passive eavesdropper or an
+    imperfect estimate (1 - rho_ea^2 > 0), through which passive AN leaks."""
+    active, _, imperfect, _ = _KINDS[kind]
+    leaks = imperfect and 1.0 - params.rho_ea ** 2
+    return w_beam if active and not leaks else np.maximum(w_beam, w_pas)
 
 
 def _best_of(log_sf, count: int):
@@ -257,8 +243,9 @@ def log_sf_at(kind: str, params: SystemParams, theta, s, w_pas=None):
     passive one): the one entry through which the rate search, its boundary
     prediction and its interval solves alike, evaluate the kernels. The
     kernel sees the AN weights (theta, ``w_pas``), ``w_pas`` = 1 - theta
-    unless given (the CDFs pass the split's AN powers). ``kind`` is not
-    checked here.
+    unless given (the CDFs pass the split's AN powers). Where s is inf this
+    is the limit s -> inf: -inf where the kind reads a positive AN weight
+    (:func:`_an_seen`), else 0. ``kind`` is not checked here.
 
     Every kernel is nonincreasing in each weight taken alone, since more AN
     at an eavesdropper lowers its survival; for the imperfect estimate the
@@ -273,10 +260,17 @@ def log_sf_at(kind: str, params: SystemParams, theta, s, w_pas=None):
     active, multi, imperfect, _ = _KINDS[kind]
     m = params.m_active if multi else 1
     w_pas = 1.0 - theta if w_pas is None else w_pas
-    if active:
-        return _log_sf_active(theta, w_pas, s, params.n_antennas, m,
-                              params.rho_ea if imperfect else 1.0)
-    return _log_sf_passive(theta, w_pas, s, params.n_antennas, m)
+    overflow = None
+    if not (isinstance(s, float) and s < math.inf):  # a finite float: the rate search's case
+        overflow = np.asarray(s) == math.inf
+        s = np.where(overflow, 1.0, s)
+    log_sf = (_log_sf_active(theta, w_pas, s, params.n_antennas, m,
+                             1.0 - params.rho_ea ** 2 if imperfect else 0.0) if active
+              else _log_sf_passive(theta, w_pas, s, params.n_antennas, m))
+    if overflow is None or not overflow.any():  # no full-grid pass without one
+        return log_sf
+    jammed = _an_seen(kind, params, theta, w_pas) > 0.0
+    return np.where(overflow, np.where(jammed, -np.inf, 0.0), log_sf)[()]
 
 
 def log_sf_scale(kind: str, params: SystemParams, p_a: float, r_s):
@@ -328,8 +322,7 @@ def log_sf_theta_curve(kind: str, params: SystemParams, p_a: float, r_s: float, 
     (:func:`log_sf_level`); the curve evaluates :func:`log_sf_at`.
     """
     s = log_sf_scale(kind, params, p_a, r_s)
-    level = log_sf_level(kind, params, eps)
-    return (lambda theta: log_sf_at(kind, params, theta, s)), level
+    return (lambda theta: log_sf_at(kind, params, theta, s)), log_sf_level(kind, params, eps)
 
 
 def _sop(kind: str, params: SystemParams, split: PowerSplit, r_s):
@@ -337,18 +330,35 @@ def _sop(kind: str, params: SystemParams, split: PowerSplit, r_s):
 
 
 def _cdf(kind: str, x, params: SystemParams, split: PowerSplit):
-    """CDF of one eavesdropper's SNR: the kernel at the split's AN powers."""
-    active = _KINDS[kind][0]
-    var_j, var_a = ((params.var_jea, params.var_aea) if active
+    """CDF of one eavesdropper's SNR: the kernel at the split's AN powers,
+    +0.0 at x <= 0. Where no AN reaches the eavesdropper (the kernel's
+    s -> inf limit is 0), its interference-limited SNR is unbounded and the
+    formula's limit, 0 wherever x is not NaN, comes with a
+    DegenerateDistributionWarning."""
+    seen = _an_seen(kind, params, split.p_ja, split.p_jp)
+    if not seen:
+        warnings.warn(f"no AN reaches the {kind} eavesdropper: its interference-limited SNR "
+                      "is unbounded", DegenerateDistributionWarning, stacklevel=3)
+    var_j, var_a = ((params.var_jea, params.var_aea) if _KINDS[kind][0]
                     else (params.var_jek, params.var_aek))
-    with np.errstate(over="ignore"):  # a product beyond the float range: the s = inf limit
-        s = var_j * np.asarray(x, dtype=float) / (split.p_a * var_a)
-    return _maybe_float(-np.expm1(log_sf_at(kind, params, split.p_ja, s, split.p_jp)))
+    # a product beyond the float range, s or an AN power the kernel reads
+    # times s, is the s = inf limit: the survival is below e**-600 where the
+    # latter overflows, and the CDF 1 to the float. With no AN, 0 * inf is
+    # NaN and leaves s as it is
+    with np.errstate(over="ignore"):
+        s = var_j * np.maximum(np.asarray(x, dtype=float), 0.0) / (split.p_a * var_a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.where(seen * s == math.inf, math.inf, s)
+    # + 0.0 turns the -0.0 of -expm1(0) into +0.0 and keeps every other bit
+    return _maybe_float(-np.expm1(log_sf_at(kind, params, split.p_ja, s, split.p_jp)) + 0.0)
 
 
 # ---------------------------------------------------------------------------
 # SNR CDFs
 # ---------------------------------------------------------------------------
+# Each is a distribution on the whole real line: +0.0 at x <= 0 (-inf
+# included) and NaN only where x is NaN. The five eavesdropper CDFs are views
+# of :func:`_cdf`.
 
 def cdf_snr_bob(x, params: SystemParams, p_a: float):
     """CDF of Bob's SNR: the information link over the active jamming link."""
@@ -356,7 +366,7 @@ def cdf_snr_bob(x, params: SystemParams, p_a: float):
     # t / (1 + t) rounds to its limit 1; a finite t keeps its bits. Where both
     # products overflow or both round to 0 (inf/inf, 0/0), t is taken through
     # logs, in which every scenario factor is finite
-    x = np.asarray(x, dtype=float)
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         t = x * params.p_ea * params.var_eab / (p_a * params.var_ab)
         lost = np.isnan(t)
@@ -365,48 +375,39 @@ def cdf_snr_bob(x, params: SystemParams, p_a: float):
                      - math.log(params.var_ab))
             t = np.where(lost, np.exp(np.log(x) + log_q), t)
     t = np.minimum(t, sys.float_info.max)
-    return _maybe_float(t / (1.0 + t))
+    return _maybe_float(t / (1.0 + t) + 0.0)
 
 
 def cdf_snr_active(x, params: SystemParams, split: PowerSplit):
-    """CDF of the single active eavesdropper's SNR under perfect estimates.
-
-    With zero AN power on the active beam the interference-limited SNR is
-    unbounded; the formula's limit is 0 for every finite x, returned with a
-    DegenerateDistributionWarning.
-    """
-    if split.p_ja == 0.0:
-        warnings.warn("active-beam AN power is zero; SNR is unbounded in the "
-                      "interference-limited model", DegenerateDistributionWarning,
-                      stacklevel=2)
-        return _maybe_float(np.zeros_like(np.asarray(x, dtype=float)))
+    """CDF of the single active eavesdropper's SNR under perfect estimates;
+    0 with a DegenerateDistributionWarning at zero active-beam AN power."""
     return _cdf("active", x, params, split)
 
 
 def cdf_snr_passive(x, params: SystemParams, split: PowerSplit):
-    """CDF of one passive eavesdropper's SNR under perfect estimates."""
-    if split.p_ja == 0.0 and split.p_jp == 0.0:
-        warnings.warn("total AN power is zero; SNR is unbounded in the "
-                      "interference-limited model", DegenerateDistributionWarning,
-                      stacklevel=2)
-        return _maybe_float(np.zeros_like(np.asarray(x, dtype=float)))
+    """CDF of one passive eavesdropper's SNR under perfect estimates; 0 with
+    a DegenerateDistributionWarning at zero total AN power."""
     return _cdf("passive", x, params, split)
 
 
 def cdf_snr_active_imperfect(x, params: SystemParams, split: PowerSplit):
     """CDF of the active eavesdropper's SNR when its jammer-side estimate has
     correlation rho_ea: the mispointed beam plus passive-AN leakage raise the
-    interference floor."""
+    interference floor. Degenerate (see :func:`_cdf`) only where no AN the
+    kernel reads is on: the beam's at rho_ea = 1, else the beam's and the
+    passive subspace's."""
     return _cdf("active_imperfect", x, params, split)
 
 
 def cdf_snr_active_multi(x, params: SystemParams, split: PowerSplit):
-    """CDF of one active eavesdropper's SNR with M beams sharing the AN power."""
+    """CDF of one active eavesdropper's SNR with M beams sharing the AN power;
+    degenerate (see :func:`_cdf`) at zero beam AN power."""
     return _cdf("active_multi", x, params, split)
 
 
 def cdf_snr_passive_multi(x, params: SystemParams, split: PowerSplit):
-    """CDF of one passive eavesdropper's SNR with M active beams present."""
+    """CDF of one passive eavesdropper's SNR with M active beams present;
+    degenerate (see :func:`_cdf`) at zero total AN power."""
     return _cdf("passive_multi", x, params, split)
 
 

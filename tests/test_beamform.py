@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from secrate.beamform import (
-    complement_projector, compose_an, make_beamformer_set, mrt_null_beam,
+    BeamformerSet, complement_projector, compose_an, make_beamformer_set, mrt_null_beam,
     multi_mrt_beams, passive_null_basis,
 )
 from secrate.errors import (
@@ -173,3 +173,34 @@ def test_beamformer_set_from_scenario_shapes():
     assert bset.w_passive.shape == (params.n_antennas,
                                     params.n_antennas - params.m_active - 1)
     _assert_set_invariants(g_b, bset)
+
+
+def test_mrt_beam_rejects_mismatched_shapes_and_a_zero_legitimate_channel():
+    rng = np.random.default_rng(31)
+    with pytest.raises(DimensionMismatch, match="shape mismatch"):
+        mrt_null_beam(_cn(rng, 4), _cn(rng, 3))
+    with pytest.raises(ZeroVector, match="legitimate channel"):
+        mrt_null_beam(np.zeros(4, complex), _cn(rng, 4))
+
+
+def test_one_dimensional_active_input_is_one_column():
+    rng = np.random.default_rng(37)
+    g_b, g_ea = _cn(rng, 5), _cn(rng, 5)
+    beams = multi_mrt_beams(g_b, g_ea)
+    assert beams.shape == (5, 1)
+    assert np.array_equal(beams[:, 0], mrt_null_beam(g_b, g_ea))
+    assert np.array_equal(passive_null_basis(g_b, beams[:, 0]), passive_null_basis(g_b, beams))
+
+
+def test_passive_basis_rejects_beams_of_another_length():
+    rng = np.random.default_rng(41)
+    with pytest.raises(DimensionMismatch, match="beam rows 4 != channel length 5"):
+        passive_null_basis(_cn(rng, 5), _cn(rng, 4, 1))
+
+
+def test_compose_an_rejects_beamformers_of_different_lengths():
+    rng = np.random.default_rng(43)
+    bset = BeamformerSet(w_active=_cn(rng, 5, 1), w_passive=_cn(rng, 4, 3))
+    split = PowerSplit(p_a=10.0, theta=0.5, p_ja=30.0, p_jp=30.0)
+    with pytest.raises(DimensionMismatch, match="disagree on antenna count"):
+        compose_an(bset, split, np.zeros(1, complex), np.zeros(3, complex))

@@ -43,18 +43,52 @@ def test_cdf_snr_active_anchors():
     assert cf.cdf_snr_active(1.0, params, split) == pytest.approx(0.5, rel=1e-12)
 
 
+def _positive_zero(value) -> bool:
+    return value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_cdf_snr_active_zero_jamming_flagged():
-    params = _raw_params()
-    split = PowerSplit(p_a=100.0, theta=0.0, p_ja=0.0, p_jp=0.0)
-    with pytest.warns(DegenerateDistributionWarning):
-        assert cf.cdf_snr_active(3.0, params, split) == 0.0
+    # no AN on the active beams: the SNR of every perfect-estimate active
+    # kernel is unbounded, and the imperfect one's too once no passive AN leaks
+    params = _raw_params(m_active=2, rho_ea=0.6)
+    silent = PowerSplit(p_a=100.0, theta=0.0, p_ja=0.0, p_jp=0.0)
+    passive_only = PowerSplit(p_a=100.0, theta=0.0, p_ja=0.0, p_jp=100.0)
+    for cdf, split in ((cf.cdf_snr_active, silent), (cf.cdf_snr_active, passive_only),
+                       (cf.cdf_snr_active_multi, silent), (cf.cdf_snr_active_multi, passive_only),
+                       (cf.cdf_snr_active_imperfect, silent)):
+        with pytest.warns(DegenerateDistributionWarning):
+            assert _positive_zero(cdf(3.0, params, split))
+        with pytest.warns(DegenerateDistributionWarning):
+            assert cdf(np.array([0.0, 3.0, np.inf]), params, split).tolist() == [0.0] * 3
+    with pytest.warns(DegenerateDistributionWarning):  # a perfect estimate lets no AN leak
+        assert cf.cdf_snr_active_imperfect(3.0, replace(params, rho_ea=1.0), passive_only) == 0.0
+
+
+def test_cdf_snr_active_imperfect_sees_leaking_an_at_zero_beam_power():
+    # passive AN leaks through the estimation error: a proper distribution, no warning
+    params = _raw_params(rho_ea=0.6)
+    split = PowerSplit(p_a=100.0, theta=0.0, p_ja=0.0, p_jp=100.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cf.cdf_snr_active_imperfect(3.0, params, split)
+    # s = 3 / 100; only the leakage term: 1 - (1 + p_jp rho_bar s / (N-2))^-(N-2)
+    assert got == pytest.approx(-math.expm1(-2.0 * math.log1p(100.0 * 0.64 * 0.03 / 2.0)),
+                                rel=1e-12)
+    assert 0.7 < got < 0.75
 
 
 def test_cdf_snr_passive_zero_jamming_flagged():
-    params = _raw_params()
+    params = _raw_params(m_active=2)
     split = PowerSplit(p_a=100.0, theta=0.0, p_ja=0.0, p_jp=0.0)
-    with pytest.warns(DegenerateDistributionWarning):
-        assert cf.cdf_snr_passive(3.0, params, split) == 0.0
+    for cdf in (cf.cdf_snr_passive, cf.cdf_snr_passive_multi):
+        with pytest.warns(DegenerateDistributionWarning):
+            assert _positive_zero(cdf(3.0, params, split))
+        # AN on either the beams or the passive subspace reaches a passive eavesdropper
+        for jammed in (PowerSplit(p_a=100.0, theta=1.0, p_ja=100.0, p_jp=0.0),
+                       PowerSplit(p_a=100.0, theta=0.0, p_ja=0.0, p_jp=100.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert 0.0 < cdf(3.0, params, jammed) < 1.0
 
 
 def test_cdf_snr_bob_anchors():
@@ -676,14 +710,15 @@ def test_sop_active_imperfect_monotone_in_rho_above_knee():
 def test_imperfect_log_survival_takes_its_limit_when_alpha_overflows():
     # s = inf used to give (n-2)*log1p(inf) + (-inf) = NaN with a RuntimeWarning
     n, rho = 6, 0.5
+    scenario = _raw_params(n_antennas=n, rho_ea=rho)
     for theta in (0.0, 0.3, 1.0):
-        assert cf._log_sf_active(theta, 1.0 - theta, float("inf"), n, 1, rho) == -np.inf
-    assert cf._log_sf_active(0.0, 0.0, float("inf"), n, 1, rho) == 0.0  # no AN at all
+        assert cf.log_sf_at("active_imperfect", scenario, theta, float("inf")) == -np.inf
+    assert cf.log_sf_at("active_imperfect", scenario, 0.0, float("inf"), 0.0) == 0.0  # no AN
     s = np.array([0.5, np.inf, 3e300])
-    got = cf._log_sf_active(0.3, 0.7, s, n, 1, rho)
+    got = cf.log_sf_at("active_imperfect", scenario, 0.3, s, 0.7)
     assert got[1] == -np.inf
     for i in (0, 2):  # finite entries keep the scalar path's floats
-        assert got[i] == cf._log_sf_active(0.3, 0.7, float(s[i]), n, 1, rho)
+        assert got[i] == cf.log_sf_at("active_imperfect", scenario, 0.3, float(s[i]), 0.7)
     params = _raw_params(n_antennas=n, var_jea=1e300, rho_ea=rho)
     split = make_split(params, 0.5 * params.p_max, 0.4)
     assert cf.cdf_snr_active_imperfect(np.inf, params, split) == 1.0
@@ -838,31 +873,44 @@ def _plain_log_sf(kind, w_beam, w_pas, s, n, m, rho_ea=1.0):
     return log_sf
 
 
+def _kernel_kinds(m, rho_ea=1.0):
+    """(active kind, passive kind) whose kernels read M = ``m`` beams and ``rho_ea``."""
+    if m > 1:
+        return "active_multi", "passive_multi"
+    return ("active" if rho_ea == 1.0 else "active_imperfect"), "passive"
+
+
 def test_kernels_take_their_limit_at_theta_ends_when_s_overflows():
     # 0 * inf used to reach log1p as NaN: a term with zero AN weight adds 0
     inf = math.inf
     for n, m in ((6, 1), (6, 2), (9, 4)):
-        assert cf._log_sf_active(0.0, 1.0, inf, n, m, 1.0) == 0.0  # passive AN never reaches it
-        assert cf._log_sf_active(1.0, 0.0, inf, n, m, 1.0) == -inf
+        params = _raw_params(n_antennas=n, m_active=m)
+        active, passive = _kernel_kinds(m)
+        assert cf.log_sf_at(active, params, 0.0, inf, 1.0) == 0.0  # passive AN never reaches it
+        assert cf.log_sf_at(active, params, 1.0, inf, 0.0) == -inf
         for theta in (0.0, 1.0):
-            assert cf._log_sf_passive(theta, 1.0 - theta, inf, n, m) == -inf
-        assert cf._log_sf_passive(0.0, 0.0, inf, n, m) == 0.0
+            assert cf.log_sf_at(passive, params, theta, inf) == -inf
+        assert cf.log_sf_at(passive, params, 0.0, inf, 0.0) == 0.0
+    params = _raw_params(n_antennas=6, m_active=2)
     theta = np.array([0.0, 0.4, 1.0, 0.0, 1.0])
     s = np.array([inf, inf, inf, 2.5, 1e300])
-    assert cf._log_sf_active(theta, 1.0 - theta, s, 6, 2, 1.0)[:3].tolist() == [0.0, -inf, -inf]
-    assert cf._log_sf_passive(theta, 1.0 - theta, s, 6, 2)[:3].tolist() == [-inf, -inf, -inf]
+    assert cf.log_sf_at("active_multi", params, theta, s)[:3].tolist() == [0.0, -inf, -inf]
+    assert cf.log_sf_at("passive_multi", params, theta, s)[:3].tolist() == [-inf, -inf, -inf]
     # finite s, the theta ends included, keeps the plain formulas' floats
     rng = np.random.default_rng(41)
     s = 10.0 ** rng.uniform(-300.0, 308.0, 400)
     theta = np.where(rng.random(400) < 0.5, rng.integers(0, 2, 400), rng.random(400))
     for n, m, rho in ((6, 1, 1.0), (6, 1, 0.5), (8, 3, 1.0)):
-        for kind, kernel in (("active", lambda *w: cf._log_sf_active(*w, n, m, rho)),
-                             ("passive", lambda *w: cf._log_sf_passive(*w, n, m))):
-            want = _plain_log_sf(kind, theta, 1.0 - theta, s, n, m, rho)
+        params = _raw_params(n_antennas=n, m_active=m, rho_ea=rho)
+        for kind, name in zip(_kernel_kinds(m, rho), ("active", "passive")):
+            def kernel(w_beam, w_pas, s, kind=kind):
+                return cf.log_sf_at(kind, params, w_beam, s, w_pas)
+
+            want = _plain_log_sf(name, theta, 1.0 - theta, s, n, m, rho)
             assert np.array_equal(kernel(theta, 1.0 - theta, s), want)
             for i in range(0, 400, 37):
                 w = (float(theta[i]), 1.0 - float(theta[i]), float(s[i]))
-                assert kernel(*w) == _plain_log_sf(kind, *w, n, m, rho)
+                assert kernel(*w) == _plain_log_sf(name, *w, n, m, rho)
 
 
 def test_cdf_reaches_the_overflow_limit_without_a_warning():
@@ -874,6 +922,15 @@ def test_cdf_reaches_the_overflow_limit_without_a_warning():
         assert cf.cdf_snr_active_imperfect(np.array([1e10]), params, split).tolist() == [1.0]
         assert cf.cdf_snr_active_imperfect(1e10, params, split) == 1.0
         assert cf.cdf_snr_passive(np.array([1e10, 1e-10]), params, split)[0] == 1.0
+    # a finite s whose product with an AN power overflows: the imperfect
+    # kernel's inf - inf was NaN, and every kernel warned
+    moderate = _raw_params(n_antennas=6, m_active=2, rho_ea=0.5)
+    split = make_split(moderate, 1.0, 0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cdf in _TAIL_CDFS.values():
+            assert cdf(1e307, moderate, split) == 1.0
+            assert cdf(np.array([1e307, 1e-300]), moderate, split)[0] == 1.0
 
 
 def test_lambda_cap_is_zero_at_a_perfect_estimate_when_alpha_overflows():

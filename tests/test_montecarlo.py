@@ -532,6 +532,28 @@ def test_worker_count_is_one_per_usable_cpu_and_job():
     assert mc._worker_count(64) <= (os.cpu_count() or 1)
 
 
+def test_worker_count_falls_back_to_the_cpu_count_without_affinity(monkeypatch):
+    # a platform without os.sched_getaffinity (macOS, Windows)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert mc._worker_count(1) == 1
+    assert mc._worker_count(10 ** 6) == (os.cpu_count() or 1)
+
+
+def test_uniform_slots_start_on_a_philox_block():
+    # draw_batch starts every range on a block boundary; the check guards direct calls
+    with pytest.raises(ValueError, match="Philox block boundary"):
+        mc._uniform_slots(1, mc._PHILOX_BLOCK + 1, 8)
+    assert np.array_equal(mc._uniform_slots(1, mc._PHILOX_BLOCK, 8),
+                          mc._uniform_slots(1, 0, 8 + mc._PHILOX_BLOCK)[mc._PHILOX_BLOCK:])
+
+
+def test_channel_batch_has_only_its_fields():
+    batch = mc.draw_batch(_params(), seed=3, start=0, stop=2)
+    with pytest.raises(AttributeError, match="g_nope"):
+        batch.g_nope
+    assert not hasattr(batch, "g_nope") and batch.g_b.shape == (2, 5)
+
+
 def test_out_of_range_seed_raises_from_a_worker(monkeypatch):
     monkeypatch.setattr(mc, "_worker_count", lambda jobs: min(jobs, 4))
     params = _params(m_active=3, n_antennas=6)

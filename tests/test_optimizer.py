@@ -990,7 +990,7 @@ def test_floor_stays_positive_when_alpha_overflows(m_active):
 
 @pytest.mark.parametrize("algorithm", ["perfect", "imperfect", "multi"])
 def test_searches_see_no_nan_when_alpha_and_beta_overflow(monkeypatch, algorithm):
-    # theta = 0 or 1 at an s that overflowed: the kernels return their limit
+    # theta = 0 or 1 at an s that overflowed: the kernel entry returns its limit
     params = validate(SystemParams(
         n_antennas=6, k_passive=2, m_active=2 if algorithm == "multi" else 1,
         var_ab=1e300, var_aea=2.0, var_aek=2.0, var_eab=1.5,
@@ -998,14 +998,13 @@ def test_searches_see_no_nan_when_alpha_and_beta_overflow(monkeypatch, algorithm
         p_max=1e4, p_ea=10.0, r_b=1000.0, delta=0.1, epsilon=0.01,
         rho_ea=0.5 if algorithm == "imperfect" else 1.0))
     values = []
-    for name in ("_log_sf_active", "_log_sf_passive"):
-        kernel = getattr(cf, name)
+    kernel = cf.log_sf_at
 
-        def recording(*args, kernel=kernel):
-            values.append(kernel(*args))
-            return values[-1]
+    def recording(*args):
+        values.append(kernel(*args))
+        return values[-1]
 
-        monkeypatch.setattr(cf, name, recording)
+    monkeypatch.setattr(cf, "log_sf_at", recording)
     result = opt.maximize_for(params, algorithm=algorithm, pa_mode="noise_limited")
     assert result.feasible and result.infeasibility_reason == "NONE"
     assert values and not any(np.isnan(v).any() for v in values)

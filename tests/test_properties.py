@@ -6,6 +6,7 @@ run checks the same scenarios.
 """
 import dataclasses
 import math
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -19,7 +20,9 @@ import secrate.cli as cli  # noqa: E402
 import secrate.closedform as cf  # noqa: E402
 import secrate.montecarlo as mc  # noqa: E402
 import secrate.optimizer as opt  # noqa: E402
-from secrate.errors import RangeError, SecrateError  # noqa: E402
+from secrate.errors import (  # noqa: E402
+    DegenerateDistributionWarning, RangeError, SecrateError,
+)
 from secrate.model import SystemParams, make_split, validate  # noqa: E402
 
 from conftest import (  # noqa: E402
@@ -226,6 +229,43 @@ def test_sops_lie_in_unit_interval(params, power_share, theta, rate_share):
         grid = cf.sop_grid(params, p_a, rates, thetas, kind)
         for sop in (curve(split.theta), grid):
             assert np.all((sop >= 0.0) & (sop <= 1.0)), (kind, sop)
+
+
+# the kernels that sum log1p terms of one sign; the imperfect-estimate kernel
+# adds terms of both signs and cdf_snr_bob rounds t / (1 + t), so either can
+# fall by a few ulps from one float x to the next
+_MONOTONE_CDFS = ("active", "passive", "active_multi", "passive_multi")
+
+
+@example(validate(SystemParams(
+    n_antennas=4, k_passive=2, m_active=1, var_ab=1.0, var_aea=1.0, var_aek=1.0,
+    var_eab=1.0, var_jb=1.0, var_jea=10.0, var_jek=10.0, p_max=1e4, p_ea=1.0, r_b=4.0,
+    delta=0.1, epsilon=0.01, rho_ea=0.6)), 1e-6, 0.5,
+    [-math.inf, -5.0, -0.0, 0.0, 5e-324, 1.0, 1e303, 1e307, math.inf, math.nan])
+@given(scenarios(), st.floats(1e-6, 1.0), st.floats(0.0, 1.0),
+       st.lists(st.floats(), min_size=1, max_size=12))
+def test_cdfs_are_distributions_on_the_whole_real_line(params, power_share, theta, xs):
+    # any float x, -inf, -0.0, subnormals and NaN included: a value in [0, 1],
+    # +0.0 at x <= 0, NaN only at a NaN x, never a RuntimeWarning
+    p_a = power_share * params.p_max
+    split = make_split(params, p_a, theta)
+    x = np.sort(np.array(xs, dtype=float))  # NaNs last
+    cdfs = {"bob": lambda x: cf.cdf_snr_bob(x, params, p_a)}
+    cdfs.update({kind: (lambda x, cdf=getattr(cf, f"cdf_snr_{kind}"): cdf(x, params, split))
+                 for kind in KINDS})
+    number = ~np.isnan(x)
+    for name, cdf in cdfs.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", DegenerateDistributionWarning)
+            values = cdf(x)
+            scalars = [cdf(float(v)) for v in x]
+        assert np.array_equal(values, scalars, equal_nan=True), name
+        assert np.array_equal(np.isnan(values), ~number), (name, x, values)
+        assert np.all((values[number] >= 0.0) & (values[number] <= 1.0)), (name, x, values)
+        assert not np.signbit(values[x <= 0.0]).any() and np.all(values[x <= 0.0] == 0.0), name
+        if name in _MONOTONE_CDFS:
+            assert np.all(np.diff(values[number]) >= 0.0), (name, x, values)
 
 
 @given(scenarios(), st.sampled_from(KINDS), _log_uniform(-12.0, 300.0),

@@ -1,9 +1,11 @@
 """Smoke tests for the measuring scripts under tools/.
 
 ``search_counts`` patches optimizer functions by name, so a renamed function
-would otherwise break it without any test noticing.
+would otherwise break it without any test noticing; ``identity`` must print
+the same lines on every run of one tree.
 """
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,18 @@ def test_code_lines_prints_a_consistent_total(capsys):
     total = int(rows.pop("total")[0])
     assert "optimizer.py" in rows and "__init__.py" in rows
     assert total == sum(int(row[0]) for row in rows.values()) > 0
+
+
+def test_identity_prints_the_same_lines_twice(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() puts the tree first
+    identity = _tool("identity")
+    runs = []
+    for _ in range(2):
+        assert identity.main(["identity.py", "--small"]) == 0
+        runs.append(capsys.readouterr().out.splitlines())
+    assert runs[0] == runs[1]
+    modes = ("auto", "noise_limited", "interference_limited", "an_leakage")
+    assert [line.split()[1] for line in runs[0]] == [
+        *(f"{group}/{mode}" for mode in modes for group in ("sweep", "sweep-no-steps")),
+        *(f"eval/{mode}" for mode in modes), "verify", "maximize_for", "oracle"]
+    assert all(len(line.split()[0]) == 64 for line in runs[0])

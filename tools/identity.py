@@ -1,0 +1,120 @@
+"""Print one SHA-256 per output group, to check that a change keeps outputs.
+
+Run it on two trees (say the parent commit, from ``git archive``, and the
+change) and compare the lines; a group whose hash moved printed something
+else. The groups, each over every pa-mode where it takes one:
+
+- ``sweep/<mode>``: ``secrate sweep`` on the shipped configs, and
+  ``sweep-no-steps/<mode>`` the same without the ``steps`` work counter;
+- ``eval/<mode>``: ``secrate eval`` on the shipped configs and the
+  benchmark's M = 3 config;
+- ``verify``: the four reports of the benchmark's ``verify_mc`` workload;
+- ``maximize_for``: the ``repr`` of each rate-search result on the
+  ``generate_scenarios`` populations of SEEDS;
+- ``oracle``: the ``repr`` of ``grid_search_oracle`` on the same
+  populations, without the trace's work counters ``rows``, ``points`` and
+  ``tiles``.
+
+A typed error is hashed as its type and message. Run from anywhere:
+
+    python tools/identity.py [--small] [TREE]
+
+TREE (by default the checkout that holds this script) is the tree whose
+``src`` and ``perfbench`` are imported and whose configs are read.
+``--small`` runs fewer trials and scenarios, for a smoke test; its lines
+differ from the full size's.
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+# generate_scenarios seeds: 7 is the optimize_mix population's
+SEEDS = (7, 123, 999)
+# (verify trials, scenarios per seed, oracle scenarios per seed)
+FULL = (100_000, 300, 90)
+SMALL = (10_000, 12, 6)
+UNCOUNTED = ("rows", "points", "tiles")
+
+
+def _digest(texts) -> str:
+    sha = hashlib.sha256()
+    for text in texts:
+        sha.update(text.encode("utf-8") + b"\0")
+    return sha.hexdigest()
+
+
+def _outcome(fn, *args, **kwargs) -> str:
+    """``repr`` of fn's result or, for a typed error, its type and message."""
+    from secrate.errors import SecrateError
+    try:
+        return repr(fn(*args, **kwargs))
+    except SecrateError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _without_column(text: str, name: str) -> str:
+    lines = [line.split(",") for line in text.splitlines()]
+    if name not in lines[0]:
+        return text
+    index = lines[0].index(name)
+    return "\n".join(",".join(f for i, f in enumerate(line) if i != index) for line in lines)
+
+
+def groups(tree: Path, small: bool) -> dict[str, str]:
+    """Group name -> SHA-256 of its outputs, for the tree on ``sys.path``."""
+    import perfbench.workloads as bench
+    import secrate.cli as cli
+    import secrate.closedform as cf
+    import secrate.optimizer as opt
+
+    trials, count, oracles = SMALL if small else FULL
+    modes = ("auto", *cf.PA_MODES)
+    configs = sorted((tree / "configs").glob("*.cfg"))
+    out = {}
+    for mode in modes:
+        sweeps = [_outcome(cli.cmd_sweep, cli.load_config(str(path)), None, mode)
+                  for path in configs]
+        out[f"sweep/{mode}"] = _digest(sweeps)
+        out[f"sweep-no-steps/{mode}"] = _digest(_without_column(s, "steps") for s in sweeps)
+    for mode in modes:
+        out[f"eval/{mode}"] = _digest(
+            _outcome(cli.cmd_eval, cli.load_config(str(path)), mode)
+            for path in [*configs, tree / "perfbench" / "configs" / "verify_m3.cfg"])
+    out["verify"] = _digest(
+        _outcome(cli.cmd_verify, dict(cli.load_config(str(path)), **overrides), trials,
+                 bench.MC_SEED, "auto", None)
+        for _, path, overrides in bench.VERIFY_CASES)
+    populations = [bench.generate_scenarios(seed, count) for seed in SEEDS]
+    out["maximize_for"] = _digest(
+        _outcome(opt.maximize_for, params, algorithm=algorithm, step=bench.STEP, pa_mode=mode)
+        for population in populations for algorithm, params in population for mode in modes)
+
+    def oracle(params, algorithm, mode):
+        result = opt.grid_search_oracle(params, 1000, 1000, algorithm=algorithm, pa_mode=mode)
+        trace = {k: v for k, v in result.trace.items() if k not in UNCOUNTED}
+        return dataclasses.replace(result, trace=trace)
+
+    out["oracle"] = _digest(
+        _outcome(oracle, params, algorithm, mode)
+        for population in populations for algorithm, params in population[:oracles]
+        for mode in ("auto", "noise_limited"))
+    return out
+
+
+def main(argv: list[str]) -> int:
+    args = argv[1:]
+    small = "--small" in args
+    trees = [arg for arg in args if arg != "--small"]
+    tree = Path(trees[0]).resolve() if trees else ROOT
+    sys.path[:0] = [str(tree / "src"), str(tree)]
+    for name, digest in groups(tree, small).items():
+        print(f"{digest}  {name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
