@@ -31,7 +31,7 @@ from .model import PowerSplit, SystemParams
 
 PA_MODES = ("noise_limited", "interference_limited", "an_leakage")
 
-_LN2 = np.log(2.0)
+_LN2 = math.log(2.0)
 # The rounding bound of the log-survival kernels, relative to 1 + the value's
 # magnitude plus the magnitude the kernel cancels (log_sf_margin): one
 # evaluation errs by under 10 ulps (2.2e-15) of that sum, and a comparison of
@@ -138,25 +138,26 @@ def derived_ratios(params: SystemParams, p_a: float, r_s: float) -> DerivedRatio
 # where the kind reads a positive AN weight (:func:`_an_seen`), 0 where no AN
 # reaches the eavesdropper. Every CDF reads that limit: where it is 0 the CDF
 # warns with DegenerateDistributionWarning and is 0, and every CDF is +0.0 at
-# x <= 0.
+# x <= 0. ``log1p`` is math.log1p on plain floats (the rate search's case,
+# four times cheaper than a numpy call there) and np.log1p on arrays.
 
-def _log_sf_active(w_beam, w_pas, s, n: int, m: int, rho_bar: float):
+def _log_sf_active(w_beam, w_pas, s, n: int, m: int, rho_bar: float, log1p):
     """One active eavesdropper, its beam one of M sharing ``w_beam``. An
     imperfect estimate (rho_bar = 1 - rho_ea^2 > 0, single beam) mispoints
     the beam and lets passive AN through the estimation error; a perfect one
     (rho_bar = 0) keeps all passive AN away from it.
     """
-    log_sf = (2 - m - n) * np.log1p(w_beam / m * s)
+    log_sf = (2 - m - n) * log1p(w_beam / m * s)
     if rho_bar:
-        log_sf = ((n - 2) * np.log1p(w_beam * rho_bar * s) + log_sf
-                  - (n - 2) * np.log1p(w_pas * rho_bar * s / (n - 2)))
+        log_sf = ((n - 2) * log1p(w_beam * rho_bar * s) + log_sf
+                  - (n - 2) * log1p(w_pas * rho_bar * s / (n - 2)))
     return log_sf
 
 
-def _log_sf_passive(w_beam, w_pas, s, n: int, m: int):
+def _log_sf_passive(w_beam, w_pas, s, n: int, m: int, log1p):
     """One passive eavesdropper: AN from the M beams and from the N-M-1
     passive-subspace dimensions."""
-    return -m * np.log1p(w_beam / m * s) - (n - m - 1) * np.log1p(w_pas * s / (n - m - 1))
+    return -m * log1p(w_beam / m * s) - (n - m - 1) * log1p(w_pas * s / (n - m - 1))
 
 
 def _an_seen(kind: str, params: SystemParams, w_beam, w_pas):
@@ -256,17 +257,21 @@ def log_sf_at(kind: str, params: SystemParams, theta, s, w_pas=None):
     - (N-1) w / (1 + w s) <= 0, since w rho_bar / (1 + w rho_bar s)
     <= w / (1 + w s). So over theta in [lo, hi] and s in [s_min, s_max] the
     log-survival lies between its values at (hi, 1 - lo, s_max) and
-    (lo, 1 - hi, s_min) (:func:`sop_tiles`, :func:`sop_grid_mask`)."""
+    (lo, 1 - hi, s_min) (:func:`sop_tiles`, :func:`sop_grid_mask`).
+
+    A float theta and s (the rate search's case) give a float."""
     active, multi, imperfect, _ = _KINDS[kind]
     m = params.m_active if multi else 1
     w_pas = 1.0 - theta if w_pas is None else w_pas
-    overflow = None
-    if not (isinstance(s, float) and s < math.inf):  # a finite float: the rate search's case
-        overflow = np.asarray(s) == math.inf
+    overflow, log1p = None, math.log1p
+    if not (isinstance(s, float) and isinstance(theta, float)):
+        overflow, log1p = np.asarray(s) == math.inf, np.log1p
         s = np.where(overflow, 1.0, s)
+    elif s == math.inf:
+        return -math.inf if _an_seen(kind, params, theta, w_pas) > 0.0 else 0.0
     log_sf = (_log_sf_active(theta, w_pas, s, params.n_antennas, m,
-                             1.0 - params.rho_ea ** 2 if imperfect else 0.0) if active
-              else _log_sf_passive(theta, w_pas, s, params.n_antennas, m))
+                             1.0 - params.rho_ea ** 2 if imperfect else 0.0, log1p) if active
+              else _log_sf_passive(theta, w_pas, s, params.n_antennas, m, log1p))
     if overflow is None or not overflow.any():  # no full-grid pass without one
         return log_sf
     jammed = _an_seen(kind, params, theta, w_pas) > 0.0
@@ -329,6 +334,19 @@ def _sop(kind: str, params: SystemParams, split: PowerSplit, r_s):
     return _maybe_float(sop_theta_curve(kind, params, split.p_a, r_s)(split.theta))
 
 
+def _through_logs(t, x, up: tuple, down: tuple):
+    """x times the factors ``up`` over the factors ``down`` (positive finite
+    floats) at each x >= 0, given ``t``, that ratio formed plainly. Where t
+    is 0, inf or NaN, a product may have left the float range, and the ratio
+    is formed through logs instead; every positive finite t keeps its bits."""
+    lost = ~((t > 0.0) & (t < math.inf))
+    if not lost.any():
+        return t
+    log_q = sum(map(math.log, up)) - sum(map(math.log, down))
+    with np.errstate(over="ignore", divide="ignore"):
+        return np.where(lost, np.exp(np.log(x) + log_q), t)
+
+
 def _cdf(kind: str, x, params: SystemParams, split: PowerSplit):
     """CDF of one eavesdropper's SNR: the kernel at the split's AN powers,
     +0.0 at x <= 0. Where no AN reaches the eavesdropper (the kernel's
@@ -341,13 +359,13 @@ def _cdf(kind: str, x, params: SystemParams, split: PowerSplit):
                       "is unbounded", DegenerateDistributionWarning, stacklevel=3)
     var_j, var_a = ((params.var_jea, params.var_aea) if _KINDS[kind][0]
                     else (params.var_jek, params.var_aek))
-    # a product beyond the float range, s or an AN power the kernel reads
-    # times s, is the s = inf limit: the survival is below e**-600 where the
-    # latter overflows, and the CDF 1 to the float. With no AN, 0 * inf is
-    # NaN and leaves s as it is
-    with np.errstate(over="ignore"):
-        s = var_j * np.maximum(np.asarray(x, dtype=float), 0.0) / (split.p_a * var_a)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an s lost to a product beyond the float range is taken through logs;
+    # an AN power the kernel reads times s beyond it is the s = inf limit:
+    # the survival is then below e**-600, and the CDF 1 to the float. With no
+    # AN, 0 * inf is NaN and leaves s as it is
+    x = np.maximum(np.asarray(x, dtype=float), 0.0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        s = _through_logs(var_j * x / (split.p_a * var_a), x, (var_j,), (split.p_a, var_a))
         s = np.where(seen * s == math.inf, math.inf, s)
     # + 0.0 turns the -0.0 of -expm1(0) into +0.0 and keeps every other bit
     return _maybe_float(-np.expm1(log_sf_at(kind, params, split.p_ja, s, split.p_jp)) + 0.0)
@@ -362,18 +380,13 @@ def _cdf(kind: str, x, params: SystemParams, split: PowerSplit):
 
 def cdf_snr_bob(x, params: SystemParams, p_a: float):
     """CDF of Bob's SNR: the information link over the active jamming link."""
-    # a ratio t beyond the float range is clipped to the largest float, where
-    # t / (1 + t) rounds to its limit 1; a finite t keeps its bits. Where both
-    # products overflow or both round to 0 (inf/inf, 0/0), t is taken through
-    # logs, in which every scenario factor is finite
+    # a ratio t lost to a product beyond the float range (inf/inf, 0/0, or
+    # one product alone) is taken through logs; a t beyond the float range is
+    # clipped to the largest float, where t / (1 + t) rounds to its limit 1
     x = np.maximum(np.asarray(x, dtype=float), 0.0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = x * params.p_ea * params.var_eab / (p_a * params.var_ab)
-        lost = np.isnan(t)
-        if lost.any():
-            log_q = (math.log(params.p_ea) + math.log(params.var_eab) - math.log(p_a)
-                     - math.log(params.var_ab))
-            t = np.where(lost, np.exp(np.log(x) + log_q), t)
+        t = _through_logs(x * params.p_ea * params.var_eab / (p_a * params.var_ab), x,
+                          (params.p_ea, params.var_eab), (p_a, params.var_ab))
     t = np.minimum(t, sys.float_info.max)
     return _maybe_float(t / (1.0 + t) + 0.0)
 
@@ -626,7 +639,7 @@ def _quadratic_roots(n: int, alpha: float, rho: float) -> tuple[float, float, fl
         vertex = c - b * (b_a / 4.0)
         a, b, c = 1.0, b_a, c_a
         disc = b * b - 4.0 * c
-    sq = float(np.sqrt(disc))
+    sq = math.sqrt(disc)
     q = -0.5 * (b + sq) if b >= 0.0 else -0.5 * (b - sq)
     r1, r2 = q / a, c / q
     return min(r1, r2), max(r1, r2), vertex

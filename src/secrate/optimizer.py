@@ -12,9 +12,12 @@ quasiconvex in theta, x_p least at the reference M/(N-1) and x_a at
 theta_a. One flow serves every active kind: x* is x_p(reference) when the
 active target holds there, else x_a(theta_a) when the passive target holds
 there, else x_a at the one root in theta between the two of the passive
-gap along x_a. Only x_a(theta) and theta_a depend on the kind: K / theta
-and 1 with perfect estimates, a root in log x and the active minimizer with
-imperfect ones. The grid index of x* and the one past it are probed first,
+gap along x_a. x_p at the reference is closed form: both passive kernel
+terms read s/(N-1) there, so the kernel meets the level L at
+s = (N-1) expm1(L/(1-N)), the passive twin of the active floor. Only
+x_a(theta) and theta_a depend on the kind: K / theta and 1 with perfect
+estimates, a root in log x and the active minimizer with imperfect ones.
+The grid index of x* and the one past it are probed first,
 and the bisection closes whatever bracket they leave; the prediction orders
 the probes and never decides the result.
 ``OptResult.steps`` counts the interval solves: 2 when the prediction lands,
@@ -33,7 +36,9 @@ Every other kind is bisected on each side of its minimizer, where the
 log-survival is monotone; secant steps first certify a band around each
 crossing, and the bisection evaluates only the midpoints inside it, with the
 same result bit for bit. A gap to the level is certified only beyond a
-margin set by a rounding bound (cf.log_sf_margin).
+margin set by a rounding bound (cf.log_sf_margin). The search evaluates the
+kernels on plain floats, where cf.log_sf_at takes math.log1p and returns a
+float, with no numpy scalar.
 
 Apart from that bisection, every root is solved by one core (:func:`_root`):
 secant steps on the last two iterates, inside a bracket that a step leaving
@@ -244,7 +249,7 @@ def _curve(kind: str, params: SystemParams, s: float, minimizer: float):
     level = cf.log_sf_level(kind, params, params.epsilon)
 
     def gap(theta: float) -> float:
-        return float(cf.log_sf_at(kind, params, theta, s)) - level
+        return cf.log_sf_at(kind, params, theta, s) - level
 
     g_min = gap(minimizer)
     margin = cf.log_sf_margin(kind, params, s, level)
@@ -273,10 +278,20 @@ def _end(curve, edge: float, outside=None, inside=None) -> float:
     return _bisect(gap, *sorted((edge, inner)), edge == 0.0, band)
 
 
+def _level_scale(level: float, width: int, count: int) -> float:
+    """width expm1(level / -count): the scale s at which -count log1p(s / width)
+    meets ``level``. The active kernel with perfect estimates,
+    -(M+N-2) log1p(theta s / M), takes this form in theta s, with width M
+    and count M+N-2 (:func:`_floor`); the passive kernel at its reference
+    M/(N-1), where both of its terms read s / (N-1), with width and count
+    N-1."""
+    return width * float(np.expm1(level / -count))
+
+
 def _floor_scale(params: SystemParams, beams: int) -> float:
     """M expm1(L / (2-M-N)), the floor times alpha (see :func:`_floor`)."""
     level = cf.secrecy_level(params.epsilon, beams)
-    return beams * float(np.expm1(level / (2 - beams - params.n_antennas)))
+    return _level_scale(level, beams, beams + params.n_antennas - 2)
 
 
 def _floor(params: SystemParams, p_a: float, r_s: float, beams: int) -> float:
@@ -509,9 +524,10 @@ def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, st
     active target holds there (to a tolerance); else x_a at theta_a when the
     passive target holds there; else x_a where the two meet, the one root in
     theta between the reference and theta_a of the passive gap along x_a.
-    Only x_a(theta) and theta_a depend on the active kind: the closed-form
-    floor K / theta and 1 with perfect estimates, else a root in log x at
-    each theta and the active minimizer at x_a's least value.
+    x_p at the reference is closed form (:func:`_level_scale`). Only x_a(theta)
+    and theta_a depend on the active kind: the closed-form floor K / theta
+    and 1 with perfect estimates, else a root in log x at each theta and the
+    active minimizer at x_a's least value.
     """
     # alpha and beta are c_a x and c_p x; their ratios to x at a rate whose x is at most 1
     r_s = max(params.r_b - 1.0, 0.0)
@@ -524,50 +540,49 @@ def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, st
     active, passive = kinds
     log_c = dict(zip(kinds, map(math.log, scales)))
     level = {kind: cf.log_sf_level(kind, params, params.epsilon) for kind in kinds}
-    warm = {}  # kind -> (u, slope) of its last root, the start of its next
 
     def gap(kind: str, theta: float, log_x: float) -> float:
         """kind's log-survival at theta and threshold e**log_x, less its level."""
-        s = _exp(log_c[kind] + log_x)
-        return float(cf.log_sf_at(kind, params, theta, s)) - level[kind]
-
-    def threshold(kind: str, theta) -> float:
-        """log x at which kind's log-survival at (theta(s), s), falling from 0
-        at s = 0 to -inf, meets kind's level: the root in u = log s of
-        phi(u) = log(-log_sf(e**u)) - log(-level), which rises with a slope
-        of about 1 or less (exactly 1 as s -> 0). It runs from kind's last
-        root and its slope there, the first step at that slope."""
-        target = math.log(-level[kind])
-
-        def phi(v: float) -> float:
-            s = _exp(v)
-            g = -float(cf.log_sf_at(kind, params, theta(s), s))
-            return math.log(g) - target if g > 0.0 else -math.inf
-
-        u, slope = warm.get(kind, (target, 1.0))
-        p = phi(u)
-        if abs(p) > _ROOT_TOL * slope:
-            bracket = (u, math.inf) if p < 0.0 else (-math.inf, u)
-            u, rise = _predicted_root(phi, u - 1.0, p - slope, u, p, *bracket)
-            slope = rise if 0.0 < rise < math.inf else slope
-        warm[kind] = u, slope
-        return u - log_c[kind]
+        return cf.log_sf_at(kind, params, theta, _exp(log_c[kind] + log_x)) - level[kind]
 
     ref = _theta_reference(params, passive)
-    log_xp = threshold(passive, lambda s: ref)
+    width = params.n_antennas - 1  # at the reference both passive terms read s / (N-1)
+    log_xp = math.log(_level_scale(level[passive], width, width)) - log_c[passive]
     # the active target holds at (reference, x_p); near the level its gap
     # moves by at most about |level| per unit of log x
     if gap(active, ref, log_xp) <= _ROOT_TOL * abs(level[active]):
         return log_xp
     # x_a(theta) and theta_a, where x_a is least: the one branch on the kind
     if active == "active_imperfect":
-        warm[active] = (log_xp + log_c[active], 1.0)
+        warm = [log_xp + log_c[active], 1.0]  # (u, slope) of the last root, the next one's start
+
+        def threshold(theta) -> float:
+            """log x at which the active log-survival at (theta(s), s), falling
+            from 0 at s = 0 to -inf, meets its level: the root in u = log s
+            of phi(u) = log(-log_sf(e**u)) - log(-level), which rises with a
+            slope of about 1 or less (exactly 1 as s -> 0). It runs from the
+            last root and its slope there, the first step at that slope."""
+            target = math.log(-level[active])
+
+            def phi(v: float) -> float:
+                s = _exp(v)
+                g = -cf.log_sf_at(active, params, theta(s), s)
+                return math.log(g) - target if g > 0.0 else -math.inf
+
+            u, slope = warm
+            p = phi(u)
+            if abs(p) > _ROOT_TOL * slope:
+                bracket = (u, math.inf) if p < 0.0 else (-math.inf, u)
+                u, rise = _predicted_root(phi, u - 1.0, p - slope, u, p, *bracket)
+                slope = rise if 0.0 < rise < math.inf else slope
+            warm[:] = u, slope
+            return u - log_c[active]
 
         def log_xa(theta: float) -> float:
-            return threshold(active, lambda s: theta)
+            return threshold(lambda s: theta)
 
         # the least active log-survival: at its minimizer, which tends to 1 as alpha -> 0
-        log_x = threshold(active, lambda s: _active_minimizer(params, s) if s > 0.0 else 1.0)
+        log_x = threshold(lambda s: _active_minimizer(params, s) if s > 0.0 else 1.0)
         theta_a = _active_minimizer(params, _exp(log_x + log_c[active]))
     else:  # x_a(theta) = K / theta, the closed-form floor in x
         beams = params.m_active if active == "active_multi" else 1

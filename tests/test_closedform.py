@@ -717,8 +717,8 @@ def test_imperfect_log_survival_takes_its_limit_when_alpha_overflows():
     s = np.array([0.5, np.inf, 3e300])
     got = cf.log_sf_at("active_imperfect", scenario, 0.3, s, 0.7)
     assert got[1] == -np.inf
-    for i in (0, 2):  # finite entries keep the scalar path's floats
-        assert got[i] == cf.log_sf_at("active_imperfect", scenario, 0.3, float(s[i]), 0.7)
+    for i in (0, 2):  # finite entries keep the floats they have without the inf
+        assert got[i] == cf.log_sf_at("active_imperfect", scenario, 0.3, s[i:i + 1], 0.7)[0]
     params = _raw_params(n_antennas=n, var_jea=1e300, rho_ea=rho)
     split = make_split(params, 0.5 * params.p_max, 0.4)
     assert cf.cdf_snr_active_imperfect(np.inf, params, split) == 1.0
@@ -862,14 +862,16 @@ def test_theta_profile_takes_its_limit_when_alpha_overflows():
 
 
 def _plain_log_sf(kind, w_beam, w_pas, s, n, m, rho_ea=1.0):
-    """The kernels' formulas without any overflow handling."""
+    """The kernels' formulas without any overflow handling, with math.log1p
+    on floats and np.log1p on arrays, as the kernels take them."""
+    log1p = math.log1p if isinstance(s, float) else np.log1p
     if kind == "passive":
-        return -m * np.log1p(w_beam / m * s) - (n - m - 1) * np.log1p(w_pas * s / (n - m - 1))
+        return -m * log1p(w_beam / m * s) - (n - m - 1) * log1p(w_pas * s / (n - m - 1))
     rho_bar = 1.0 - rho_ea ** 2
-    log_sf = (2 - m - n) * np.log1p(w_beam / m * s)
+    log_sf = (2 - m - n) * log1p(w_beam / m * s)
     if rho_bar:
-        log_sf = ((n - 2) * np.log1p(w_beam * rho_bar * s) + log_sf
-                  - (n - 2) * np.log1p(w_pas * rho_bar * s / (n - 2)))
+        log_sf = ((n - 2) * log1p(w_beam * rho_bar * s) + log_sf
+                  - (n - 2) * log1p(w_pas * rho_bar * s / (n - 2)))
     return log_sf
 
 
@@ -931,6 +933,38 @@ def test_cdf_reaches_the_overflow_limit_without_a_warning():
         for cdf in _TAIL_CDFS.values():
             assert cdf(1e307, moderate, split) == 1.0
             assert cdf(np.array([1e307, 1e-300]), moderate, split)[0] == 1.0
+
+
+def test_cdf_takes_a_scale_lost_to_overflow_through_logs():
+    # p_a var_a beyond the float range made s = var_j x / (p_a var_a) 0 at
+    # x = 1e300, and inf / inf (NaN, with a warning) at x = inf. Scaled by
+    # 1e299 and 1e300, the scenario is one with s = 10 at x = 1, p_ja s = 4.5
+    big = _raw_params(n_antennas=6, m_active=2, rho_ea=0.5, p_max=1e300, var_aea=1e300,
+                      var_aek=1e300)
+    small = _raw_params(n_antennas=6, m_active=2, rho_ea=0.5, p_max=1.0)
+    big_split, small_split = make_split(big, 1e299, 0.5), make_split(small, 0.1, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, cdf in _TAIL_CDFS.items():
+            want = cdf(1.0, small, small_split)
+            assert 0.9 < want < 1.0
+            assert cdf(1e300, big, big_split) == pytest.approx(want, rel=1e-12), kind
+            assert cdf(np.array([0.0, 1e300, math.inf]), big, big_split).tolist() == [
+                0.0, pytest.approx(want, rel=1e-12), 1.0], kind
+
+
+def test_log_survival_of_floats_is_a_float():
+    # the rate search's case takes no numpy scalar: a float theta and s give
+    # a float, the s = inf limit included, and the array path's value to
+    # rounding (math.log1p and np.log1p may differ by an ulp)
+    params = _raw_params(n_antennas=6, m_active=2, rho_ea=0.5)
+    for kind in KINDS:
+        for theta in (0.0, 0.3, 1.0):
+            for s in (0.0, 0.5, 3e300, math.inf):
+                got = cf.log_sf_at(kind, params, theta, s)
+                want = cf.log_sf_at(kind, params, np.array([theta]), np.array([s]))[0]
+                assert type(got) is float, (kind, theta, s)
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0), (kind, theta, s)
 
 
 def test_lambda_cap_is_zero_at_a_perfect_estimate_when_alpha_overflows():

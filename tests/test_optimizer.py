@@ -689,6 +689,26 @@ def test_the_prediction_lands_for_every_algorithm(algorithm):
             assert result.steps <= (2 if result.feasible else 1), (params, pa_mode, result)
 
 
+def test_passive_threshold_at_the_reference_meets_the_level(baseline_params):
+    # at theta = M/(N-1) both passive kernel terms read s/(N-1), so the
+    # kernel meets the level L at the closed form s = (N-1) expm1(L/(1-N))
+    # that the prediction takes: the float kernel there lies within the
+    # rounding margin of L, for every M and K and epsilon over its range
+    epsilons = (1e-300, 1e-100, 1e-12, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-16)
+    for n in range(3, 65):
+        for m in range(1, n - 1):
+            kind = "passive_multi" if m > 1 else "passive"
+            for k in (1, 2, 9, 64):
+                for eps in epsilons:
+                    params = replace(baseline_params, n_antennas=n, m_active=m, k_passive=k,
+                                     epsilon=eps)
+                    level = cf.log_sf_level(kind, params, eps)
+                    s = opt._level_scale(level, n - 1, n - 1)
+                    got = cf.log_sf_at(kind, params, opt._theta_reference(params, kind), s)
+                    assert abs(got - level) <= cf.log_sf_margin(kind, params, s, level), (
+                        n, m, k, eps, got, level)
+
+
 # ---------------------------------------------------------------------------
 # The one root core of the band and the boundary prediction
 # ---------------------------------------------------------------------------
@@ -762,15 +782,23 @@ def test_band_ends_are_given_or_certified():
 
 def test_a_spent_budget_leaves_the_prediction_and_the_band(monkeypatch, baseline_params):
     # no root: the prediction gives up (and the search still bisects to the
-    # same answer), and the band keeps the ends it was given
-    kinds = cf.scenario_kinds(baseline_params, "perfect")
+    # same answer), and the band keeps the ends it was given. The perfect
+    # kinds' prediction at the baseline solves no root (its thresholds at the
+    # reference are closed form), so the imperfect kind with the active
+    # target binding stands in for it
+    perfect = cf.scenario_kinds(baseline_params, "perfect")
     p_req = cf.min_pa(baseline_params, "noise_limited")
-    assert math.isfinite(opt._smallest_threshold(baseline_params, p_req, kinds))
-    want = opt.maximize_for(baseline_params, algorithm="perfect", pa_mode="noise_limited")
+    log_x = opt._smallest_threshold(baseline_params, p_req, perfect)
+    params = replace(baseline_params, rho_ea=0.5, var_jea=1.0)
+    kinds = cf.scenario_kinds(params, "imperfect")
+    p_imperfect = cf.min_pa(params, "noise_limited")
+    assert math.isfinite(opt._smallest_threshold(params, p_imperfect, kinds))
+    want = opt.maximize_for(params, algorithm="imperfect", pa_mode="noise_limited")
     monkeypatch.setattr(opt, "_ROOT_STEPS", 0)
+    assert opt._smallest_threshold(baseline_params, p_req, perfect) == log_x
     with pytest.raises(opt._NoPrediction):
-        opt._smallest_threshold(baseline_params, p_req, kinds)
-    got = opt.maximize_for(baseline_params, algorithm="perfect", pa_mode="noise_limited")
+        opt._smallest_threshold(params, p_imperfect, kinds)
+    got = opt.maximize_for(params, algorithm="imperfect", pa_mode="noise_limited")
     assert repr(replace(got, steps=0)) == repr(replace(want, steps=0)) and got.steps > 2
 
     # the upper passive crossing at 0.9 r_b, where the gap at theta = 1 is 0.27

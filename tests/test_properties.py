@@ -201,6 +201,26 @@ def test_eval_ends_with_a_result_or_a_typed_error_at_float_extremes(params, thet
         assert [name for name in defined if row[name] == "nan"] == []
 
 
+@given(extreme_scenarios(), _log_uniform(-300.0, 0.0))
+def test_minimum_power_and_transmission_outages_at_float_extremes(params, power_share):
+    # min_pa under every pa-mode is a positive power (inf beyond the float
+    # range) or a typed error, and each transmission outage at a power in
+    # (0, p_max] is a probability or a typed error: never NaN, and never a
+    # RuntimeWarning (the suite turns one into an error)
+    for pa_mode in ("auto", *cf.PA_MODES):
+        try:
+            assert cf.min_pa(params, pa_mode) > 0.0, pa_mode
+        except SecrateError:
+            pass
+    p_a = power_share * params.p_max
+    for outage in (cf.transmission_outage, cf.transmission_outage_noise_limited,
+                   cf.transmission_outage_an_leakage):
+        try:
+            assert 0.0 <= outage(params, p_a) <= 1.0, outage.__name__
+        except SecrateError:
+            pass
+
+
 @pytest.mark.filterwarnings("ignore::secrate.errors.DegenerateDistributionWarning")
 # p_a |h|^2 over an AN power of 0 (no passive AN at theta = 0) is beyond the float range
 @example(_extreme_example(var_aek=1e8, delta=1.0 - 1e-16, epsilon=1.0 - 1e-16, m_active=2),

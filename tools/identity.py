@@ -10,7 +10,9 @@ else. The groups, each over every pa-mode where it takes one:
   benchmark's M = 3 config;
 - ``verify``: the four reports of the benchmark's ``verify_mc`` workload;
 - ``maximize_for``: the ``repr`` of each rate-search result on the
-  ``generate_scenarios`` populations of SEEDS;
+  ``generate_scenarios`` populations of SEEDS, and ``maximize_for-results``
+  the same without the trace, so that a move confined to the trace reads
+  as identical results;
 - ``oracle``: the ``repr`` of ``grid_search_oracle`` on the same
   populations, without the trace's work counters ``rows``, ``points`` and
   ``tiles``.
@@ -89,9 +91,17 @@ def groups(tree: Path, small: bool) -> dict[str, str]:
                  bench.MC_SEED, "auto", None)
         for _, path, overrides in bench.VERIFY_CASES)
     populations = [bench.generate_scenarios(seed, count) for seed in SEEDS]
-    out["maximize_for"] = _digest(
-        _outcome(opt.maximize_for, params, algorithm=algorithm, step=bench.STEP, pa_mode=mode)
-        for population in populations for algorithm, params in population for mode in modes)
+    searches = [(params, algorithm, mode) for population in populations
+                for algorithm, params in population for mode in modes]
+
+    def search(params, algorithm, mode):
+        return opt.maximize_for(params, algorithm=algorithm, step=bench.STEP, pa_mode=mode)
+
+    def result(params, algorithm, mode):
+        return dataclasses.replace(search(params, algorithm, mode), trace={})
+
+    out["maximize_for"] = _digest(_outcome(search, *args) for args in searches)
+    out["maximize_for-results"] = _digest(_outcome(result, *args) for args in searches)
 
     def oracle(params, algorithm, mode):
         result = opt.grid_search_oracle(params, 1000, 1000, algorithm=algorithm, pa_mode=mode)
