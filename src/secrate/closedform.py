@@ -37,9 +37,10 @@ _LN2 = math.log(2.0)
 # evaluation errs by under 10 ulps (2.2e-15) of that sum, and a comparison of
 # two, or of one with an exact level, is certified past twice that bound.
 _MARGIN = 5e-15
-# theta points per cell of :func:`sop_grid_mask` and :func:`sop_tiles`. A cell
-# away from the boundary costs two kernel evaluations and one at it costs one
-# per point, so cells near the square root of a 1000-point grid cost least.
+# theta points per cell of :func:`_cells`, which the oracle, :func:`sop_tiles`
+# and :func:`sop_grid_mask` share. A cell away from the boundary costs two
+# kernel evaluations and one at it costs one per point, so cells near the
+# square root of a 1000-point grid cost least.
 _GRID_CELL = 32
 # the smallest normal float: an SOP below it is rounded by an absolute error
 # far below this, where a relative slack no longer covers it
@@ -90,13 +91,15 @@ def check_pa(params: SystemParams, p_a: float) -> float:
     return p_a
 
 
-def _jamming_ratio(params: SystemParams, p_a: float, r_s, var_j: float, var_a: float):
-    """(p_max/p_a - 1) var_j x / var_a at the threshold x of ``r_s``.
-
-    RangeError for an ``r_s`` outside [0, r_b] (:func:`rate_gap_threshold`),
-    then unless 0 < p_a <= p_max (:func:`check_pa`).
+def _jamming_ratio(kind: str, params: SystemParams, p_a: float, x):
+    """(p_max/p_a - 1) var_j x / var_a at the threshold ``x``
+    (:func:`rate_gap_threshold`, which callers that need both scales form
+    once), with the variances of the link of ``kind``: alpha on the active
+    link, beta on the passive one. RangeError unless 0 < p_a <= p_max
+    (:func:`check_pa`).
     """
-    x = rate_gap_threshold(params.r_b, r_s)
+    active = _KINDS[kind][0]
+    var_j, var_a = (params.var_jea, params.var_aea) if active else (params.var_jek, params.var_aek)
     ratio = params.p_max / check_pa(params, p_a) - 1.0
     # 0 at x = 0 (r_s = r_b), also where p_max / p_a overflows and inf * 0 is
     # NaN; a scale beyond the float range is the kernels' s = inf limit
@@ -107,11 +110,11 @@ def _jamming_ratio(params: SystemParams, p_a: float, r_s, var_j: float, var_a: f
 
 
 def alpha_ratio(params: SystemParams, p_a: float, r_s):
-    return _jamming_ratio(params, p_a, r_s, params.var_jea, params.var_aea)
+    return _jamming_ratio("active", params, p_a, rate_gap_threshold(params.r_b, r_s))
 
 
 def beta_ratio(params: SystemParams, p_a: float, r_s):
-    return _jamming_ratio(params, p_a, r_s, params.var_jek, params.var_aek)
+    return _jamming_ratio("passive", params, p_a, rate_gap_threshold(params.r_b, r_s))
 
 
 def derived_ratios(params: SystemParams, p_a: float, r_s: float) -> DerivedRatios:
@@ -281,7 +284,7 @@ def log_sf_at(kind: str, params: SystemParams, theta, s, w_pas=None):
 def log_sf_scale(kind: str, params: SystemParams, p_a: float, r_s):
     """The jamming-to-signal scale s that ``kind``'s log-survival reads:
     alpha on the active link, beta on the passive one."""
-    return (alpha_ratio if _KINDS[check_kind(kind)][0] else beta_ratio)(params, p_a, r_s)
+    return _jamming_ratio(check_kind(kind), params, p_a, rate_gap_threshold(params.r_b, r_s))
 
 
 def log_sf_cancellation(kind: str, params: SystemParams, s):
@@ -804,11 +807,21 @@ def sop_grid(params: SystemParams, p_a: float, rs_grid: np.ndarray,
     return curve(np.asarray(theta_grid, dtype=float)[None, :])
 
 
-def _settle(which: str, params: SystemParams, theta: np.ndarray, s_max, s_min):
+def _cells(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(theta cut into cells of _GRID_CELL consecutive points, the last one
-    padded with the last point; whether the SOP of ``which`` is above
-    epsilon, and whether it is at most epsilon, at every point of each cell
-    and every scale in [s_min, s_max]), the scales a column per tile row.
+    padded with the last point; the cells' corners (hi, lo), shaped (2, 1,
+    cells) to meet a column of scales)."""
+    grid = np.append(theta, np.full(-theta.size % _GRID_CELL, theta[-1])).reshape(-1, _GRID_CELL)
+    return grid, np.array([grid.max(axis=1), grid.min(axis=1)])[:, None, :]
+
+
+def _settle(which: str, params: SystemParams, corners: np.ndarray, s: np.ndarray,
+            starts: np.ndarray):
+    """(whether the SOP of ``which`` is above epsilon, and whether it is at
+    most epsilon, at every point of each tile), a row per tile row: a tile
+    is one cell of ``corners`` (:func:`_cells`) by the rate rows of the
+    scales ``s`` from each index of the increasing ``starts`` (the first one
+    0) to the next, so every scale in [s_min, s_max] of those rows.
 
     Over a cell whose points span [lo, hi], the log-survival lies between
     its values at (hi, 1 - lo, s_max) and (lo, 1 - hi, s_min) (see
@@ -818,16 +831,23 @@ def _settle(which: str, params: SystemParams, theta: np.ndarray, s_max, s_min):
     largest magnitude and scale in the tile: one margin for the kernel's
     rounding at a bound and at a point, one for the SOP map's.
     """
-    cells = -(-theta.size // _GRID_CELL)
-    grid = np.concatenate([theta, np.full(cells * _GRID_CELL - theta.size, theta[-1:])])
-    grid = grid.reshape(cells, _GRID_CELL)
+    s_max, s_min = np.maximum.reduceat(s, starts)[:, None], np.minimum.reduceat(s, starts)[:, None]
     # the lower bounds, at (hi, 1 - lo, s_max), over the upper ones, at (lo, 1 - hi, s_min)
-    corners = np.array([grid.max(axis=1), grid.min(axis=1)])[:, None, :]
     bounds = log_sf_at(which, params, corners, np.array([s_max, s_min]), 1.0 - corners[::-1])
     slack = 1.0 + 2.0 * log_sf_margin(which, params, s_max, bounds[0])
     lower, upper = _sop_map(which, params)(bounds)
     eps = params.epsilon
-    return grid, lower > eps * slack + _TINY, upper < (eps - _TINY) / slack
+    return lower > eps * slack + _TINY, upper < (eps - _TINY) / slack
+
+
+def _sop_cells(which: str, params: SystemParams, grid: np.ndarray, size: int, s: np.ndarray,
+               rows: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, int]:
+    """(``sop_grid(...) <= epsilon``, bit for bit, at the points of each
+    cell ``cells`` of the ``size``-point theta grid cut by :func:`_cells`, in
+    rate row ``rows`` of the scales ``s``; the grid points formed, the last
+    cell's padding not counted)."""
+    formed = _sop_map(which, params)(log_sf_at(which, params, grid[cells], s[rows, None]))
+    return formed <= params.epsilon, int(np.minimum(size - cells * _GRID_CELL, _GRID_CELL).sum())
 
 
 def sop_tiles(params: SystemParams, p_a: float, rs_grid: np.ndarray, theta_grid: np.ndarray,
@@ -843,9 +863,7 @@ def sop_tiles(params: SystemParams, p_a: float, rs_grid: np.ndarray, theta_grid:
     greatest float s of its rows (:func:`_settle`).
     """
     s = log_sf_scale(which, params, p_a, np.asarray(rs_grid, dtype=float))
-    return _settle(which, params, np.asarray(theta_grid, dtype=float),
-                   np.maximum.reduceat(s, starts)[:, None],
-                   np.minimum.reduceat(s, starts)[:, None])[1:]
+    return _settle(which, params, _cells(np.asarray(theta_grid, dtype=float))[1], s, starts)
 
 
 def sop_grid_mask(params: SystemParams, p_a: float, rs_grid: np.ndarray,
@@ -855,15 +873,14 @@ def sop_grid_mask(params: SystemParams, p_a: float, rs_grid: np.ndarray,
 
     Each row's theta cells are settled as one-row tiles (:func:`_settle`);
     the SOP is formed, as sop_grid forms it, only at the points of the cells
-    left.
+    left (:func:`_sop_cells`).
     """
-    rates = np.asarray(rs_grid, dtype=float)[:, None]
     theta = np.asarray(theta_grid, dtype=float)
-    s = log_sf_scale(which, params, p_a, rates)
-    grid, above, below = _settle(which, params, theta, s, s)
+    s = log_sf_scale(which, params, p_a, np.asarray(rs_grid, dtype=float))
+    grid, corners = _cells(theta)
+    above, below = _settle(which, params, corners, s, np.arange(s.size))
     mask = np.repeat(below, _GRID_CELL, axis=1)
-    rows, open_cells = np.nonzero(~(above | below))
-    mask.reshape(len(rates), len(grid), _GRID_CELL)[rows, open_cells] = _sop_map(which, params)(
-        log_sf_at(which, params, grid[open_cells], s[rows])) <= params.epsilon
-    points = int(np.minimum(theta.size - open_cells * _GRID_CELL, _GRID_CELL).sum())
+    rows, cells = np.nonzero(~(above | below))
+    formed, points = _sop_cells(which, params, grid, theta.size, s, rows, cells)
+    mask.reshape(s.size, len(grid), _GRID_CELL)[rows, cells] = formed
     return mask[:, :theta.size], points

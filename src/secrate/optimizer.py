@@ -59,15 +59,20 @@ two intervals solved in full.
 ``grid_search_oracle`` is the brute-force cross-check used by the tests; it
 shares only the closed-form grid kernels with the sweep, not its interval
 logic, and compares SOPs with epsilon, not log-survivals with the level. It
-cuts the rate grid into groups of rows that end at the top rate, and each
-group by one theta cell is a tile whose SOPs two corner bounds bracket
-(cf.sop_tiles): one pass per kind settles the tiles of the whole grid.
-Groups where each tile is infeasible for one kind or the other are passed
-over; every other group is masked whole for both kinds, from the top down,
-until one holds a feasible row. It needs no prefix property: an infeasible
-scenario covers every row, by a tile or by a mask. Each mask settles whole
-theta cells of a row the same way, forming the SOP only in the cells at the
-boundary (cf.sop_grid_mask), with the same bits.
+is one pass (:func:`_oracle_pass`). Each kind's scale is formed once for the
+whole rate grid, from one threshold x, and the theta grid is cut into cells
+once. The rate grid falls in groups of rows that end at the top rate, and
+each group by one theta cell is a tile whose SOPs two corner bounds bracket
+(cf._settle, the rule of cf.sop_tiles): one settle per kind decides the
+tiles of the whole grid. Groups where each tile is infeasible for one kind
+or the other are passed over. Every other group is scanned, from the top
+down, until one holds a feasible row: one-row tiles are settled only in the
+cells that no group tile rules out, and only for a kind that left the cell
+open; both kinds are combined per (row, cell); and SOPs are formed, with
+sop_grid's bits, only in the cells still undecided of the rows at or above
+the highest row that a settled cell proves feasible. It needs no prefix
+property: an infeasible scenario covers every row, by a tile or by the
+pass.
 
 Both searches start at one step: resolve the algorithm and the pa-mode, fix
 Alice's power at :func:`closedform.min_pa` (a RangeError when that power
@@ -104,13 +109,13 @@ _ROOT_TOL = 1e-12  # on log s (and so on log x), and on theta
 # function evaluations one root of the prediction may take before it gives up
 _ROOT_STEPS = 64
 # rate rows per group of the oracle's scan: a group by one theta cell is a
-# tile that two corner bounds settle (cf.sop_tiles), and a group that neither
-# kind rules out in every tile is masked whole for both kinds
+# tile that two corner bounds settle (cf._settle), and a group that neither
+# kind rules out in every tile is scanned row by row (:func:`_oracle_pass`)
 _ORACLE_GROUP = 32
 # grid points per oracle axis. When no tile or cell settles (an overflowed
-# alpha on the imperfect kind), the two masks of a group of 32 rows this wide
-# peak at 53 MB (tracemalloc, about 50 bytes per point; each kind's mask is
-# formed in turn), and the tile pass over this many rows and thetas at 68 MB
+# alpha on the imperfect kind), the SOPs the pass forms in a group of 32 rows
+# this wide peak at 53 MB (tracemalloc, about 50 bytes per point; each kind's
+# are formed in turn), and the tile pass over this many rows and thetas at 68 MB
 _MAX_GRID_POINTS = 2 ** 15
 
 
@@ -294,13 +299,12 @@ def _floor_scale(params: SystemParams, beams: int) -> float:
     return _level_scale(level, beams, beams + params.n_antennas - 2)
 
 
-def _floor(params: SystemParams, p_a: float, r_s: float, beams: int) -> float:
+def _floor(params: SystemParams, alpha: float, beams: int) -> float:
     """Smallest AN ratio meeting the target of the best of M = ``beams``
-    active eavesdroppers (perfect estimates): their log-survival
-    -(M+N-2) log1p(theta alpha / M) meets the level L at
+    active eavesdroppers (perfect estimates) at this ``alpha``: their
+    log-survival -(M+N-2) log1p(theta alpha / M) meets the level L at
     M expm1(L / (2-M-N)) / alpha and falls in theta, so the admissible set is
     [floor, 1] whenever floor <= 1."""
-    alpha = float(cf.alpha_ratio(params, p_a, r_s))
     if alpha == 0.0:
         raise AlphaZero("no AN margin: secrecy rate equals the transmission rate "
                         "or Alice takes the whole budget")
@@ -313,7 +317,7 @@ def _floor(params: SystemParams, p_a: float, r_s: float, beams: int) -> float:
 def theta_floor_active(params: SystemParams, p_a: float, r_s: float) -> float:
     """Smallest AN ratio meeting the single active eavesdropper's target
     (perfect estimates); AlphaZero when there is no AN margin."""
-    return _floor(params, p_a, r_s, 1)
+    return _floor(params, float(cf.alpha_ratio(params, p_a, r_s)), 1)
 
 
 def _crossings(kind: str, params: SystemParams, p_a: float, r_s: float,
@@ -339,19 +343,17 @@ def _interval(constraint) -> ThetaInterval:
     return ThetaInterval(lo=_end(constraint, 0.0), hi=_end(constraint, 1.0))
 
 
-def _active(params: SystemParams, p_a: float, r_s: float, kind: str):
-    """The active constraint of ``kind``: [floor, 1] (:func:`_floor`) under a
-    perfect estimate, else the imperfect-estimate curve around the
-    quadratic's positive root (:func:`_active_minimizer`); None when no AN
-    ratio meets it."""
+def _active(params: SystemParams, alpha: float, kind: str):
+    """The active constraint of ``kind`` at this ``alpha``: [floor, 1]
+    (:func:`_floor`) under a perfect estimate, else the imperfect-estimate
+    curve around the quadratic's positive root (:func:`_active_minimizer`);
+    None when no AN ratio meets it."""
+    if not alpha:  # no AN margin
+        return None
     if kind != "active_imperfect" or params.rho_ea == 1.0:
-        try:
-            floor = _floor(params, p_a, r_s, params.m_active if kind == "active_multi" else 1)
-        except AlphaZero:
-            return None
+        floor = _floor(params, alpha, params.m_active if kind == "active_multi" else 1)
         return None if floor > 1.0 else ThetaInterval(lo=floor, hi=1.0)
-    alpha = float(cf.alpha_ratio(params, p_a, r_s))
-    return _curve(kind, params, alpha, _active_minimizer(params, alpha)) if alpha else None
+    return _curve(kind, params, alpha, _active_minimizer(params, alpha))
 
 
 def theta_interval_passive(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
@@ -409,7 +411,7 @@ def theta_interval(kind: str, params: SystemParams, p_a: float, r_s: float) -> T
     """AN ratios meeting the secrecy target of one SOP kind."""
     if cf.check_kind(kind).startswith("passive"):
         return _crossings(kind, params, p_a, r_s, _theta_reference(params, kind))
-    return _interval(_active(params, p_a, r_s, kind))
+    return _interval(_active(params, float(cf.alpha_ratio(params, p_a, r_s)), kind))
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +431,12 @@ def _feasible_interval(params: SystemParams, p_a: float, r_s: float,
     the second is solved only where the first's end does not decide that
     end of the intersection (:func:`_meet`), and the second's gap a
     tolerance short of the lower end, above the margin, certifies an empty
-    result before the upper end is solved.
+    result before the upper end is solved. alpha and beta are formed from
+    one threshold x.
     """
-    first = _active(params, p_a, r_s, kinds[0])
-    second = first and _curve(kinds[1], params, cf.beta_ratio(params, p_a, r_s),
+    x = cf.rate_gap_threshold(params.r_b, r_s)
+    first = _active(params, float(cf._jamming_ratio(kinds[0], params, p_a, x)), kinds[0])
+    second = first and _curve(kinds[1], params, cf._jamming_ratio(kinds[1], params, p_a, x),
                               _theta_reference(params, kinds[1]))
     if not second:
         return ThetaInterval.nothing()
@@ -532,7 +536,7 @@ def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, st
     # alpha and beta are c_a x and c_p x; their ratios to x at a rate whose x is at most 1
     r_s = max(params.r_b - 1.0, 0.0)
     x = cf.rate_gap_threshold(params.r_b, r_s)
-    scales = [float(ratio(params, p_req, r_s)) / x for ratio in (cf.alpha_ratio, cf.beta_ratio)]
+    scales = [float(cf._jamming_ratio(kind, params, p_req, x)) / x for kind in kinds]
     if 0.0 in scales:  # no AN margin (or one below the float range): no rate is feasible
         return math.inf
     if math.inf in scales:
@@ -708,15 +712,66 @@ def maximize_secrecy_rate_multi(params: SystemParams, step: float = 0.01,
 # Brute-force oracle
 # ---------------------------------------------------------------------------
 
-def _feasible_mask(params: SystemParams, p_a: float, rs_grid: np.ndarray,
-                   theta_grid: np.ndarray, kinds: tuple[str, str]) -> tuple[np.ndarray, int]:
-    """((rate x theta) mask of the grid points meeting both secrecy targets,
-    the grid points whose SOP was formed): the AND of the two kinds'
-    cf.sop_grid_mask over every row of ``rs_grid``, a group of rows for the
-    oracle and one rate for :func:`feasible_any_theta`."""
-    (first, points), (second, more) = (
-        cf.sop_grid_mask(params, p_a, rs_grid, theta_grid, kind) for kind in kinds)
-    return first & second, points + more
+def _row_tiles(kind: str, params: SystemParams, corners: np.ndarray, s: np.ndarray,
+               rows: np.ndarray, tile: tuple[np.ndarray, np.ndarray], shut: np.ndarray):
+    """(above, below) of ``kind`` at each (row, theta cell) of the group of
+    rate rows ``rows`` (indices into its scales ``s``): the verdicts ``tile``
+    of its group tiles, with each cell they left open that no group tile
+    rules out (``shut``, for either kind) settled as one-row tiles
+    (cf._settle). A one-row group's tiles already are one-row tiles."""
+    above, below = (np.repeat(verdict[None], rows.size, axis=0) for verdict in tile)
+    cells = np.flatnonzero(~(shut | tile[1]))
+    if cells.size and rows.size > 1:
+        above[:, cells], below[:, cells] = cf._settle(kind, params, corners[..., cells], s[rows],
+                                                      np.arange(rows.size))
+    return above, below
+
+
+def _oracle_pass(params: SystemParams, p_a: float, rs_grid: np.ndarray, theta: np.ndarray,
+                 kinds: tuple[str, str]):
+    """(the first row of the highest group of ``rs_grid`` that holds a
+    feasible row, and that group's (rate x theta) mask of the points meeting
+    both targets, or None for both when no row is feasible; the grid points
+    whose SOP was formed; the tiles the two kinds left open).
+
+    The rate rows fall in groups of _ORACLE_GROUP that end at the top row,
+    the bottom group short. Each kind's scale is formed once for the whole
+    grid, from one threshold x, and the theta grid is cut into cells once.
+    One settle per kind decides the group tiles (cf._settle). Groups where
+    each tile is above epsilon for one kind or the other are passed over;
+    in every other group, from the top down, each kind settles one-row
+    tiles in the cells it left open that no group tile rules out
+    (:func:`_row_tiles`), the two kinds are combined per (row, cell), and
+    the SOP is formed (cf._sop_cells) only in the cells left undecided, of
+    a kind only where it did not settle the cell at or below epsilon, and
+    only in the rows at or above the highest row that a settled cell proves
+    feasible, since no row below it can be the answer.
+    """
+    starts = np.maximum(np.arange(rs_grid.size % -_ORACLE_GROUP, rs_grid.size, _ORACLE_GROUP), 0)
+    grid, corners = cf._cells(theta)
+    x = cf.rate_gap_threshold(params.r_b, rs_grid)
+    scales = [cf._jamming_ratio(kind, params, p_a, x) for kind in kinds]
+    tiles = [cf._settle(kind, params, corners, s, starts) for kind, s in zip(kinds, scales)]
+    shut = tiles[0][0] | tiles[1][0]
+    open_tiles = sum(int((~(above | below)).sum()) for above, below in tiles)
+    stops, points = np.append(starts[1:], rs_grid.size), 0
+    for g in np.flatnonzero(~shut.all(axis=1))[::-1]:
+        rows = np.arange(starts[g], stops[g])
+        verdicts = [_row_tiles(kind, params, corners, s, rows, (tile[0][g], tile[1][g]), shut[g])
+                    for kind, s, tile in zip(kinds, scales, tiles)]
+        ok = verdicts[0][1] & verdicts[1][1]
+        undecided = ~(ok | verdicts[0][0] | verdicts[1][0])
+        # no row below one that a settled cell proves feasible can be the answer
+        undecided[:np.flatnonzero(ok.any(axis=1)).max(initial=0)] = False
+        mask = np.repeat(ok | undecided, cf._GRID_CELL, axis=1)
+        for kind, s, (_, below) in zip(kinds, scales, verdicts):
+            row, cell = np.nonzero(undecided & ~below)
+            formed, count = cf._sop_cells(kind, params, grid, theta.size, s, rows[row], cell)
+            mask.reshape(*ok.shape, cf._GRID_CELL)[row, cell] &= formed
+            points += count
+        if mask.any():
+            return rows[0], mask[:, :theta.size], points, open_tiles
+    return None, None, points, open_tiles
 
 
 def _check_grid_points(*sizes) -> None:
@@ -741,19 +796,21 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
     The rate rows fall in groups of _ORACLE_GROUP that end at the top row,
     the bottom group short. A group by one theta cell is a tile, which the
     SOP of each kind lies above epsilon throughout, lies at or below it
-    throughout, or is left open (cf.sop_tiles). Groups where each tile is
+    throughout, or is left open (cf._settle). Groups where each tile is
     above for one kind or the other hold no feasible row and are passed
-    over. Every other group is masked whole, for both kinds
-    (:func:`_feasible_mask`), from the top down, and the scan stops at the
-    first that holds a feasible row. It assumes nothing about where the
-    feasible rows lie, so the answer is the full grid's and an infeasible
-    scenario covers every row once, by a tile or by a mask.
+    over. Every other group is scanned from the top down, and the scan stops
+    at the first that holds a feasible row (:func:`_oracle_pass`). It
+    assumes nothing about where the feasible rows lie, so the answer is the
+    full grid's and an infeasible scenario covers every row once, by a tile
+    or by the pass.
 
     ``steps`` is the rate-grid size, however many rows were evaluated; the
     trace adds ``rows``, the rate rows from the top down to the lowest one
-    resolved (every row when none is feasible), ``points``, the grid points
-    whose SOP the masks formed, and ``tiles``, the tiles the two kinds left
-    open over the whole grid.
+    resolved (every row when none is feasible), ``points``, the SOP points
+    the pass formed one by one (each kind's in the cells it left undecided,
+    only in rows at or above the highest row a settled cell proves
+    feasible; the padding of a last theta cell not counted), and ``tiles``,
+    the tiles the two kinds left open over the whole grid.
     """
     _check_grid_points(rs_grid_points, theta_grid_points)
     kinds, p_req, trace, refused = _start(params, algorithm, pa_mode, oracle=True)
@@ -761,27 +818,11 @@ def grid_search_oracle(params: SystemParams, rs_grid_points: int = 1000,
         return refused
     rs_grid = np.linspace(0.0, params.r_b, rs_grid_points, endpoint=False)
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)
-    # groups of _ORACLE_GROUP rows that end at the top row, the bottom one short
-    starts = np.maximum(np.arange(rs_grid_points % -_ORACLE_GROUP, rs_grid_points,
-                                  _ORACLE_GROUP), 0)
-    stops = np.append(starts[1:], rs_grid_points)
-    (above, below), (above_2, below_2) = (
-        cf.sop_tiles(params, p_req, rs_grid, theta_grid, kind, starts) for kind in kinds)
-    # the groups masked, from the top down: those with a tile that neither
-    # kind rules out
-    scanned = np.flatnonzero(~(above | above_2).all(axis=1))[::-1]
-    points, rows = 0, np.empty(0)
-    for start, stop in zip(starts[scanned], stops[scanned]):
-        feasible, formed = _feasible_mask(params, p_req, rs_grid[start:stop], theta_grid, kinds)
-        points += formed
-        rows = np.nonzero(feasible.any(axis=1))[0]
-        if rows.size:
-            break
-    trace.update(rows=int(rs_grid_points - start) if rows.size else rs_grid_points, points=points,
-                 tiles=int((~(above | below)).sum() + (~(above_2 | below_2)).sum()))
-    if not rows.size:
+    start, feasible, points, tiles = _oracle_pass(params, p_req, rs_grid, theta_grid, kinds)
+    trace.update(rows=rs_grid_points - int(start or 0), points=points, tiles=tiles)
+    if feasible is None:
         return _infeasible(p_req, rs_grid_points, "NO_THETA_AT_RS0", trace)
-    row = int(rows[-1])
+    row = int(np.flatnonzero(feasible.any(axis=1))[-1])
     reference = _theta_reference(params, kinds[1])
     candidates = theta_grid[feasible[row]]
     theta_star = float(candidates[np.argmin(np.abs(candidates - reference))])
@@ -802,4 +843,4 @@ def feasible_any_theta(params: SystemParams, p_a: float, r_s: float,
     if math.isfinite(r_s) and r_s >= params.r_b:
         return False
     theta_grid = np.linspace(0.0, 1.0, theta_grid_points)
-    return bool(_feasible_mask(params, p_a, np.array([r_s]), theta_grid, kinds)[0].any())
+    return _oracle_pass(params, p_a, np.array([r_s]), theta_grid, kinds)[1] is not None

@@ -1251,19 +1251,27 @@ def test_oracle_returns_the_last_row_of_the_exhaustive_mask(algorithm):
     assert checked > 0
 
 
-def _recorded_masks(monkeypatch):
-    """The (kind, rates, points formed) of every sop_grid_mask call, as the
-    oracle makes them."""
-    calls = []
-    sop_grid_mask = cf.sop_grid_mask
+def _recorded_pass(monkeypatch):
+    """The (kind, rows, above, below) of every group the oracle's pass
+    judges a kind on (opt._row_tiles), and the (kind, rows, points formed)
+    of every SOP block it forms (cf._sop_cells), the points counted from
+    the cells formed, each up to the end of the theta grid."""
+    judged, formed = [], []
+    row_tiles, sop_cells = opt._row_tiles, cf._sop_cells
 
-    def recording(params, p_a, rs_grid, theta_grid, which):
-        mask, points = sop_grid_mask(params, p_a, rs_grid, theta_grid, which)
-        calls.append((which, rs_grid.copy(), points))
-        return mask, points
+    def judging(kind, params, corners, s, rows, tile, shut):
+        above, below = row_tiles(kind, params, corners, s, rows, tile, shut)
+        judged.append((kind, rows.copy(), above.copy(), below.copy()))
+        return above, below
 
-    monkeypatch.setattr(cf, "sop_grid_mask", recording)
-    return calls
+    def forming(which, params, grid, size, s, rows, cells):
+        points = sum(min(cf._GRID_CELL, size - cell * cf._GRID_CELL) for cell in cells.tolist())
+        formed.append((which, rows.copy(), points))
+        return sop_cells(which, params, grid, size, s, rows, cells)
+
+    monkeypatch.setattr(opt, "_row_tiles", judging)
+    monkeypatch.setattr(cf, "_sop_cells", forming)
+    return judged, formed
 
 
 def _tiles(params, algorithm):
@@ -1290,29 +1298,35 @@ def test_oracle_evaluates_only_the_rows_its_answer_needs(monkeypatch, algorithm)
     cases = [(_with_last_row(base, algorithm, row), row)
              for base in (_feasible_scenario(rng, algorithm) for _ in range(3))
              for row in (RS_POINTS - 1, RS_POINTS - GROUP, RS_POINTS - GROUP - 1, -1)]
-    calls = _recorded_masks(monkeypatch)
+    judged, _ = _recorded_pass(monkeypatch)
     ruled_out = 0
     for params, row in cases:
-        rates = np.linspace(0.0, params.r_b, RS_POINTS, endpoint=False)
         group, infeasible, _ = _tiles(params, algorithm)
-        calls.clear()
+        judged.clear()
         opt.grid_search_oracle(params, RS_POINTS, THETA_POINTS, algorithm=algorithm,
                                pa_mode="noise_limited")
-        first_rows, second_rows = (np.searchsorted(rates, np.concatenate(
-            [[]] + [r for which, r, _ in calls if which == kind])).astype(int)
-            for kind in cf.scenario_kinds(params, algorithm))
-        # both kinds see the same rows, each at most once
+        kinds = cf.scenario_kinds(params, algorithm)
+        first_rows, second_rows = (np.concatenate(
+            [[]] + [rows for which, rows, *_ in judged if which == kind]).astype(int)
+            for kind in kinds)
+        # both kinds are judged on the same rows, each row at most once
         assert np.array_equal(first_rows, second_rows)
         assert np.unique(first_rows).size == first_rows.size
-        # a group is masked whole, and never where its tiles rule it out
+        # a group is judged whole, never where its tiles rule it out, and
+        # every group that they do not is scanned from the top down, to the
+        # answer's group, the lowest one scanned
+        order = [group[rows[0]] for which, rows, *_ in judged if which == kinds[0]]
         masked = np.unique(group[first_rows])
+        assert order == sorted(masked.tolist(), reverse=True)
         assert sorted(first_rows) == np.flatnonzero(np.isin(group, masked)).tolist()
         assert not infeasible[masked].any()
         ruled_out += infeasible.sum()
-        if row < 0:  # every row once: by an infeasible tile or by a row mask
+        lowest = group[row] if row >= 0 else 0
+        assert masked.tolist() == [g for g in np.flatnonzero(~infeasible) if g >= lowest]
+        if row < 0:  # every row once: by an infeasible tile or by the pass
             assert sorted(first_rows.tolist() + np.flatnonzero(
                 infeasible[group]).tolist()) == list(range(RS_POINTS))
-        else:  # only the answer's group and the groups above it not ruled out
+        else:
             assert masked.min() == group[row]
     assert ruled_out > 0
 
@@ -1321,23 +1335,57 @@ def test_oracle_evaluates_only_the_rows_its_answer_needs(monkeypatch, algorithm)
 def test_oracle_trace_counts_the_rows_scanned_and_the_sops_formed(monkeypatch, algorithm):
     rng = np.random.default_rng({"perfect": 721, "imperfect": 722, "multi": 723}[algorithm])
     base = _feasible_scenario(rng, algorithm)
-    calls = _recorded_masks(monkeypatch)
+    judged, formed = _recorded_pass(monkeypatch)
     total = 0
     for row in (-1, RS_POINTS - 1, RS_POINTS - GROUP - 1, RS_POINTS - 2 * GROUP - 1):
         params = _with_last_row(base, algorithm, row)
-        rates = np.linspace(0.0, params.r_b, RS_POINTS, endpoint=False)
         _, _, open_tiles = _tiles(params, algorithm)
-        calls.clear()
+        judged.clear()
+        formed.clear()
         oracle = opt.grid_search_oracle(params, RS_POINTS, THETA_POINTS, algorithm=algorithm,
                                         pa_mode="noise_limited")
         assert oracle.feasible == (row >= 0)
         # from the top down to the lowest row resolved: every row when
-        # none is feasible, else the lowest row masked
-        lowest = min(np.searchsorted(rates, r).min() for _, r, _ in calls) if row >= 0 else 0
+        # none is feasible, else the lowest row of the groups judged
+        lowest = min(rows.min() for _, rows, *_ in judged) if row >= 0 else 0
         assert oracle.trace["rows"] == RS_POINTS - lowest
         assert row < 0 or lowest <= row
-        formed = sum(points for *_, points in calls)
-        assert oracle.trace["points"] == formed < oracle.trace["rows"] * THETA_POINTS
+        points = sum(points for *_, points in formed)
+        assert oracle.trace["points"] == points < oracle.trace["rows"] * THETA_POINTS
         assert oracle.trace["tiles"] == open_tiles
-        total += formed
+        total += points
     assert total > 0
+
+
+@pytest.mark.parametrize("algorithm", opt.ALGORITHMS)
+def test_oracle_forms_no_sop_below_a_row_that_a_settled_cell_proves_feasible(monkeypatch,
+                                                                            algorithm):
+    # a cell that both kinds settle at or below epsilon proves its row
+    # feasible, so no row below it can hold the answer: the pass forms no
+    # SOP there, though cells of those rows are left undecided
+    rng = np.random.default_rng({"perfect": 731, "imperfect": 732, "multi": 733}[algorithm])
+    judged, formed = _recorded_pass(monkeypatch)
+    theta_points, skipped, kept = 1000, 0, 0
+    for base in (_feasible_scenario(rng, algorithm) for _ in range(2)):
+        grids = _sop_grids(base, algorithm, RS_POINTS, theta_points)
+        for row in _group_edges(RS_POINTS):
+            for at in ("low", "middle", "high") if row >= 0 else ("middle",):
+                params = validate(replace(base, epsilon=_last_row_epsilon(grids, row, at)))
+                judged.clear()
+                formed.clear()
+                opt.grid_search_oracle(params, RS_POINTS, theta_points, algorithm=algorithm,
+                                       pa_mode="noise_limited")
+                for (_, rows, above, below), (_, _, above_2, below_2) in zip(judged[::2],
+                                                                            judged[1::2]):
+                    ok = below & below_2
+                    proven = rows[ok.any(axis=1)]
+                    if not proven.size:
+                        continue
+                    here = np.concatenate([[]] + [r[np.isin(r, rows)] for _, r, _ in formed])
+                    assert (here >= proven.max()).all(), (row, at, proven, here)
+                    undecided = ~(ok | above | above_2)
+                    skipped += int(undecided[rows < proven.max()].sum())
+                    kept += here.size
+    assert skipped > 0 and kept > 0, (skipped, kept)
+
+

@@ -221,6 +221,35 @@ def test_minimum_power_and_transmission_outages_at_float_extremes(params, power_
             pass
 
 
+@given(extreme_scenarios(), _log_uniform(-300.0, 0.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_sops_and_their_derivatives_at_float_extremes(params, power_share, theta, rate_share):
+    # each exported SOP is a probability, and each derivative a float of the
+    # sign its docstring states (+-inf where the derivative lies beyond the
+    # float range: at theta = 0 the active slopes are about alpha), or a
+    # typed error: never NaN, and never a RuntimeWarning (the suite turns
+    # one into an error)
+    split = make_split(params, power_share * params.p_max, theta)
+    r_s = rate_share * params.r_b
+    lead = (params.n_antennas - 1) * theta - 1.0  # formed as the derivatives form it
+    for sop in (cf.sop_active, cf.sop_passive, cf.sop_active_imperfect, cf.sop_active_multi,
+                cf.sop_passive_multi):
+        try:
+            assert 0.0 <= sop(params, split, r_s) <= 1.0, sop.__name__
+        except SecrateError:
+            pass
+    # d/dtheta: negative with perfect estimates, else the quadratic's sign;
+    # passive: the sign of (N-1) theta - 1; d/drho_ea: the opposite sign
+    for derivative, sign in ((cf.sop_active_dtheta, -1.0 if params.rho_ea == 1.0 else 0.0),
+                             (cf.sop_passive_dtheta, lead),
+                             (cf.sop_active_imperfect_drho, -lead)):
+        try:
+            value = derivative(params, split, r_s)
+        except SecrateError:
+            continue
+        assert not math.isnan(value), derivative.__name__
+        assert sign == 0.0 or value * sign >= 0.0, (derivative.__name__, value)
+
+
 @pytest.mark.filterwarnings("ignore::secrate.errors.DegenerateDistributionWarning")
 # p_a |h|^2 over an AN power of 0 (no passive AN at theta = 0) is beyond the float range
 @example(_extreme_example(var_aek=1e8, delta=1.0 - 1e-16, epsilon=1.0 - 1e-16, m_active=2),

@@ -15,7 +15,11 @@ else. The groups, each over every pa-mode where it takes one:
   as identical results;
 - ``oracle``: the ``repr`` of ``grid_search_oracle`` on the same
   populations, without the trace's work counters ``rows``, ``points`` and
-  ``tiles``.
+  ``tiles``;
+- ``oracle-edges``: the same at the grid sizes of EDGE_GRIDS, whose rate
+  grids leave a short bottom group of rows and whose theta grids a padded
+  last cell, and ``feasible_any_theta`` at random rates, at the minimum
+  power (capped at p_max).
 
 A typed error is hashed as its type and message. Run from anywhere:
 
@@ -33,6 +37,8 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 # generate_scenarios seeds: 7 is the optimize_mix population's
 SEEDS = (7, 123, 999)
@@ -40,6 +46,11 @@ SEEDS = (7, 123, 999)
 FULL = (100_000, 300, 90)
 SMALL = (10_000, 12, 6)
 UNCOUNTED = ("rows", "points", "tiles")
+# (rate points, theta points) of the oracle-edges group: neither count is a
+# multiple of the oracle's 32-row groups or 32-point theta cells
+EDGE_GRIDS = ((129, 150), (200, 1000), (1000, 101))
+# rates per scenario for feasible_any_theta, and the seed they are drawn with
+EDGE_RATES, EDGE_SEED = 3, 0
 
 
 def _digest(texts) -> str:
@@ -103,15 +114,27 @@ def groups(tree: Path, small: bool) -> dict[str, str]:
     out["maximize_for"] = _digest(_outcome(search, *args) for args in searches)
     out["maximize_for-results"] = _digest(_outcome(result, *args) for args in searches)
 
-    def oracle(params, algorithm, mode):
-        result = opt.grid_search_oracle(params, 1000, 1000, algorithm=algorithm, pa_mode=mode)
+    def oracle(params, algorithm, mode, rs_points=1000, theta_points=1000):
+        result = opt.grid_search_oracle(params, rs_points, theta_points, algorithm=algorithm,
+                                        pa_mode=mode)
         trace = {k: v for k, v in result.trace.items() if k not in UNCOUNTED}
         return dataclasses.replace(result, trace=trace)
 
-    out["oracle"] = _digest(
-        _outcome(oracle, params, algorithm, mode)
-        for population in populations for algorithm, params in population[:oracles]
-        for mode in ("auto", "noise_limited"))
+    cases = [(params, algorithm) for population in populations
+             for algorithm, params in population[:oracles]]
+    out["oracle"] = _digest(_outcome(oracle, params, algorithm, mode)
+                            for params, algorithm in cases for mode in ("auto", "noise_limited"))
+
+    def any_theta(params, algorithm, rates):
+        p_a = min(cf.min_pa(params, "noise_limited"), params.p_max)
+        return [opt.feasible_any_theta(params, p_a, float(r_s), algorithm) for r_s in rates]
+
+    rng = np.random.default_rng(EDGE_SEED)
+    out["oracle-edges"] = _digest(
+        [_outcome(oracle, params, algorithm, mode, *sizes) for params, algorithm in cases
+         for mode in ("auto", "noise_limited") for sizes in EDGE_GRIDS]
+        + [_outcome(any_theta, params, algorithm, rng.uniform(0.0, params.r_b, EDGE_RATES))
+           for params, algorithm in cases])
     return out
 
 
