@@ -3,8 +3,9 @@
 The jammer points a maximal-ratio beam at each active eavesdropper inside the
 orthogonal complement of the legitimate channel, and spreads the remaining AN
 over an orthonormal basis of the joint null space of the legitimate channel
-and those beams. Every function is a pure operation on one channel
-realization; batched sampling lives in :mod:`secrate.montecarlo`.
+and those beams. :func:`zero_forcing_beams` builds the beams over a leading
+trial axis; the per-realization functions are that construction on a trial
+axis of one, with the checks that a single channel realization needs.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import numpy as np
 
 from .errors import DegenerateChannel, DimensionMismatch, RankDeficient, ZeroVector
 from .model import PowerSplit
+
 
 @dataclass(frozen=True)
 class BeamformerSet:
@@ -41,44 +43,83 @@ def complement_projector(g: np.ndarray) -> np.ndarray:
     return np.eye(n, dtype=complex) - np.outer(g, g.conj()) / norm_sq
 
 
-def mrt_null_beam(g_b: np.ndarray, g_ea: np.ndarray) -> np.ndarray:
-    """Unit maximal-ratio beam toward ``g_ea`` restricted to the complement of ``g_b``.
+def _unit(v: np.ndarray) -> np.ndarray:
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
-    Returns w = P g_ea / ||P g_ea|| with P the complement projector of g_b, so
-    that g_b^H w = 0 and |g_ea^H w| = ||P g_ea|| (the largest gain any unit
-    vector orthogonal to g_b can deliver). The received-signal convention is
-    y = g^H w x throughout, which fixes this non-conjugated form; it also
-    places g_ea inside span{g_b, w}, so the passive-AN space below is
-    automatically orthogonal to the active eavesdropper.
+
+def _projections(g_b: np.ndarray, g_actives: np.ndarray):
+    """(unit g_b directions q_b (T, N); the active channels (T, N, M) less
+    their q_b parts; the norms of those (T, 1, M))."""
+    q_b = _unit(g_b)
+    inner = np.einsum("tn,tnm->tm", q_b.conj(), g_actives)
+    projected = g_actives - q_b[:, :, None] * inner[:, None, :]
+    return q_b, projected, np.linalg.norm(projected, axis=1, keepdims=True)
+
+
+def _beams(q_b: np.ndarray, projected: np.ndarray, norms: np.ndarray):
+    beams = projected / norms
+    ortho = np.empty_like(beams)
+    for j in range(beams.shape[2]):
+        v = beams[:, :, j]
+        for i in range(j):
+            v = v - ortho[:, :, i] * np.einsum("tn,tn->t", ortho[:, :, i].conj(), v)[:, None]
+        ortho[:, :, j] = _unit(v)
+    return q_b, beams, ortho
+
+
+def zero_forcing_beams(g_b: np.ndarray,
+                       g_actives: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(unit g_b directions q_b (T, N), beams (T, N, M), orthonormalized
+    beams (T, N, M)) for legitimate channels g_b (T, N) and active
+    eavesdropper channels g_actives (T, N, M).
+
+    Beam m is the unit MRT direction toward channel m inside the complement
+    of g_b, P g_m / ||P g_m|| with P = I - q_b q_b^H, so g_b^H w_m = 0 and
+    |g_m^H w_m| = ||P g_m||, the largest gain any unit vector orthogonal to
+    g_b can deliver. The received-signal convention is y = g^H w x
+    throughout, which fixes this non-conjugated form; it also places g_m
+    inside span{g_b, w_m}. Gram-Schmidt in beam order gives the
+    orthonormalized copy, which spans the beams' subspace. Nothing is
+    checked: a zero channel, or an active channel parallel to g_b, gives
+    non-finite beams, where the per-realization functions raise.
     """
-    g_b = np.asarray(g_b, dtype=complex)
-    g_ea = np.asarray(g_ea, dtype=complex)
-    if g_b.shape != g_ea.shape:
-        raise DimensionMismatch(f"shape mismatch: {g_b.shape} vs {g_ea.shape}")
-    norm_b_sq = float(np.real(np.vdot(g_b, g_b)))
-    if norm_b_sq < 1e-30:
-        raise ZeroVector("legitimate channel has zero norm")
-    if float(np.real(np.vdot(g_ea, g_ea))) < 1e-30:
-        raise ZeroVector("active eavesdropper channel has zero norm")
-    projected = g_ea - g_b * (np.vdot(g_b, g_ea) / norm_b_sq)
-    norm_p = float(np.linalg.norm(projected))
-    if norm_p < 1e-12 * float(np.linalg.norm(g_ea)):
-        raise DegenerateChannel("eavesdropper channel is parallel to the legitimate channel")
-    return projected / norm_p
+    return _beams(*_projections(g_b, g_actives))
+
+
+def _checked_beams(g_b, g_actives, label: str) -> np.ndarray:
+    """The N x M beams of one realization (a 1-D ``g_actives`` is one
+    column): :func:`zero_forcing_beams` on a trial axis of one. A channel
+    norm below 1e-15 is a zero channel, and an active channel whose norm
+    off g_b (the one the construction divides by) is below 1e-12 times its
+    norm is parallel to g_b. A failure in column m is prefixed by
+    ``label.format(m)``, and the columns are checked in order."""
+    g_b, g_actives = (np.asarray(g, dtype=complex) for g in (g_b, g_actives))
+    if g_actives.shape[:1] != g_b.shape or g_actives.ndim > 2:
+        raise DimensionMismatch(f"shape mismatch: {g_b.shape} vs {g_actives.shape}")
+    g_actives = g_actives.reshape(g_b.size, -1)
+    if np.linalg.norm(g_b) < 1e-15:
+        raise ZeroVector(label.format(0) + "legitimate channel has zero norm")
+    q_b, projected, norms = _projections(g_b[None], g_actives[None])
+    for m, (norm, off_b) in enumerate(zip(np.linalg.norm(g_actives, axis=0), norms[0, 0])):
+        if norm < 1e-15:
+            raise ZeroVector(label.format(m) + "active eavesdropper channel has zero norm")
+        if off_b < 1e-12 * norm:
+            raise DegenerateChannel(label.format(m) + "eavesdropper channel is parallel to the "
+                                                      "legitimate channel")
+    return _beams(q_b, projected, norms)[1][0]
+
+
+def mrt_null_beam(g_b: np.ndarray, g_ea: np.ndarray) -> np.ndarray:
+    """Unit maximal-ratio beam toward ``g_ea`` restricted to the complement of
+    ``g_b`` (see :func:`zero_forcing_beams`); both must be length-N vectors."""
+    if np.ndim(g_ea) != 1:
+        raise DimensionMismatch(f"shape mismatch: {np.shape(g_b)} vs {np.shape(g_ea)}")
+    return _checked_beams(g_b, g_ea, "")[:, 0]
 
 
 def multi_mrt_beams(g_b: np.ndarray, g_actives: np.ndarray) -> np.ndarray:
     """Column-wise mrt_null_beam for an N x M matrix of active channels."""
-    g_actives = np.asarray(g_actives, dtype=complex)
-    if g_actives.ndim == 1:
-        g_actives = g_actives[:, None]
-    cols = []
-    for m in range(g_actives.shape[1]):
-        try:
-            cols.append(mrt_null_beam(g_b, g_actives[:, m]))
-        except (DegenerateChannel, ZeroVector) as exc:
-            raise type(exc)(f"active eavesdropper column {m}: {exc}") from exc
-    return np.column_stack(cols)
+    return _checked_beams(g_b, g_actives, "active eavesdropper column {}: ")
 
 
 def passive_null_basis(g_b: np.ndarray, w_active: np.ndarray) -> np.ndarray:
@@ -87,28 +128,27 @@ def passive_null_basis(g_b: np.ndarray, w_active: np.ndarray) -> np.ndarray:
     One full SVD of [g_b | w_active] gives both the rank check and the
     completion: its last N-M-1 left singular vectors. Any orthonormal
     completion spans the same subspace, which is all the outage analysis
-    depends on.
+    depends on. Stacked inputs, g_b (T, N) and w_active (T, N, M), give the
+    T bases (T, N, N-M-1) from one batched SVD, and the rank check covers
+    each of them. A ``w_active`` with one axis fewer is one beam.
     """
     g_b = np.asarray(g_b, dtype=complex)
     w_active = np.asarray(w_active, dtype=complex)
-    if w_active.ndim == 1:
-        w_active = w_active[:, None]
-    n = g_b.shape[0]
-    m = w_active.shape[1]
-    if w_active.shape[0] != n:
-        raise DimensionMismatch(f"beam rows {w_active.shape[0]} != channel length {n}")
-    spanned = np.column_stack([g_b, w_active])
-    u, singular, _ = np.linalg.svd(spanned, full_matrices=True)
-    if singular[-1] < 1e-10 * singular[0]:
+    if w_active.ndim == g_b.ndim:
+        w_active = w_active[..., None]
+    if w_active.shape[:-1] != g_b.shape:
+        rows, length = (" x ".join(map(str, shape)) for shape in (w_active.shape[:-1], g_b.shape))
+        raise DimensionMismatch(f"beam rows {rows} != channel length {length}")
+    u, singular, _ = np.linalg.svd(np.concatenate([g_b[..., None], w_active], axis=-1))
+    if np.any(singular[..., -1] < 1e-10 * singular[..., 0]):
         raise RankDeficient("legitimate channel and active beams are not linearly independent")
-    return u[:, m + 1:]
+    return u[..., w_active.shape[-1] + 1:]
 
 
 def make_beamformer_set(g_b: np.ndarray, g_actives: np.ndarray) -> BeamformerSet:
     """Construct the full beamformer set for one channel realization."""
     w_active = multi_mrt_beams(g_b, g_actives)
-    w_passive = passive_null_basis(g_b, w_active)
-    return BeamformerSet(w_active=w_active, w_passive=w_passive)
+    return BeamformerSet(w_active=w_active, w_passive=passive_null_basis(g_b, w_active))
 
 
 def compose_an(bset: BeamformerSet, split: PowerSplit, z_active: np.ndarray,

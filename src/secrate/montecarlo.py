@@ -43,6 +43,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from . import closedform as cf
+from .beamform import zero_forcing_beams
 from .closedform import cdf_snr_bob, outage_metrics, rate_gap_threshold
 from .errors import RangeError
 from .model import PowerSplit, SystemParams
@@ -125,9 +126,12 @@ class ChannelBatch:
     :func:`sample_channels` returns one realization as the same fields
     without the trial axis.
 
-    ``geometry`` is cached the same way, per instance: a
-    ``functools.cached_property`` would hold one lock for all instances
-    (Python < 3.12) and serialize the batches of concurrent chunks.
+    ``geometry`` is the two-fold zero-forcing beamformer of the estimated
+    channels, built by :mod:`secrate.beamform` (the one construction, which
+    the per-realization beamformer functions also run). It is cached the
+    same way, per instance: a ``functools.cached_property`` would hold one
+    lock for all instances (Python < 3.12) and serialize the batches of
+    concurrent chunks.
     """
 
     FIELDS = ("g_b", "g_b_est", "e_b", "g_ea", "g_ea_est", "e_ea", "g_ek",
@@ -147,26 +151,12 @@ class ChannelBatch:
         return value
 
     def _geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(unit g_b_est direction, beams (T,N,M), orthonormalized beams (T,N,M)).
-
-        Beams are the per-eavesdropper unit MRT directions inside the
-        complement of the estimated legitimate channel (projector identities;
-        no explicit null basis); the orthonormalized copy spans the same
-        subspace for projection-power identities. Built once per batch, on
-        first access to ``geometry``.
+        """(unit g_b_est direction, beams (T,N,M), orthonormalized beams (T,N,M))
+        from :func:`secrate.beamform.zero_forcing_beams` on the estimates.
+        The SNR kernels use projector identities on these, with no explicit
+        null basis. Built once per batch, on first access to ``geometry``.
         """
-        q_b = _unit(self.g_b_est)
-        g = self.g_ea_est
-        inner = np.einsum("tn,tnm->tm", q_b.conj(), g)
-        projected = g - q_b[:, :, None] * inner[:, None, :]
-        beams = projected / np.linalg.norm(projected, axis=1, keepdims=True)
-        ortho = np.empty_like(beams)
-        for j in range(beams.shape[2]):
-            v = beams[:, :, j]
-            for i in range(j):
-                v = v - ortho[:, :, i] * np.einsum("tn,tn->t", ortho[:, :, i].conj(), v)[:, None]
-            ortho[:, :, j] = _unit(v)
-        return q_b, beams, ortho
+        return zero_forcing_beams(self.g_b_est, self.g_ea_est)
 
 
 def draw_batch(params: SystemParams, seed: int, start: int, stop: int) -> ChannelBatch:
@@ -234,10 +224,6 @@ def sample_channels(params: SystemParams, seed: int, trial_index: int) -> Channe
 
 def _abs2(x: np.ndarray) -> np.ndarray:
     return np.real(x) ** 2 + np.imag(x) ** 2
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
 def _an_snr(params: SystemParams, batch: ChannelBatch, split: PowerSplit, h: np.ndarray,

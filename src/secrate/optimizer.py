@@ -766,9 +766,10 @@ def _oracle_pass(params: SystemParams, p_a: float, rs_grid: np.ndarray, theta: n
         mask = np.repeat(ok | undecided, cf._GRID_CELL, axis=1)
         for kind, s, (_, below) in zip(kinds, scales, verdicts):
             row, cell = np.nonzero(undecided & ~below)
-            formed, count = cf._sop_cells(kind, params, grid, theta.size, s, rows[row], cell)
-            mask.reshape(*ok.shape, cf._GRID_CELL)[row, cell] &= formed
-            points += count
+            if row.size:  # a kind with no undecided cell forms nothing
+                formed, count = cf._sop_cells(kind, params, grid, theta.size, s, rows[row], cell)
+                mask.reshape(*ok.shape, cf._GRID_CELL)[row, cell] &= formed
+                points += count
         if mask.any():
             return rows[0], mask[:, :theta.size], points, open_tiles
     return None, None, points, open_tiles

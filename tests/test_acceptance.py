@@ -5,6 +5,7 @@ them. The pinned scenarios cover the shipped sweep-config parameter sets
 plus imperfect-estimate, zero-correlation, multi-eavesdropper, and wide-array
 cases, so that every closed form meets its sampling oracle at least once.
 """
+import math
 import time
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import secrate.cli as cli
 import secrate.closedform as cf
 import secrate.montecarlo as mc
 import secrate.optimizer as opt
-from secrate.beamform import make_beamformer_set, mrt_null_beam, passive_null_basis
+from secrate.beamform import passive_null_basis, zero_forcing_beams
 from secrate.model import SystemParams, db_to_linear as dB, make_split, validate
 
 from conftest import passive_convex_level, random_params, random_point
@@ -395,49 +396,54 @@ def test_criterion_7_sweep_claims():
 
 
 def test_criterion_8_beamformer_invariants_and_distributions():
-    scipy_stats = pytest.importorskip("scipy.stats")
+    # batched, on the construction that verify samples, at M = 1 and M = 2:
+    # the invariants on 10k draws, with the passive bases of one stacked SVD;
+    # the beam-gain law Gamma(N-1) and the null-space leakage law
+    # Gamma(N-M-1) on 1e5 draws, the leakage formed as verify forms it (the
+    # channel power less its parts along g_b and in the beam span), which
+    # the passive bases must reproduce
     rng = np.random.default_rng(808)
 
     def cn(*shape, s2=1.0):
         return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
             * np.sqrt(s2 / 2.0)
 
-    for _ in range(10_000):
-        n, m = (6, 2) if rng.random() < 0.5 else (5, 1)
-        g_b = cn(n)
-        bset = make_beamformer_set(g_b, cn(n, m))
-        scale = np.linalg.norm(g_b)
-        assert np.max(np.abs(bset.w_active.conj().T @ g_b)) <= 1e-10 * scale
-        assert np.max(np.abs(bset.w_passive.conj().T @ g_b)) <= 1e-10 * scale
-        assert np.max(np.abs(np.linalg.norm(bset.w_active, axis=0) - 1.0)) <= 1e-10
-        assert np.max(np.abs(bset.w_active.conj().T @ bset.w_passive)) <= 1e-10
-        gram = bset.w_passive.conj().T @ bset.w_passive
+    def abs2(x):
+        return np.real(x) ** 2 + np.imag(x) ** 2
+
+    def gamma_cdf(k, scale):
+        # integer shape k: 1 - exp(-y) sum_{i<k} y^i / i!, y = x / scale
+        return lambda x: 1.0 - np.exp(-x / scale) * sum(
+            (x / scale) ** i / math.factorial(i) for i in range(k))
+
+    n, s2, trials, checked = 6, 2.0, 100_000, 10_000
+    for m in (1, 2):
+        g_b, g_ea, g_ek = cn(trials, n), cn(trials, n, m, s2=s2), cn(trials, n, s2=s2)
+        q_b, beams, ortho = zero_forcing_beams(g_b, g_ea)
+        g, w, q = g_b[:checked], beams[:checked], q_b[:checked]
+        passive = passive_null_basis(g, w)
+        scale = np.linalg.norm(g, axis=1)[:, None]
+        assert np.max(np.abs(np.einsum("tnm,tn->tm", w.conj(), g)) / scale) <= 1e-10
+        assert np.max(np.abs(np.einsum("tnk,tn->tk", passive.conj(), g)) / scale) <= 1e-10
+        assert np.max(np.abs(np.linalg.norm(w, axis=1) - 1.0)) <= 1e-10
+        assert np.max(np.abs(np.einsum("tnm,tnk->tmk", w.conj(), passive))) <= 1e-10
+        gram = np.einsum("tnk,tnl->tkl", passive.conj(), passive)
         assert np.max(np.abs(gram - np.eye(n - m - 1))) <= 1e-10
-        proj = g_b / scale
-        p_mat = np.eye(n) - np.outer(proj, proj.conj())
+        p_mat = np.eye(n) - np.einsum("tn,tk->tnk", q, q.conj())
         assert np.max(np.abs(p_mat @ p_mat - p_mat)) <= 1e-12
 
-    n, s2 = 6, 2.0
-    trials = 100_000
-    gains = np.empty(trials)
-    leaks = np.empty(trials)
-    for i in range(trials):
-        g_b = cn(n)
-        g_ea = cn(n, s2=s2)
-        w = mrt_null_beam(g_b, g_ea)
-        gains[i] = abs(np.vdot(g_ea, w)) ** 2
-        if i < 20_000:
-            basis = passive_null_basis(g_b, w[:, None])
-            g_ek = cn(n, s2=s2)
-            leaks[i] = float(np.sum(np.abs(basis.conj().T @ g_ek) ** 2))
-    ks_gain = mc.ks_statistic(2.0 * gains / s2,
-                              lambda x: scipy_stats.chi2.cdf(x, df=2 * (n - 1)))
-    assert ks_gain <= 0.01
-    ks_leak = mc.ks_statistic(leaks[:20_000],
-                              lambda x: scipy_stats.gamma.cdf(x, a=n - 2, scale=s2))
-    assert ks_leak <= 0.01
-    _report(8, "beamformer invariants on 10k draws; beam gain and null-space "
-               "leakage laws confirmed")
+        power = np.sum(abs2(g_ek), axis=1)
+        leaks = (power - abs2(np.einsum("tn,tn->t", q_b.conj(), g_ek))
+                 - np.sum(abs2(np.einsum("tnm,tn->tm", ortho.conj(), g_ek)), axis=1))
+        in_basis = np.sum(abs2(np.einsum("tnk,tn->tk", passive.conj(), g_ek[:checked])), axis=1)
+        assert np.max(np.abs(in_basis - leaks[:checked]) / power[:checked]) <= 1e-10
+        gains = abs2(np.einsum("tnm,tnm->tm", g_ea.conj(), beams)).ravel()
+        ks_gain = mc.ks_statistic(gains, gamma_cdf(n - 1, s2))
+        assert ks_gain <= 0.01, (m, ks_gain)
+        ks_leak = mc.ks_statistic(leaks, gamma_cdf(n - m - 1, s2))
+        assert ks_leak <= 0.01, (m, ks_leak)
+    _report(8, "beamformer invariants on 10k draws at M = 1 and 2; beam gain and "
+               "null-space leakage laws confirmed")
 
 
 def test_criterion_9_verification_report_determinism(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import os
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +230,52 @@ def test_leakage_and_two_beam_draws_reconstructed_from_beamformer_ops(rho_ea):
                             float(np.sum(np.abs(span.conj().T @ draw.g_ek[:, k]) ** 2)))
                    for k in range(params.k_passive)]
         assert mc.snr_passive(params, draw, split) == pytest.approx(passive, rel=1e-10)
+
+
+@pytest.mark.parametrize("m_active", [1, 2, 3])
+@pytest.mark.parametrize("rho_ea", [1.0, 0.6])
+def test_per_realization_beamformer_is_the_batched_geometry(m_active, rho_ea):
+    # the per-realization entry point and the geometry that every sampled
+    # SNR reads are one construction: the same beams, and a passive basis
+    # orthogonal to the orthonormalized beam span
+    from secrate.beamform import make_beamformer_set
+    params = _params(m_active=m_active, n_antennas=6, rho_ea=rho_ea)
+    batch = mc.draw_batch(params, seed=97, start=0, stop=16)
+    _, beams, ortho = batch.geometry
+    for t in range(16):
+        bset = make_beamformer_set(batch.g_b_est[t], batch.g_ea_est[t])
+        assert np.max(np.abs(bset.w_active - beams[t])) <= 1e-12
+        assert np.max(np.abs(ortho[t].conj().T @ bset.w_passive)) <= 1e-12
+
+
+def test_transmitted_beam_an_raises_the_passive_sop_above_the_modelled_one():
+    # at M > 1 the sampled passive SNR takes the beam AN as the channel's
+    # power in the beam span (the closed forms' model), while the AN that
+    # compose_an transmits reaches it as sum_m |g^H w_m|^2 over the
+    # non-orthogonal beams; at the multi answer of the N = 5 variant of the
+    # benchmark's M = 3 config, the transmitted passive SOP is the larger
+    import secrate.cli as cli
+    import secrate.optimizer as opt
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "verify_m3.cfg"
+    params = cli.build_params(dict(cli.load_config(str(path)), n_antennas=5))
+    answer = opt.maximize_for(params, "multi", 0.01, "noise_limited")
+    assert answer.feasible
+    split = make_split(params, answer.p_a_star, answer.theta_star)
+    threshold = cf.rate_gap_threshold(params.r_b, answer.r_s_star)
+    trials = 50_000
+    hits = np.zeros(2)
+    for start in range(0, trials, mc._CHUNK_TRIALS):
+        batch = mc.draw_batch(params, 0, start, min(start + mc._CHUNK_TRIALS, trials))
+        beams = batch.geometry[1]
+        beam = np.sum(mc._abs2(np.einsum("tnm,tnk->tkm", beams.conj(), batch.g_ek)), axis=2)
+        transmitted = mc._an_snr(params, batch, split, batch.h_aek, batch.g_ek, False, beam)
+        modelled = mc._snr_passive_batch(params, batch, split, False)
+        hits += [np.count_nonzero(snr.max(axis=1) >= threshold)
+                 for snr in (modelled, transmitted)]
+    p_modelled, p_transmitted = hits / trials
+    std_err = np.sqrt((p_modelled * (1 - p_modelled) + p_transmitted * (1 - p_transmitted))
+                      / trials)
+    assert p_transmitted - p_modelled > 3.0 * std_err, (p_modelled, p_transmitted, std_err)
 
 
 def test_with_noise_mode_lowers_snr():

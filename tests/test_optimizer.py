@@ -1255,7 +1255,9 @@ def _recorded_pass(monkeypatch):
     """The (kind, rows, above, below) of every group the oracle's pass
     judges a kind on (opt._row_tiles), and the (kind, rows, points formed)
     of every SOP block it forms (cf._sop_cells), the points counted from
-    the cells formed, each up to the end of the theta grid."""
+    the cells formed, each up to the end of the theta grid. A block that
+    forms no point fails the test: the pass skips a kind with no undecided
+    cell."""
     judged, formed = [], []
     row_tiles, sop_cells = opt._row_tiles, cf._sop_cells
 
@@ -1266,6 +1268,7 @@ def _recorded_pass(monkeypatch):
 
     def forming(which, params, grid, size, s, rows, cells):
         points = sum(min(cf._GRID_CELL, size - cell * cf._GRID_CELL) for cell in cells.tolist())
+        assert rows.size and points > 0, "an SOP block with no point"
         formed.append((which, rows.copy(), points))
         return sop_cells(which, params, grid, size, s, rows, cells)
 

@@ -60,6 +60,6 @@ def test_identity_prints_the_same_lines_twice(capsys, monkeypatch):
     modes = ("auto", "noise_limited", "interference_limited", "an_leakage")
     assert [line.split()[1] for line in runs[0]] == [
         *(f"{group}/{mode}" for mode in modes for group in ("sweep", "sweep-no-steps")),
-        *(f"eval/{mode}" for mode in modes), "verify", "maximize_for", "maximize_for-results",
-        "oracle", "oracle-edges"]
+        *(f"eval/{mode}" for mode in modes), "verify", "samples", "maximize_for",
+        "maximize_for-results", "oracle", "oracle-edges"]
     assert all(len(line.split()[0]) == 64 for line in runs[0])

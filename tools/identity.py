@@ -9,6 +9,10 @@ else. The groups, each over every pa-mode where it takes one:
 - ``eval/<mode>``: ``secrate eval`` on the shipped configs and the
   benchmark's M = 3 config;
 - ``verify``: the four reports of the benchmark's ``verify_mc`` workload;
+- ``samples``: the raw bits of ``snr_samples`` at the operating point each
+  report samples, on those four configs and on SAMPLE_CASE, an M = 2
+  scenario at rho_ea < 1, so that a move in the sampled SNRs shows bit
+  for bit and not only through the printed reports;
 - ``maximize_for``: the ``repr`` of each rate-search result on the
   ``generate_scenarios`` populations of SEEDS, and ``maximize_for-results``
   the same without the trace, so that a move confined to the trace reads
@@ -51,6 +55,8 @@ UNCOUNTED = ("rows", "points", "tiles")
 EDGE_GRIDS = ((129, 150), (200, 1000), (1000, 101))
 # rates per scenario for feasible_any_theta, and the seed they are drawn with
 EDGE_RATES, EDGE_SEED = 3, 0
+# (config under the tree, overrides) of the samples group's fifth scenario
+SAMPLE_CASE = ("configs/sweep_passive_gain_estimates.cfg", {"m_active": 2, "rho_ea": 0.6})
 
 
 def _digest(texts) -> str:
@@ -82,6 +88,7 @@ def groups(tree: Path, small: bool) -> dict[str, str]:
     import perfbench.workloads as bench
     import secrate.cli as cli
     import secrate.closedform as cf
+    import secrate.montecarlo as mc
     import secrate.optimizer as opt
 
     trials, count, oracles = SMALL if small else FULL
@@ -97,10 +104,17 @@ def groups(tree: Path, small: bool) -> dict[str, str]:
         out[f"eval/{mode}"] = _digest(
             _outcome(cli.cmd_eval, cli.load_config(str(path)), mode)
             for path in [*configs, tree / "perfbench" / "configs" / "verify_m3.cfg"])
-    out["verify"] = _digest(
-        _outcome(cli.cmd_verify, dict(cli.load_config(str(path)), **overrides), trials,
-                 bench.MC_SEED, "auto", None)
-        for _, path, overrides in bench.VERIFY_CASES)
+    verified = [dict(cli.load_config(str(path)), **overrides)
+                for _, path, overrides in bench.VERIFY_CASES]
+    out["verify"] = _digest(_outcome(cli.cmd_verify, cfg, trials, bench.MC_SEED, "auto", None)
+                            for cfg in verified)
+    sampled = hashlib.sha256()
+    for cfg in [*verified, dict(cli.load_config(str(tree / SAMPLE_CASE[0])), **SAMPLE_CASE[1])]:
+        params, split, _ = cli._operating_point(cfg, "auto")
+        samples = mc.snr_samples(params, split, trials, bench.MC_SEED)
+        for name in ("bob", "active", "passive"):
+            sampled.update(samples[name].tobytes())
+    out["samples"] = sampled.hexdigest()
     populations = [bench.generate_scenarios(seed, count) for seed in SEEDS]
     searches = [(params, algorithm, mode) for population in populations
                 for algorithm, params in population for mode in modes]
