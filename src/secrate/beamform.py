@@ -31,16 +31,17 @@ class BeamformerSet:
 
 
 def complement_projector(g: np.ndarray) -> np.ndarray:
-    """Projector onto the orthogonal complement of ``g``: I - g g^H / ||g||^2.
+    """Projector onto the orthogonal complement of ``g``: I - q q^H, q the
+    unit direction of g, formed as the columns of I less their q parts by
+    the construction the beams take (:func:`_projections`).
 
-    Hermitian and idempotent; annihilates ``g``.
+    Hermitian and idempotent; annihilates ``g``. A norm below 1e-15 is a
+    zero channel.
     """
     g = np.asarray(g, dtype=complex)
-    norm_sq = float(np.real(np.vdot(g, g)))
-    if norm_sq < 1e-30:
+    if np.linalg.norm(g) < 1e-15:
         raise ZeroVector("cannot project against a zero channel vector")
-    n = g.shape[0]
-    return np.eye(n, dtype=complex) - np.outer(g, g.conj()) / norm_sq
+    return _projections(g[None], np.eye(g.size, dtype=complex)[None])[1][0]
 
 
 def _unit(v: np.ndarray) -> np.ndarray:

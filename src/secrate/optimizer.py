@@ -20,12 +20,12 @@ estimates, a root in log x and the active minimizer with imperfect ones.
 The grid index of x* and the one past it are probed first,
 and the bisection closes whatever bracket they leave; the prediction orders
 the probes and never decides the result.
-``OptResult.steps`` counts the interval solves: 2 when the prediction lands,
-1 for NO_THETA_AT_RS0, and never more than ceil(log2(r_b/step + 2)) + 1.
-Feasibility is checked on the full interval intersection, which
-strengthens the one-sided endpoint comparison: the returned theta is the
-feasible point closest to the passive-SOP minimizer, maximizing constraint
-slack.
+``OptResult.steps`` counts the probes: 2 when the prediction lands, 1 for
+NO_THETA_AT_RS0, and never more than ceil(log2(r_b/step + 2)) + 1. A probe
+returns the feasible theta closest to the passive-SOP minimizer, the
+reference M/(N-1), maximizing constraint slack: the reference clipped into
+the intersection of the two intervals, or None where it is empty, which
+strengthens the one-sided endpoint comparison.
 
 Each interval solve compares one eavesdropper's log-survival in theta
 with a level computed once per curve: the best of K eavesdroppers meets
@@ -47,14 +47,17 @@ stops on a value within a tolerance (the band, on (theta - minimizer)**2,
 stops within the margin) or on a secant correction below one (the boundary
 prediction's roots in log s and in theta, to _ROOT_TOL).
 
-A probe of one rate intersects the active and the passive interval in this
-order (:func:`_feasible_interval`): both minima are checked, and an empty
-result returned if either is above its level, before any crossing is
-solved; then the active interval (or the one whose minimum is nearer its
-level, when both need crossings) is solved, and each crossing of the other
-only where that interval's end does not decide the intersection's
-(:func:`_meet`). The result is the same floats as the intersection of the
-two intervals solved in full.
+A probe of one rate (:func:`_feasible_theta`) solves only the crossings
+that clip reads. Both minima are checked, and None returned if either is
+above its level, before any crossing is solved (:func:`_constraints`). The
+passive interval holds the reference, so c = max(reference, lo) reads only
+the active lower end, and that only where it can lie above the reference;
+theta = min(c, hi) reads an upper end only where a neighbour a bisection
+tolerance past c does not settle it (:func:`_meet`). With a closed-form
+floor at or below the reference no crossing is solved at all. The result
+is the same float as the clip of :func:`_feasible_interval`, the
+intersection on the same set-up; the tests hold the probe to that clip, and
+that intersection to the two intervals solved in full.
 
 ``grid_search_oracle`` is the brute-force cross-check used by the tests; it
 shares only the closed-form grid kernels with the sweep, not its interval
@@ -78,9 +81,10 @@ Both searches start at one step: resolve the algorithm and the pa-mode, fix
 Alice's power at :func:`closedform.min_pa` (a RangeError when that power
 rounds to 0), and stop with PA_EXCEEDS_PMAX above p_max. ``OptResult.trace``
 holds only what the search saw: ``pa_mode`` and ``algorithm``; a feasible
-sweep adds ``theta_interval`` (the admissible interval at r_s_star) and
-``theta_reference``, and the oracle adds ``oracle: True`` and, once it has
-scanned, ``rows``, ``points`` and ``tiles`` (see :func:`grid_search_oracle`).
+sweep adds ``theta_reference`` (it solves no more of the admissible interval
+than theta* reads; :func:`theta_interval` gives each kind's), and the oracle
+adds ``oracle: True`` and, once it has scanned, ``rows``, ``points`` and
+``tiles`` (see :func:`grid_search_oracle`).
 """
 from __future__ import annotations
 
@@ -148,7 +152,7 @@ class OptResult:
     r_s_star: float
     theta_star: float
     p_a_star: float
-    # sweep: rate points whose theta-interval was solved (2 when the predicted
+    # sweep: rate points probed for a feasible theta (2 when the predicted
     # boundary holds, 1 for NO_THETA_AT_RS0, at most ceil(log2(r_b/step + 2)) + 1);
     # oracle: the rate-grid size, however many rows its scan evaluated
     steps: int
@@ -418,26 +422,59 @@ def theta_interval(kind: str, params: SystemParams, p_a: float, r_s: float) -> T
 # Rate maximization
 # ---------------------------------------------------------------------------
 
+def _constraints(params: SystemParams, p_a: float, r_s: float, kinds: tuple[str, str]):
+    """(the active constraint, :func:`_active`; the passive curve) at
+    ``r_s``, alpha and beta formed from one threshold x. The passive curve
+    is None when either minimum is above its level, so that no crossing is
+    solved: the closed-form floor or the imperfect-estimate gap at its
+    minimizer is checked first, then the passive gap at the reference."""
+    x = cf.rate_gap_threshold(params.r_b, r_s)
+    active = _active(params, float(cf._jamming_ratio(kinds[0], params, p_a, x)), kinds[0])
+    return active, active and _curve(kinds[1], params, cf._jamming_ratio(kinds[1], params, p_a, x),
+                                     _theta_reference(params, kinds[1]))
+
+
+def _feasible_theta(params: SystemParams, p_a: float, r_s: float, kinds: tuple[str, str]):
+    """_feasible_interval(...).clip(reference), the same float, or None where
+    that interval is empty, solving only the crossings the clip reads.
+
+    The passive interval holds its minimizer, the reference, so
+    c = max(reference, lo) reads only the active lower end, solved where it
+    can lie above the reference (:func:`_meet`). Where it does, the passive
+    gap a tolerance short of c, above the margin, certifies an empty
+    interval. Otherwise theta = min(c, hi) meets c with the passive upper
+    end, then with the active one. The interval is empty exactly where
+    theta falls short of c and either c is the active lower end or, c
+    being the reference and theta the active upper end, the passive lower
+    end lies above theta.
+    """
+    active, passive = _constraints(params, p_a, r_s, kinds)
+    if not passive:
+        return None
+    reference, fixed = passive[2], isinstance(active, ThetaInterval)
+    c = max(reference, active.lo) if fixed else _meet(active, reference, 0.0)
+    if c - _BISECT_TOL > reference and passive[0](c - _BISECT_TOL) > passive[1]:
+        return None
+    theta = _meet(passive, c, 1.0)
+    theta = theta if fixed else _meet(active, theta, 1.0)
+    return None if theta < c and (c > reference or _meet(passive, theta, 0.0) > theta) else theta
+
+
 def _feasible_interval(params: SystemParams, p_a: float, r_s: float,
                        kinds: tuple[str, str]) -> ThetaInterval:
     """theta_interval(active) & theta_interval(passive), the same floats,
-    solving only the crossings the intersection reads.
+    solving only the crossings the intersection reads: the interval whose
+    clip :func:`_feasible_theta` returns, kept as its reference.
 
-    Both minima are checked before any crossing: the closed-form floor or
-    the imperfect-estimate gap at its minimizer, then the passive gap at the
-    reference. The first interval is then taken whole: the floor, or, where
-    both need crossings, the one whose minimum is nearer its level (the
-    narrower, as a rule, so the one that decides both ends). A crossing of
-    the second is solved only where the first's end does not decide that
-    end of the intersection (:func:`_meet`), and the second's gap a
-    tolerance short of the lower end, above the margin, certifies an empty
-    result before the upper end is solved. alpha and beta are formed from
-    one threshold x.
+    Past the two minima (:func:`_constraints`), the first interval is taken
+    whole: the floor, or, where both need crossings, the one whose minimum
+    is nearer its level (the narrower, as a rule, so the one that decides
+    both ends). A crossing of the second is solved only where the first's
+    end does not decide that end of the intersection (:func:`_meet`), and
+    the second's gap a tolerance short of the lower end, above the margin,
+    certifies an empty result before the upper end is solved.
     """
-    x = cf.rate_gap_threshold(params.r_b, r_s)
-    first = _active(params, float(cf._jamming_ratio(kinds[0], params, p_a, x)), kinds[0])
-    second = first and _curve(kinds[1], params, cf._jamming_ratio(kinds[1], params, p_a, x),
-                              _theta_reference(params, kinds[1]))
+    first, second = _constraints(params, p_a, r_s, kinds)
     if not second:
         return ThetaInterval.nothing()
     fixed = isinstance(first, ThetaInterval)
@@ -651,21 +688,20 @@ def maximize_for(params: SystemParams, algorithm: str | None = None, step: float
     steps = 0
 
     def probe(i: int):
-        """(r_s, interval) at grid index i, or None where the rate is capped
-        by r_b or no theta meets both targets."""
+        """theta* at grid index i, or None where the rate is capped by r_b
+        or no theta meets both targets."""
         nonlocal steps
         r_s = i * step
         if not r_s < cap:
             return None
         steps += 1
-        interval = _feasible_interval(params, p_req, r_s, kinds)
-        return None if interval.empty else (r_s, interval)
+        return _feasible_theta(params, p_req, r_s, kinds)
 
-    # the feasible indices are a prefix: lo is feasible (-1: none seen yet)
-    # and hi past the prefix. The predicted indices are probed first, the one
-    # nearer the middle of the bracket first; each probe is kept where the
-    # probes left can still bisect what it leaves, so no search takes more than
-    # one probe over a bisection of the whole grid.
+    # the feasible indices are a prefix: lo is feasible (-1: none seen yet),
+    # best its theta*, and hi past the prefix. The predicted indices are
+    # probed first, the one nearer the middle of the bracket first; each probe
+    # is kept where the probes left can still bisect what it leaves, so no
+    # search takes more than one probe over a bisection of the whole grid.
     lo, hi, best = -1, math.ceil(span) + 1, None
     budget = (hi - lo - 1).bit_length() + 1
     guesses = _predicted_bracket(params, p_req, kinds, step, cap) or ()
@@ -681,11 +717,8 @@ def maximize_for(params: SystemParams, algorithm: str | None = None, step: float
             lo, best = mid, found
     if best is None:
         return _infeasible(p_req, steps, "NO_THETA_AT_RS0", trace)
-    r_star, interval = best
-    reference = _theta_reference(params, kinds[1])
-    trace["theta_interval"] = (interval.lo, interval.hi)
-    trace["theta_reference"] = reference
-    return OptResult(feasible=True, r_s_star=r_star, theta_star=interval.clip(reference),
+    trace["theta_reference"] = _theta_reference(params, kinds[1])
+    return OptResult(feasible=True, r_s_star=lo * step, theta_star=best,
                      p_a_star=p_req, steps=steps, infeasibility_reason="NONE", trace=trace)
 
 

@@ -85,7 +85,8 @@ def mp_log_survival(mp, kind: str, params: SystemParams, w_beam, w_pas, s):
 def full_intersection(params: SystemParams, p_a: float, r_s: float,
                       kinds: tuple[str, str]) -> opt.ThetaInterval:
     """The intersection of the two theta-intervals, each solved in full: what
-    the rate search's ``_feasible_interval`` must return."""
+    ``_feasible_interval``, whose clip the rate search's probe returns, must
+    return."""
     active, passive = (opt.theta_interval(kind, params, p_a, r_s) for kind in kinds)
     lo, hi = max(active.lo, passive.lo), min(active.hi, passive.hi)
     if active.empty or passive.empty or lo > hi:

@@ -94,12 +94,12 @@ def search_work() -> dict:
 def test_sweep_rows_land_on_the_predicted_boundary(search_work, path):
     # every row confirms the predicted boundary in at most 3 probes and takes
     # at most 90 curve evaluations, and the rows of all the shipped sweeps
-    # average at most 28
+    # average at most 12
     rows = search_work[path]
     assert max(probes for probes, _ in rows) <= 3, rows
     assert max(count for _, count in rows) <= 90, rows
     everything = [count for rows in search_work.values() for _, count in rows]
-    assert sum(everything) <= 28 * len(everything), sum(everything) / len(everything)
+    assert sum(everything) <= 12 * len(everything), sum(everything) / len(everything)
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
@@ -108,13 +108,13 @@ def test_probe_with_failing_passive_minimum_solves_no_crossing(monkeypatch, path
     # empty after the two minima are checked: at most 3 curve evaluations,
     # where solving the active interval first took about 35
     probes = []
-    solve = opt._feasible_interval
+    solve = opt._feasible_theta
 
     def recording(*args):
         probes.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(opt, "_feasible_interval", recording)
+    monkeypatch.setattr(opt, "_feasible_theta", recording)
     cli.cmd_sweep(cli.load_config(str(path)), None, "auto")
     monkeypatch.undo()
     failing = [(params, p_a, r_s, kinds) for params, p_a, r_s, kinds in probes
@@ -132,5 +132,5 @@ def test_probe_with_failing_passive_minimum_solves_no_crossing(monkeypatch, path
     monkeypatch.setattr(cf, "log_sf_at", counting_kernel)
     for args in failing:
         evals = 0
-        assert opt._feasible_interval(*args).empty
+        assert opt._feasible_theta(*args) is None
         assert evals <= 3, (args[2], args[3], evals)

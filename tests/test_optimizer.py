@@ -380,7 +380,9 @@ def test_theta_star_tracks_active_minimizer_when_passive_slack():
                                                  pa_mode="noise_limited")
     assert result.feasible
     profile = cf.active_sop_theta_profile(params, result.p_a_star, result.r_s_star)
-    lo, hi = result.trace["theta_interval"]
+    kinds = cf.scenario_kinds(params, "imperfect")
+    interval = opt._feasible_interval(params, result.p_a_star, result.r_s_star, kinds)
+    lo, hi = interval.lo, interval.hi
     # the admissible window collapses onto the active-SOP minimizer as the
     # rate step shrinks, and always straddles it
     assert hi - lo < 0.08
@@ -458,7 +460,6 @@ def _linear_walk(params, algorithm, step, pa_mode):
                              infeasibility_reason="NO_THETA_AT_RS0", trace=trace)
     r_star, interval = best
     reference = opt._theta_reference(params, kinds[1])
-    trace["theta_interval"] = (interval.lo, interval.hi)
     trace["theta_reference"] = reference
     return opt.OptResult(feasible=True, r_s_star=r_star, theta_star=interval.clip(reference),
                          p_a_star=p_req, steps=steps, trace=trace)
@@ -1084,9 +1085,10 @@ def test_trace_holds_what_the_search_saw(baseline_params):
         if reason != "NONE":
             assert result.trace == start
             continue
-        lo, hi = result.trace.pop("theta_interval")
         assert result.trace == {**start, "theta_reference": 1 / 5}
-        assert lo <= result.theta_star <= hi
+        interval = opt._feasible_interval(params, result.p_a_star, result.r_s_star,
+                                          cf.scenario_kinds(params, "perfect"))
+        assert interval.lo <= result.theta_star <= interval.hi
 
 
 @pytest.mark.parametrize("r_s", [math.inf, -math.inf, math.nan, -1.0])

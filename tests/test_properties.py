@@ -155,6 +155,44 @@ def test_feasible_interval_is_the_full_intersection_at_float_extremes(params, al
             assert_same_interval(got, want, r_s)
 
 
+@given(scenarios() | extreme_scenarios(), st.sampled_from(opt.ALGORITHMS),
+       st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+       | _log_uniform(-16.0, -2.0).map(lambda u: 1.0 - u),
+       st.none() | _log_uniform(-12.0, -1.0), st.floats(0.0, 1.0))
+def test_feasible_theta_is_the_clip_of_the_feasible_interval(params, algorithm, rho_ea, epsilon,
+                                                             rate_share):
+    # the search's probe returns the reference clipped into the feasible
+    # interval, the same float, and None exactly where that interval is
+    # empty (or the same typed error): at a random rate and at every rate
+    # of a bisection onto the feasibility boundary, where the ends of the
+    # two intervals cross
+    params = replace(params, epsilon=epsilon or params.epsilon,
+                     rho_ea=rho_ea if params.m_active == 1 else 1.0)
+    kinds = cf.scenario_kinds(params, algorithm)
+    reference = opt._theta_reference(params, kinds[1])
+    p_a = min(cf.min_pa(params, "noise_limited"), params.p_max) or params.p_max
+
+    def feasible(r_s) -> bool | None:
+        """Whether r_s is feasible, once the probe agrees with the interval."""
+        try:
+            interval = opt._feasible_interval(params, p_a, r_s, kinds)
+            want = None if interval.empty else interval.clip(reference)
+        except SecrateError as error:
+            want = repr(error)
+        try:
+            got = opt._feasible_theta(params, p_a, r_s, kinds)
+        except SecrateError as error:
+            got = repr(error)
+        assert repr(got) == repr(want), (r_s, kinds, got, want)
+        return None if isinstance(want, str) else want is not None
+
+    feasible(rate_share * params.r_b)
+    lo, hi = 0.0, params.r_b
+    if feasible(lo) and not feasible(hi):
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+
+
 def _extreme_example(**fields) -> SystemParams:
     """A moderate scenario but for ``fields``: the float extremes the
     derandomized examples miss."""

@@ -1,13 +1,13 @@
 """Count the work of the rate search on the shipped sweep configs.
 
 For each config in ``configs/`` it runs the sweep in-process and prints the
-mean number of probes (``OptResult.steps``: rates whose AN-ratio interval was
-solved) and of curve evaluations per row, the largest of each over the rows,
+mean number of probes (``OptResult.steps``: rates probed for a feasible AN
+ratio) and of curve evaluations per row, the largest of each over the rows,
 and the same figures over all rows. A curve evaluation is one call of
 ``closedform.log_sf_at``, the kernel entry of both the boundary prediction
-and the interval solves. The mean evaluations per row are then split into
+and the probes. The mean evaluations per row are then split into
 three phases: the boundary prediction (``pred``), the probes that found a
-feasible AN-ratio interval (``feas``) and those that found none
+feasible AN ratio (``feas``) and those that found none
 (``infeas``). Run from the repository root:
 
     PYTHONPATH=src python tools/search_counts.py
@@ -33,7 +33,7 @@ def sweep_counts(path: Path) -> list[tuple[int, int, dict]]:
     evals = 0
     rows = []
     kernel, maximize = cf.log_sf_at, opt.maximize_for
-    predict, solve = opt._predicted_bracket, opt._feasible_interval
+    predict, solve = opt._predicted_bracket, opt._feasible_theta
     phases = dict.fromkeys(PHASES, 0)
 
     def counting_kernel(*args):
@@ -61,8 +61,8 @@ def sweep_counts(path: Path) -> list[tuple[int, int, dict]]:
         (cf, "log_sf_at"): counting_kernel,
         (opt, "maximize_for"): counting_maximize,
         (opt, "_predicted_bracket"): counted(lambda _: "pred", predict),
-        (opt, "_feasible_interval"): counted(
-            lambda interval: "infeas" if interval.empty else "feas", solve),
+        (opt, "_feasible_theta"): counted(
+            lambda theta: "infeas" if theta is None else "feas", solve),
     }
     saved = {key: getattr(*key) for key in patched}
     for (module, name), fn in patched.items():
