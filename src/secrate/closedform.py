@@ -91,22 +91,30 @@ def check_pa(params: SystemParams, p_a: float) -> float:
     return p_a
 
 
+def _jamming_terms(kind: str, params: SystemParams, p_a: float) -> tuple[float, float]:
+    """((p_max/p_a - 1) var_j, var_a) with the variances of the link of
+    ``kind``: the scale at a threshold x > 0 is ``num * x / var_a``
+    (:func:`_jamming_ratio`), so that a caller holding the two forms the same
+    float at every x. RangeError unless 0 < p_a <= p_max (:func:`check_pa`).
+    """
+    active = _KINDS[kind][0]
+    var_j, var_a = (params.var_jea, params.var_aea) if active else (params.var_jek, params.var_aek)
+    return (params.p_max / check_pa(params, p_a) - 1.0) * var_j, var_a
+
+
 def _jamming_ratio(kind: str, params: SystemParams, p_a: float, x):
     """(p_max/p_a - 1) var_j x / var_a at the threshold ``x``
     (:func:`rate_gap_threshold`, which callers that need both scales form
     once), with the variances of the link of ``kind``: alpha on the active
-    link, beta on the passive one. RangeError unless 0 < p_a <= p_max
-    (:func:`check_pa`).
+    link, beta on the passive one (:func:`_jamming_terms`).
     """
-    active = _KINDS[kind][0]
-    var_j, var_a = (params.var_jea, params.var_aea) if active else (params.var_jek, params.var_aek)
-    ratio = params.p_max / check_pa(params, p_a) - 1.0
+    num, var_a = _jamming_terms(kind, params, p_a)
     # 0 at x = 0 (r_s = r_b), also where p_max / p_a overflows and inf * 0 is
     # NaN; a scale beyond the float range is the kernels' s = inf limit
     if isinstance(x, float):
-        return ratio * var_j * x / var_a if x else 0.0
+        return num * x / var_a if x else 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(x == 0.0, 0.0, ratio * var_j * x / var_a)
+        return np.where(x == 0.0, 0.0, num * x / var_a)
 
 
 def alpha_ratio(params: SystemParams, p_a: float, r_s):

@@ -11,15 +11,20 @@ is x* = min over theta of max(x_a(theta), x_p(theta)), where each x_k is
 quasiconvex in theta, x_p least at the reference M/(N-1) and x_a at
 theta_a. One flow serves every active kind: x* is x_p(reference) when the
 active target holds there, else x_a(theta_a) when the passive target holds
-there, else x_a at the one root in theta between the two of the passive
-gap along x_a. x_p at the reference is closed form: both passive kernel
-terms read s/(N-1) there, so the kernel meets the level L at
-s = (N-1) expm1(L/(1-N)), the passive twin of the active floor. Only
-x_a(theta) and theta_a depend on the kind: K / theta and 1 with perfect
-estimates, a root in log x and the active minimizer with imperfect ones.
+there, else x_a where the passive gap along x_a crosses 0, between the
+two. x_p at the reference is closed form: both passive kernel terms read
+s/(N-1) there, so the kernel meets the level L at s = (N-1) expm1(L/(1-N)),
+the passive twin of the active floor. With perfect estimates the rest is
+closed form too: x_a is the floor K / theta, theta_a = 1, and along it the
+passive scale is a constant over theta, so the crossing has a closed form
+(:func:`_smallest_threshold`). With imperfect ones x_a is a root in log x,
+theta_a the active minimizer, and the crossing a root in theta.
 The grid index of x* and the one past it are probed first,
 and the bisection closes whatever bracket they leave; the prediction orders
-the probes and never decides the result.
+the probes and never decides the result. Each search forms its constants
+once (:class:`_Search`): each kind's level, margin, scale terms, floor
+scale or reference (:class:`_Constraint`), which the prediction and every
+probe read.
 ``OptResult.steps`` counts the probes: 2 when the prediction lands, 1 for
 NO_THETA_AT_RS0, and never more than ceil(log2(r_b/step + 2)) + 1. A probe
 returns the feasible theta closest to the passive-SOP minimizer, the
@@ -44,20 +49,20 @@ Apart from that bisection, every root is solved by one core (:func:`_root`):
 secant steps on the last two iterates, inside a bracket that a step leaving
 it halves (or, while one end is infinite, leaves by 32 toward that end). It
 stops on a value within a tolerance (the band, on (theta - minimizer)**2,
-stops within the margin) or on a secant correction below one (the boundary
-prediction's roots in log s and in theta, to _ROOT_TOL).
+stops within the margin) or on a secant correction below one (the
+imperfect-estimate prediction's roots in log s and in theta, to _ROOT_TOL).
 
-A probe of one rate (:func:`_feasible_theta`) solves only the crossings
+A probe of one rate (:meth:`_Search.theta`) solves only the crossings
 that clip reads. Both minima are checked, and None returned if either is
-above its level, before any crossing is solved (:func:`_constraints`). The
-passive interval holds the reference, so c = max(reference, lo) reads only
-the active lower end, and that only where it can lie above the reference;
-theta = min(c, hi) reads an upper end only where a neighbour a bisection
-tolerance past c does not settle it (:func:`_meet`). With a closed-form
-floor at or below the reference no crossing is solved at all. The result
-is the same float as the clip of :func:`_feasible_interval`, the
-intersection on the same set-up; the tests hold the probe to that clip, and
-that intersection to the two intervals solved in full.
+above its level, before any crossing is solved
+(:meth:`_Search.constraints`). The passive interval holds the reference, so
+c = max(reference, lo) reads only the active lower end, and that only where
+it can lie above the reference; theta = min(c, hi) reads an upper end only
+where a neighbour a bisection tolerance past c does not settle it
+(:func:`_meet`). With a closed-form floor at or below the reference no
+crossing is solved at all. The result is the same float as the clip of
+:func:`_feasible_interval`, the plain intersection of the two intervals
+solved in full on the same set-up, which the tests hold the probe to.
 
 ``grid_search_oracle`` is the brute-force cross-check used by the tests; it
 shares only the closed-form grid kernels with the sweep, not its interval
@@ -245,36 +250,15 @@ def _secant_band(gap, outside: tuple[float, float], inside: tuple[float, float],
     return outside[0] if pos == u_out else theta(pos), inside[0] if neg == u_in else theta(neg)
 
 
-def _curve(kind: str, params: SystemParams, s: float, minimizer: float):
-    """(gap, margin, minimizer, gap there) of ``kind``'s log-survival at scale
-    ``s``, or None when even its minimum is above the level.
-
-    gap(theta) is one eavesdropper's log-survival less the level
-    (cf.log_sf_level), so the SOP is at most epsilon exactly where gap <= 0;
-    it is unimodal in theta with its minimum at ``minimizer`` (1.0 for one
-    that decreases throughout). A gap beyond the margin is on its side of 0
-    whatever the rounding (cf.log_sf_margin at the level's magnitude).
-    """
-    level = cf.log_sf_level(kind, params, params.epsilon)
-
-    def gap(theta: float) -> float:
-        return cf.log_sf_at(kind, params, theta, s) - level
-
-    g_min = gap(minimizer)
-    margin = cf.log_sf_margin(kind, params, s, level)
-    return None if g_min > 0.0 else (gap, margin, minimizer, g_min)
-
-
-def _end(curve, edge: float, outside=None, inside=None) -> float:
+def _end(curve, edge: float, outside=None) -> float:
     """The end toward ``edge`` (0.0 or 1.0) of the interval where the gap of
-    ``curve`` (:func:`_curve`) is at most 0: the edge where its gap is not
-    positive, else the crossing between the minimizer and the edge.
+    ``curve`` (:meth:`_Constraint.curve`) is at most 0: the edge where its
+    gap is not positive, else the crossing between the minimizer and the edge.
 
     The gap is monotone there, so the crossing is bisected over that span,
-    evaluating only inside the band :func:`_secant_band` certifies. A
-    (theta, gap) pair already evaluated on that span narrows the band:
-    ``outside`` has a gap above the margin (or is the edge, with a positive
-    gap) and ``inside`` one below minus the margin.
+    evaluating only inside the band :func:`_secant_band` certifies, between
+    the minimizer and ``outside``: a (theta, gap) pair already evaluated on
+    that span with a gap above the margin (or the edge, with a positive gap).
     """
     gap, margin, inner, g_inner = curve
     if outside is None:
@@ -282,8 +266,7 @@ def _end(curve, edge: float, outside=None, inside=None) -> float:
         if g_edge <= 0.0:
             return edge
         outside = (edge, g_edge)
-    inside = inside if inside and inside[1] < -margin else (inner, g_inner)
-    band = sorted(_secant_band(gap, outside, inside, margin, inner))
+    band = sorted(_secant_band(gap, outside, (inner, g_inner), margin, inner))
     return _bisect(gap, *sorted((edge, inner)), edge == 0.0, band)
 
 
@@ -297,67 +280,119 @@ def _level_scale(level: float, width: int, count: int) -> float:
     return width * float(np.expm1(level / -count))
 
 
-def _floor_scale(params: SystemParams, beams: int) -> float:
-    """M expm1(L / (2-M-N)), the floor times alpha (see :func:`_floor`)."""
-    level = cf.secrecy_level(params.epsilon, beams)
-    return _level_scale(level, beams, beams + params.n_antennas - 2)
-
-
-def _floor(params: SystemParams, alpha: float, beams: int) -> float:
-    """Smallest AN ratio meeting the target of the best of M = ``beams``
-    active eavesdroppers (perfect estimates) at this ``alpha``: their
+def _floor(scale: float, alpha: float) -> float:
+    """Smallest AN ratio meeting the target of the best of M active
+    eavesdroppers (perfect estimates) at this ``alpha`` > 0: their
     log-survival -(M+N-2) log1p(theta alpha / M) meets the level L at
-    M expm1(L / (2-M-N)) / alpha and falls in theta, so the admissible set is
-    [floor, 1] whenever floor <= 1."""
-    if alpha == 0.0:
-        raise AlphaZero("no AN margin: secrecy rate equals the transmission rate "
-                        "or Alice takes the whole budget")
-    floor = _floor_scale(params, beams) / alpha
+    ``scale`` / alpha, scale = M expm1(L / (2-M-N)), and falls in theta, so
+    the admissible set is [floor, 1] whenever floor <= 1."""
     # theta = 0 leaves the beams unjammed, so a floor that rounds to 0 (an
     # overflowed alpha, or one below the float range) is the least positive float
-    return max(floor, 5e-324)
+    return max(scale / alpha, 5e-324)
+
+
+class _Constraint:
+    """One SOP kind's constants at one Alice power, formed once per rate
+    search (:class:`_Search`) or interval solve.
+
+    They are the level (cf.log_sf_level); ``num`` and ``var_a``
+    (cf._jamming_terms), so that :meth:`scale` is the float cf._jamming_ratio
+    gives; the beams M the kernel counts; for a passive kind its margin
+    (cf.log_sf_margin: its kernel cancels no term, so the margin reads no
+    scale) and its minimizer, the reference M/(N-1); for an active kind with
+    a perfect estimate the floor scale M expm1(L / (2-M-N)) (:func:`_floor`).
+    The rest are None. RangeError for an unknown kind, or a ``p_a`` outside
+    (0, p_max].
+    """
+
+    __slots__ = ("kind", "params", "level", "num", "var_a", "beams", "margin", "reference",
+                 "floor")
+
+    def __init__(self, kind: str, params: SystemParams, p_a: float):
+        self.kind, self.params = kind, params
+        self.level = level = cf.log_sf_level(kind, params, params.epsilon)
+        self.num, self.var_a = cf._jamming_terms(kind, params, p_a)
+        self.beams = beams = params.m_active if kind.endswith("multi") else 1
+        self.margin = self.reference = self.floor = None
+        if kind.startswith("passive"):
+            self.margin = cf.log_sf_margin(kind, params, 0.0, level)
+            self.reference = _theta_reference(params, kind)
+        elif kind != "active_imperfect" or params.rho_ea == 1.0:
+            self.floor = _level_scale(level, beams, beams + params.n_antennas - 2)
+
+    def scale(self, x: float) -> float:
+        """alpha (an active kind) or beta (a passive one) at the threshold x."""
+        return self.num * x / self.var_a if x else 0.0
+
+    def curve(self, s: float, minimizer: float):
+        """(gap, margin, minimizer, gap there) of the log-survival at scale
+        ``s``, or None when even its minimum is above the level.
+
+        gap(theta) is one eavesdropper's log-survival less the level, so the
+        SOP is at most epsilon exactly where gap <= 0; it is unimodal in theta
+        with its minimum at ``minimizer`` (1.0 for one that decreases
+        throughout). A gap beyond the margin is on its side of 0 whatever the
+        rounding (cf.log_sf_margin at the level's magnitude).
+        """
+        kind, params, level = self.kind, self.params, self.level
+
+        def gap(theta: float) -> float:
+            return cf.log_sf_at(kind, params, theta, s) - level
+
+        g_min = gap(minimizer)
+        return None if g_min > 0.0 else (
+            gap, self.margin or cf.log_sf_margin(kind, params, s, level), minimizer, g_min)
+
+    def at(self, x: float):
+        """The constraint at the threshold x: None where no AN ratio meets it;
+        under a perfect active estimate the floor, a float, of the admissible
+        [floor, 1]; else the curve (:meth:`curve`) around the reference or
+        the imperfect-estimate minimizer (:func:`_active_minimizer`)."""
+        s = self.scale(x)
+        if not s:  # no AN margin: every log-survival is 0, above the level
+            return None
+        if self.floor is None:
+            return self.curve(s, self.reference or _active_minimizer(self.params, s))
+        floor = _floor(self.floor, s)
+        return None if floor > 1.0 else floor
 
 
 def theta_floor_active(params: SystemParams, p_a: float, r_s: float) -> float:
     """Smallest AN ratio meeting the single active eavesdropper's target
     (perfect estimates); AlphaZero when there is no AN margin."""
-    return _floor(params, float(cf.alpha_ratio(params, p_a, r_s)), 1)
+    x = cf.rate_gap_threshold(params.r_b, r_s)
+    active = _Constraint("active", params, p_a)
+    if not (alpha := active.scale(x)):
+        raise AlphaZero("no AN margin: secrecy rate equals the transmission rate "
+                        "or Alice takes the whole budget")
+    return _floor(active.floor, alpha)
 
 
 def _crossings(kind: str, params: SystemParams, p_a: float, r_s: float,
                minimizer: float) -> ThetaInterval:
-    """AN ratios where the SOP of ``kind`` is at most epsilon.
+    """AN ratios where the SOP of ``kind`` is at most epsilon, solved on its
+    curve whatever the kind.
 
     The SOP is at most epsilon exactly where one eavesdropper's log-survival
-    is at most a level computed once per curve (:func:`_curve`), so the
-    solver compares log-survivals with that level and never forms an SOP.
-    The log-survival is unimodal in theta with its minimum at ``minimizer``,
-    so the admissible set is the interval between the level crossings on
-    either side of it (:func:`_end`); empty when even the minimum exceeds
-    the level.
+    is at most a level computed once per kind (:meth:`_Constraint.curve`),
+    so the solver compares log-survivals with that level and never forms an
+    SOP. The log-survival is unimodal in theta with its minimum at
+    ``minimizer``, so the admissible set is the interval between the level
+    crossings on either side of it (:func:`_end`); empty when even the
+    minimum exceeds the level.
     """
-    return _interval(_curve(kind, params, cf.log_sf_scale(kind, params, p_a, r_s), minimizer))
+    s = cf.log_sf_scale(kind, params, p_a, r_s)
+    return _interval(_Constraint(kind, params, p_a).curve(s, minimizer))
 
 
 def _interval(constraint) -> ThetaInterval:
-    """The interval of a constraint as :func:`_active` gives it: a
-    ThetaInterval, None (empty) or a curve, whose both ends are solved."""
-    if constraint is None or isinstance(constraint, ThetaInterval):
-        return constraint or ThetaInterval.nothing()
+    """The interval of a constraint as :meth:`_Constraint.at` gives it: None
+    (empty), a floor (of [floor, 1]) or a curve, whose both ends are solved."""
+    if constraint is None:
+        return ThetaInterval.nothing()
+    if isinstance(constraint, float):
+        return ThetaInterval(lo=constraint, hi=1.0)
     return ThetaInterval(lo=_end(constraint, 0.0), hi=_end(constraint, 1.0))
-
-
-def _active(params: SystemParams, alpha: float, kind: str):
-    """The active constraint of ``kind`` at this ``alpha``: [floor, 1]
-    (:func:`_floor`) under a perfect estimate, else the imperfect-estimate
-    curve around the quadratic's positive root (:func:`_active_minimizer`);
-    None when no AN ratio meets it."""
-    if not alpha:  # no AN margin
-        return None
-    if kind != "active_imperfect" or params.rho_ea == 1.0:
-        floor = _floor(params, alpha, params.m_active if kind == "active_multi" else 1)
-        return None if floor > 1.0 else ThetaInterval(lo=floor, hi=1.0)
-    return _curve(kind, params, alpha, _active_minimizer(params, alpha))
 
 
 def theta_interval_passive(params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
@@ -412,89 +447,89 @@ def _theta_reference(params: SystemParams, passive_kind: str) -> float:
 
 
 def theta_interval(kind: str, params: SystemParams, p_a: float, r_s: float) -> ThetaInterval:
-    """AN ratios meeting the secrecy target of one SOP kind."""
-    if cf.check_kind(kind).startswith("passive"):
-        return _crossings(kind, params, p_a, r_s, _theta_reference(params, kind))
-    return _interval(_active(params, float(cf.alpha_ratio(params, p_a, r_s)), kind))
+    """AN ratios meeting the secrecy target of one SOP kind: the floor's
+    [floor, 1] under a perfect active estimate, else the interval around the
+    curve's minimizer (:meth:`_Constraint.at`)."""
+    cf.check_kind(kind)
+    x = cf.rate_gap_threshold(params.r_b, r_s)
+    return _interval(_Constraint(kind, params, p_a).at(x))
 
 
 # ---------------------------------------------------------------------------
 # Rate maximization
 # ---------------------------------------------------------------------------
 
-def _constraints(params: SystemParams, p_a: float, r_s: float, kinds: tuple[str, str]):
-    """(the active constraint, :func:`_active`; the passive curve) at
-    ``r_s``, alpha and beta formed from one threshold x. The passive curve
-    is None when either minimum is above its level, so that no crossing is
-    solved: the closed-form floor or the imperfect-estimate gap at its
-    minimizer is checked first, then the passive gap at the reference."""
-    x = cf.rate_gap_threshold(params.r_b, r_s)
-    active = _active(params, float(cf._jamming_ratio(kinds[0], params, p_a, x)), kinds[0])
-    return active, active and _curve(kinds[1], params, cf._jamming_ratio(kinds[1], params, p_a, x),
-                                     _theta_reference(params, kinds[1]))
+class _Search:
+    """The set-up of one rate search, formed once per :func:`maximize_for`
+    call and read by the boundary prediction (:func:`_smallest_threshold`)
+    and by every probe (:meth:`theta`): the kinds, the minimum Alice power
+    ``p_req`` and each kind's constraint (:class:`_Constraint`) there."""
+
+    __slots__ = ("params", "p_req", "kinds", "active", "passive")
+
+    def __init__(self, params: SystemParams, p_req: float, kinds: tuple[str, str]):
+        self.params, self.p_req, self.kinds = params, p_req, kinds
+        self.active = _Constraint(kinds[0], params, p_req)
+        self.passive = _Constraint(kinds[1], params, p_req)
+
+    def constraints(self, r_s: float):
+        """(the active constraint, the passive one) at ``r_s``
+        (:meth:`_Constraint.at`), alpha and beta formed from one threshold x.
+        The passive one is None where either minimum is above its level, so
+        that no crossing is solved: the closed-form floor or the
+        imperfect-estimate gap at its minimizer is checked first, then the
+        passive gap at the reference."""
+        x = cf.rate_gap_threshold(self.params.r_b, r_s)
+        active = self.active.at(x)
+        return active, active and self.passive.at(x)
+
+    def theta(self, r_s: float):
+        """The probe of one rate: _feasible_interval(...).clip(reference), the
+        same float, or None where that interval is empty, solving only the
+        crossings the clip reads.
+
+        The passive interval holds its minimizer, the reference, so
+        c = max(reference, lo) reads only the active lower end, solved where
+        it can lie above the reference (:func:`_meet`). Where it does, the
+        passive gap a tolerance short of c, above the margin, certifies an
+        empty interval. Otherwise theta = min(c, hi) meets c with the passive
+        upper end, then with the active one. The interval is empty exactly
+        where theta falls short of c and either c is the active lower end
+        or, c being the reference and theta the active upper end, the
+        passive lower end lies above theta.
+        """
+        active, passive = self.constraints(r_s)
+        if not passive:
+            return None
+        ref, fixed = passive[2], isinstance(active, float)
+        c = max(ref, active) if fixed else _meet(active, ref, 0.0)
+        if c - _BISECT_TOL > ref and passive[0](c - _BISECT_TOL) > passive[1]:
+            return None
+        theta = _meet(passive, c, 1.0)
+        theta = theta if fixed else _meet(active, theta, 1.0)
+        return None if theta < c and (c > ref or _meet(passive, theta, 0.0) > theta) else theta
 
 
 def _feasible_theta(params: SystemParams, p_a: float, r_s: float, kinds: tuple[str, str]):
-    """_feasible_interval(...).clip(reference), the same float, or None where
-    that interval is empty, solving only the crossings the clip reads.
-
-    The passive interval holds its minimizer, the reference, so
-    c = max(reference, lo) reads only the active lower end, solved where it
-    can lie above the reference (:func:`_meet`). Where it does, the passive
-    gap a tolerance short of c, above the margin, certifies an empty
-    interval. Otherwise theta = min(c, hi) meets c with the passive upper
-    end, then with the active one. The interval is empty exactly where
-    theta falls short of c and either c is the active lower end or, c
-    being the reference and theta the active upper end, the passive lower
-    end lies above theta.
-    """
-    active, passive = _constraints(params, p_a, r_s, kinds)
-    if not passive:
-        return None
-    reference, fixed = passive[2], isinstance(active, ThetaInterval)
-    c = max(reference, active.lo) if fixed else _meet(active, reference, 0.0)
-    if c - _BISECT_TOL > reference and passive[0](c - _BISECT_TOL) > passive[1]:
-        return None
-    theta = _meet(passive, c, 1.0)
-    theta = theta if fixed else _meet(active, theta, 1.0)
-    return None if theta < c and (c > reference or _meet(passive, theta, 0.0) > theta) else theta
+    """The probe of ``r_s`` (:meth:`_Search.theta`) on a set-up of its own."""
+    return _Search(params, p_a, kinds).theta(r_s)
 
 
 def _feasible_interval(params: SystemParams, p_a: float, r_s: float,
                        kinds: tuple[str, str]) -> ThetaInterval:
-    """theta_interval(active) & theta_interval(passive), the same floats,
-    solving only the crossings the intersection reads: the interval whose
-    clip :func:`_feasible_theta` returns, kept as its reference.
-
-    Past the two minima (:func:`_constraints`), the first interval is taken
-    whole: the floor, or, where both need crossings, the one whose minimum
-    is nearer its level (the narrower, as a rule, so the one that decides
-    both ends). A crossing of the second is solved only where the first's
-    end does not decide that end of the intersection (:func:`_meet`), and
-    the second's gap a tolerance short of the lower end, above the margin,
-    certifies an empty result before the upper end is solved.
-    """
-    first, second = _constraints(params, p_a, r_s, kinds)
-    if not second:
-        return ThetaInterval.nothing()
-    fixed = isinstance(first, ThetaInterval)
-    if not fixed and abs(second[3]) < abs(first[3]):
-        first, second = second, first
-    lo = _meet(second, first.lo if fixed else _end(first, 0.0), 0.0)
-    gap, margin, inner, _ = second
-    inside = None
-    if lo - _BISECT_TOL > inner:  # the second's upper end must reach lo
-        inside = (lo - _BISECT_TOL, gap(lo - _BISECT_TOL))
-        if inside[1] > margin:  # it lies more than half a tolerance short of lo
-            return ThetaInterval.nothing()
-    hi = _meet(second, first.hi if fixed else _end(first, 1.0), 1.0, inside)
-    return ThetaInterval.nothing() if lo > hi else ThetaInterval(lo=lo, hi=hi)
+    """theta_interval(active) & theta_interval(passive): the plain
+    intersection of the two intervals, each solved in full on the probe's
+    set-up, kept as the reference whose clip the tests hold the probe to."""
+    active, passive = map(_interval, _Search(params, p_a, kinds).constraints(r_s))
+    lo, hi = max(active.lo, passive.lo), min(active.hi, passive.hi)
+    empty = active.empty or passive.empty or lo > hi
+    return ThetaInterval.nothing() if empty else ThetaInterval(lo=lo, hi=hi)
 
 
-def _meet(curve, end: float, edge: float, inside=None) -> float:
+def _meet(curve, end: float, edge: float) -> float:
     """The inner of ``end`` and the end toward ``edge`` of the interval of
-    ``curve`` (:func:`_end`, which ``inside`` is passed to), solving that
-    end only where ``end`` does not decide.
+    ``curve`` (:func:`_end`), solving that end only where ``end`` does not
+    decide.
 
     The curve's end lies beyond its minimizer, so an ``end`` short of the
     minimizer is the answer; so is one whose neighbour a bisection
@@ -510,7 +545,7 @@ def _meet(curve, end: float, edge: float, inside=None) -> float:
     g_t = gap(t)
     if g_t < -margin or (t == edge and g_t <= 0.0):
         return end
-    other = _end(curve, edge, (t, g_t) if t == edge or g_t > margin else None, inside)
+    other = _end(curve, edge, (t, g_t) if t == edge or g_t > margin else None)
     return min(end, other) if out > 0.0 else max(end, other)
 
 
@@ -553,108 +588,113 @@ def _predicted_root(fn, *start) -> tuple[float, float]:
     return x, slope
 
 
-def _smallest_threshold(params: SystemParams, p_req: float, kinds: tuple[str, str]) -> float:
+def _smallest_threshold(search: _Search) -> float:
     """log x*, where x* = min over theta of max(x_a(theta), x_p(theta)) is the
     smallest threshold x = 2**(r_b - r_s) - 1 at which some AN ratio meets
-    both targets; x_k(theta) is the x at which kind k's log-survival at theta
-    meets its level (every kernel falls as x grows). inf when there is no AN
-    margin, so that no rate is feasible; _NoPrediction when a root fails.
+    both targets of the search's kinds; x_k(theta) is the x at which kind
+    k's log-survival at theta meets its level (every kernel falls as x
+    grows). inf when there is no AN margin, so that no rate is feasible;
+    _NoPrediction when it gives up.
 
     Each x_k is quasiconvex in theta: x_p is least at the reference M/(N-1)
     whatever x is, and x_a at theta_a. So x* is x_p at the reference when the
     active target holds there (to a tolerance); else x_a at theta_a when the
-    passive target holds there; else x_a where the two meet, the one root in
-    theta between the reference and theta_a of the passive gap along x_a.
-    x_p at the reference is closed form (:func:`_level_scale`). Only x_a(theta)
-    and theta_a depend on the active kind: the closed-form floor K / theta
-    and 1 with perfect estimates, else a root in log x at each theta and the
-    active minimizer at x_a's least value.
+    passive target holds there; else x_a where the two meet, in theta
+    between the reference and theta_a. x_p at the reference is closed form
+    (:func:`_level_scale`). With perfect estimates so are the rest: x_a is
+    the floor K / theta, least at theta_a = 1, and along it the passive
+    scale is C / theta, C = c_p K, so that the passive gap
+    -m log1p(C/m) - w log1p(C (1-theta) / (theta w)) - L, w = N-m-1,
+    rises in theta and meets 0 where 1/theta - 1 = w expm1(V) / C,
+    V = (-L - m log1p(C/m)) / w, the gap at theta = 1 over w; a C of 0 or
+    inf gives up. With an imperfect estimate x_a is a root in log x at each
+    theta, theta_a the active minimizer at x_a's least value, and the
+    meeting point the one root in theta of the passive gap along x_a.
     """
+    params, active, passive = search.params, search.active, search.passive
     # alpha and beta are c_a x and c_p x; their ratios to x at a rate whose x is at most 1
-    r_s = max(params.r_b - 1.0, 0.0)
-    x = cf.rate_gap_threshold(params.r_b, r_s)
-    scales = [float(cf._jamming_ratio(kind, params, p_req, x)) / x for kind in kinds]
-    if 0.0 in scales:  # no AN margin (or one below the float range): no rate is feasible
+    x = cf.rate_gap_threshold(params.r_b, max(params.r_b - 1.0, 0.0))
+    c_a, c_p = active.scale(x) / x, passive.scale(x) / x
+    if not (c_a and c_p):  # no AN margin (or one below the float range): no rate is feasible
         return math.inf
-    if math.inf in scales:
+    if math.inf in (c_a, c_p):
         raise _NoPrediction
-    active, passive = kinds
-    log_c = dict(zip(kinds, map(math.log, scales)))
-    level = {kind: cf.log_sf_level(kind, params, params.epsilon) for kind in kinds}
+    log_ca, log_cp = math.log(c_a), math.log(c_p)
 
-    def gap(kind: str, theta: float, log_x: float) -> float:
-        """kind's log-survival at theta and threshold e**log_x, less its level."""
-        return cf.log_sf_at(kind, params, theta, _exp(log_c[kind] + log_x)) - level[kind]
+    def gap(constraint: _Constraint, log_c: float, theta: float, log_x: float) -> float:
+        """The log-survival of ``constraint`` at theta and threshold e**log_x
+        (its scale per unit threshold e**log_c), less its level."""
+        return cf.log_sf_at(constraint.kind, params, theta, _exp(log_c + log_x)) - constraint.level
 
-    ref = _theta_reference(params, passive)
+    ref = passive.reference
     width = params.n_antennas - 1  # at the reference both passive terms read s / (N-1)
-    log_xp = math.log(_level_scale(level[passive], width, width)) - log_c[passive]
+    log_xp = math.log(_level_scale(passive.level, width, width)) - log_cp
     # the active target holds at (reference, x_p); near the level its gap
     # moves by at most about |level| per unit of log x
-    if gap(active, ref, log_xp) <= _ROOT_TOL * abs(level[active]):
+    if gap(active, log_ca, ref, log_xp) <= _ROOT_TOL * abs(active.level):
         return log_xp
-    # x_a(theta) and theta_a, where x_a is least: the one branch on the kind
-    if active == "active_imperfect":
-        warm = [log_xp + log_c[active], 1.0]  # (u, slope) of the last root, the next one's start
+    if active.kind != "active_imperfect":  # x_a(theta) = K / theta, least at theta = 1
+        log_k = math.log(active.floor) - log_ca
+        g_a = gap(passive, log_cp, 1.0, log_k)
+        if g_a <= 0.0:  # the passive target holds at (1, K)
+            return log_k
+        # both bind: g_a = -m log1p(C/m) - L, the gap at theta = 1, is w V
+        c, w = _exp(log_cp + log_k), params.n_antennas - passive.beams - 1
+        if not 0.0 < c < math.inf:
+            raise _NoPrediction
+        return log_k + math.log1p(w * math.expm1(g_a / w) / c)
 
-        def threshold(theta) -> float:
-            """log x at which the active log-survival at (theta(s), s), falling
-            from 0 at s = 0 to -inf, meets its level: the root in u = log s
-            of phi(u) = log(-log_sf(e**u)) - log(-level), which rises with a
-            slope of about 1 or less (exactly 1 as s -> 0). It runs from the
-            last root and its slope there, the first step at that slope."""
-            target = math.log(-level[active])
+    warm = [log_xp + log_ca, 1.0]  # (u, slope) of the last root, the next one's start
 
-            def phi(v: float) -> float:
-                s = _exp(v)
-                g = -cf.log_sf_at(active, params, theta(s), s)
-                return math.log(g) - target if g > 0.0 else -math.inf
+    def threshold(theta) -> float:
+        """log x at which the active log-survival at (theta(s), s), falling
+        from 0 at s = 0 to -inf, meets its level: the root in u = log s
+        of phi(u) = log(-log_sf(e**u)) - log(-level), which rises with a
+        slope of about 1 or less (exactly 1 as s -> 0). It runs from the
+        last root and its slope there, the first step at that slope."""
+        target = math.log(-active.level)
 
-            u, slope = warm
-            p = phi(u)
-            if abs(p) > _ROOT_TOL * slope:
-                bracket = (u, math.inf) if p < 0.0 else (-math.inf, u)
-                u, rise = _predicted_root(phi, u - 1.0, p - slope, u, p, *bracket)
-                slope = rise if 0.0 < rise < math.inf else slope
-            warm[:] = u, slope
-            return u - log_c[active]
+        def phi(v: float) -> float:
+            s = _exp(v)
+            g = -cf.log_sf_at(active.kind, params, theta(s), s)
+            return math.log(g) - target if g > 0.0 else -math.inf
 
-        def log_xa(theta: float) -> float:
-            return threshold(lambda s: theta)
+        u, slope = warm
+        p = phi(u)
+        if abs(p) > _ROOT_TOL * slope:
+            bracket = (u, math.inf) if p < 0.0 else (-math.inf, u)
+            u, rise = _predicted_root(phi, u - 1.0, p - slope, u, p, *bracket)
+            slope = rise if 0.0 < rise < math.inf else slope
+        warm[:] = u, slope
+        return u - log_ca
 
-        # the least active log-survival: at its minimizer, which tends to 1 as alpha -> 0
-        log_x = threshold(lambda s: _active_minimizer(params, s) if s > 0.0 else 1.0)
-        theta_a = _active_minimizer(params, _exp(log_x + log_c[active]))
-    else:  # x_a(theta) = K / theta, the closed-form floor in x
-        beams = params.m_active if active == "active_multi" else 1
-        log_k = math.log(_floor_scale(params, beams)) - log_c[active]
+    def log_xa(theta: float) -> float:
+        return threshold(lambda s: theta)
 
-        def log_xa(theta: float) -> float:
-            return log_k - math.log(theta)
-
-        log_x, theta_a = log_k, 1.0
-    g_a = gap(passive, theta_a, log_x)
+    # the least active log-survival: at its minimizer, which tends to 1 as alpha -> 0
+    log_x = threshold(lambda s: _active_minimizer(params, s) if s > 0.0 else 1.0)
+    theta_a = _active_minimizer(params, _exp(log_x + log_ca))
+    g_a = gap(passive, log_cp, theta_a, log_x)
     if g_a <= 0.0:  # the passive target holds at (theta_a, x_a*)
         return log_x
 
     # both bind where x_a and x_p meet: the passive target along x_a(theta)
     # holds at the reference and fails at theta_a, and changes once between
     def passive_at_xa(theta: float) -> float:
-        return gap(passive, theta, log_xa(theta))
+        return gap(passive, log_cp, theta, log_xa(theta))
 
     theta, _ = _predicted_root(passive_at_xa, ref, passive_at_xa(ref), theta_a, g_a, ref, theta_a)
     return log_xa(theta)
 
 
-def _predicted_bracket(params: SystemParams, p_req: float, kinds: tuple[str, str],
-                       step: float, cap: float) -> tuple[int, int] | None:
+def _predicted_bracket(search: _Search, step: float, cap: float) -> tuple[int, int] | None:
     """(a, b): the grid index of the last feasible rate and one past it, as
     predicted from x* (:func:`_smallest_threshold`) and widened to cover a
     relative error of _PREDICTION_ERROR on x*; neither lies above the r_b cap.
     a = -1 predicts no feasible rate. None when the prediction gives up.
     """
     try:
-        log_x = _smallest_threshold(params, p_req, kinds)
+        log_x = _smallest_threshold(search)
     except _NoPrediction:
         return None
 
@@ -662,7 +702,7 @@ def _predicted_bracket(params: SystemParams, p_req: float, kinds: tuple[str, str
         """The last grid index at or below r_b - log2(1 + e**log_x), or -1."""
         log_1p = log_x + math.log1p(math.exp(-log_x)) if log_x > 0.0 else math.log1p(
             math.exp(log_x))
-        rate = params.r_b - log_1p / math.log(2.0)
+        rate = search.params.r_b - log_1p / math.log(2.0)
         return math.floor(rate / step) if rate >= 0.0 else -1
 
     last = max(math.ceil(cap / step) - 1, -1)
@@ -684,40 +724,33 @@ def maximize_for(params: SystemParams, algorithm: str | None = None, step: float
         raise RangeError(f"step {step!r} is too small for r_b = {params.r_b!r}")
     if refused is not None:
         return refused
+    search = _Search(params, p_req, kinds)
     cap = params.r_b - 1e-12  # grid rates at or above it are capped by r_b
-    steps = 0
-
-    def probe(i: int):
-        """theta* at grid index i, or None where the rate is capped by r_b
-        or no theta meets both targets."""
-        nonlocal steps
-        r_s = i * step
-        if not r_s < cap:
-            return None
-        steps += 1
-        return _feasible_theta(params, p_req, r_s, kinds)
-
     # the feasible indices are a prefix: lo is feasible (-1: none seen yet),
-    # best its theta*, and hi past the prefix. The predicted indices are
-    # probed first, the one nearer the middle of the bracket first; each probe
-    # is kept where the probes left can still bisect what it leaves, so no
-    # search takes more than one probe over a bisection of the whole grid.
-    lo, hi, best = -1, math.ceil(span) + 1, None
+    # best its theta*, and hi past the prefix. The predicted indices a < b
+    # are probed first, the one nearer the middle of the bracket first (a on
+    # a tie); each probe is kept where the probes left can still bisect what
+    # it leaves, so no search takes more than one probe over a bisection of
+    # the whole grid. A rate capped by r_b is infeasible, and no probe.
+    lo, hi, best, steps = -1, math.ceil(span) + 1, None, 0
     budget = (hi - lo - 1).bit_length() + 1
-    guesses = _predicted_bracket(params, p_req, kinds, step, cap) or ()
+    a, b = _predicted_bracket(search, step, cap) or (-1, -1)
     while hi - lo > 1:
-        inside = [g for g in guesses if lo < g < hi]
-        mid = min(inside, key=lambda g: abs(2 * g - lo - hi)) if inside else (lo + hi) // 2
+        # a where it is inside, unless b is inside too and nearer the middle
+        mid = (a if lo < a < hi and not (b < hi and a + b < lo + hi)
+               else b if lo < b < hi else (lo + hi) // 2)
         reach = 1 << (budget - steps - 1)
         mid = min(max(mid, hi - reach), lo + reach)
-        found = probe(mid)
+        found = None
+        if mid * step < cap:
+            steps, found = steps + 1, search.theta(mid * step)
         if found is None:
             hi = mid
         else:
             lo, best = mid, found
     if best is None:
         return _infeasible(p_req, steps, "NO_THETA_AT_RS0", trace)
-    trace["theta_reference"] = _theta_reference(params, kinds[1])
+    trace["theta_reference"] = search.passive.reference
     return OptResult(feasible=True, r_s_star=lo * step, theta_star=best,
                      p_a_star=p_req, steps=steps, infeasibility_reason="NONE", trace=trace)
 

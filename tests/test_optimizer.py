@@ -765,7 +765,8 @@ def test_band_ends_are_given_or_certified():
         p_a, _, r_s = random_point(rng, params)
         for kind in ("active_imperfect", "passive", "passive_multi"):
             minimizer = log_sf_minimizer(kind, params, p_a, r_s)
-            curve = opt._curve(kind, params, cf.log_sf_scale(kind, params, p_a, r_s), minimizer)
+            s = cf.log_sf_scale(kind, params, p_a, r_s)
+            curve = opt._Constraint(kind, params, p_a).curve(s, minimizer)
             if curve is None:
                 continue
             gap, margin, inner, g_inner = curve
@@ -789,24 +790,24 @@ def test_a_spent_budget_leaves_the_prediction_and_the_band(monkeypatch, baseline
     # target binding stands in for it
     perfect = cf.scenario_kinds(baseline_params, "perfect")
     p_req = cf.min_pa(baseline_params, "noise_limited")
-    log_x = opt._smallest_threshold(baseline_params, p_req, perfect)
+    log_x = opt._smallest_threshold(opt._Search(baseline_params, p_req, perfect))
     params = replace(baseline_params, rho_ea=0.5, var_jea=1.0)
     kinds = cf.scenario_kinds(params, "imperfect")
     p_imperfect = cf.min_pa(params, "noise_limited")
-    assert math.isfinite(opt._smallest_threshold(params, p_imperfect, kinds))
+    assert math.isfinite(opt._smallest_threshold(opt._Search(params, p_imperfect, kinds)))
     want = opt.maximize_for(params, algorithm="imperfect", pa_mode="noise_limited")
     monkeypatch.setattr(opt, "_ROOT_STEPS", 0)
-    assert opt._smallest_threshold(baseline_params, p_req, perfect) == log_x
+    assert opt._smallest_threshold(opt._Search(baseline_params, p_req, perfect)) == log_x
     with pytest.raises(opt._NoPrediction):
-        opt._smallest_threshold(params, p_imperfect, kinds)
+        opt._smallest_threshold(opt._Search(params, p_imperfect, kinds))
     got = opt.maximize_for(params, algorithm="imperfect", pa_mode="noise_limited")
     assert repr(replace(got, steps=0)) == repr(replace(want, steps=0)) and got.steps > 2
 
     # the upper passive crossing at 0.9 r_b, where the gap at theta = 1 is 0.27
     r_s = 0.9 * baseline_params.r_b
     minimizer = opt._theta_reference(baseline_params, "passive")
-    curve = opt._curve("passive", baseline_params,
-                       cf.log_sf_scale("passive", baseline_params, p_req, r_s), minimizer)
+    curve = opt._Constraint("passive", baseline_params, p_req).curve(
+        cf.log_sf_scale("passive", baseline_params, p_req, r_s), minimizer)
     gap, margin, inner, g_inner = curve
     outside, inside = (1.0, gap(1.0)), (inner, g_inner)
     assert outside[1] > margin and g_inner < -margin
@@ -860,14 +861,35 @@ def test_prediction_gives_up_on_an_overflowing_scale():
     kinds = cf.scenario_kinds(params, "perfect")
     p_req = cf.min_pa(params, "noise_limited")
     with pytest.raises(opt._NoPrediction):
-        opt._smallest_threshold(params, p_req, kinds)
-    assert opt._predicted_bracket(params, p_req, kinds, 0.01, params.r_b) is None
+        opt._smallest_threshold(opt._Search(params, p_req, kinds))
+    assert opt._predicted_bracket(opt._Search(params, p_req, kinds), 0.01, params.r_b) is None
     result = opt.maximize_for(params, algorithm="perfect", step=0.01, pa_mode="noise_limited")
     oracle = opt.grid_search_oracle(params, 1000, 1000, algorithm="perfect",
                                     pa_mode="noise_limited")
     assert 2 < result.steps <= math.ceil(math.log2(params.r_b / 0.01 + 2)) + 1
     assert result.feasible and oracle.feasible
     assert abs(result.r_s_star - oracle.r_s_star) <= 0.01 + 1e-12
+
+
+def test_closed_form_boundary_gives_up_where_c_vanishes():
+    # where both targets bind with perfect estimates, the closed form divides
+    # by C = c_p K, the passive scale along the floor times theta. Both bind
+    # only where C exceeds the reference times the passive scale at the
+    # reference, and the passive gap at theta = 1 is -inf where C is inf, so
+    # neither a C of 0 nor of inf arises from a scenario: a floor scale set
+    # to the least float in the set-up makes C underflow to 0 here (c_p/c_a
+    # = 0.4), and the prediction gives up rather than divide by it
+    params = validate(SystemParams(
+        n_antennas=5, k_passive=1, m_active=3, var_ab=10.0, var_aea=1.0, var_aek=1.0,
+        var_eab=1.0, var_jb=1.0, var_jea=5.0, var_jek=2.0, p_max=1e4, p_ea=10.0, r_b=4.0,
+        delta=0.1, epsilon=0.9))
+    kinds = cf.scenario_kinds(params, "multi")
+    search = opt._Search(params, cf.min_pa(params, "noise_limited"), kinds)
+    assert math.isfinite(opt._smallest_threshold(search))
+    search.active.floor = 5e-324
+    with pytest.raises(opt._NoPrediction):
+        opt._smallest_threshold(search)
+    assert opt._predicted_bracket(search, 0.01, params.r_b) is None
 
 
 def test_log_survival_crossings_match_sop_scale():

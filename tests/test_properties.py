@@ -125,6 +125,69 @@ def test_boundary_prediction_changes_no_result_at_float_extremes(params, algorit
         assert search() == predicted
 
 
+@given(scenarios() | extreme_scenarios(), st.sampled_from(["perfect", "multi"]),
+       st.floats(0.02, 0.98))
+def test_closed_form_boundary_matches_a_bisection_along_the_floor(params, algorithm, share):
+    # with perfect estimates, where both targets bind, x* = K/theta at the
+    # theta where the passive gap along the active floor x_a = K/theta
+    # crosses 0: the closed form agrees with a bisection of that gap, theta
+    # and log x* to 1e-12, and predicts the bracket that the secant root of
+    # that gap predicted. Both bind where C = c_p K lies between
+    # m expm1(-L/(N-1)) (the active target fails at the reference and x_p)
+    # and m expm1(-L/m) (the passive one at theta = 1 and K), so var_jek,
+    # which only c_p reads, is scaled to put C at ``share`` of that span in log
+    kinds = cf.scenario_kinds(params, algorithm)
+    p_a = min(cf.min_pa(params, "noise_limited"), params.p_max) or params.p_max
+    x = cf.rate_gap_threshold(params.r_b, max(params.r_b - 1.0, 0.0))
+
+    def set_up(params):
+        """(the search's set-up, log c_a, log c_p, log K)."""
+        search = opt._Search(params, p_a, kinds)
+        c_a, c_p = (c.scale(x) / x for c in (search.active, search.passive))
+        hypothesis.assume(0.0 < c_a < math.inf and 0.0 < c_p < math.inf)
+        return (search, math.log(c_a), math.log(c_p),
+                math.log(search.active.floor) - math.log(c_a))
+
+    search, _, log_cp, log_k = set_up(params)
+    m, level, n = search.passive.beams, search.passive.level, params.n_antennas
+    ends = [math.log(m * math.expm1(-level / width)) for width in (n - 1, m)]
+    scale = math.exp(ends[0] + share * (ends[1] - ends[0]) - log_cp - log_k)
+    hypothesis.assume(0.0 < params.var_jek * scale < math.inf)
+    search, log_ca, log_cp, log_k = set_up(replace(params, var_jek=params.var_jek * scale))
+    active, passive = search.active, search.passive
+
+    def gap(constraint, log_c, theta, log_x):
+        """The log-survival at theta and threshold e**log_x, less the level."""
+        s = opt._exp(log_c + log_x)
+        return cf.log_sf_at(constraint.kind, search.params, theta, s) - constraint.level
+
+    log_xp = math.log(opt._level_scale(level, n - 1, n - 1)) - log_cp
+    g_a = gap(passive, log_cp, 1.0, log_k)
+    hypothesis.assume(gap(active, log_ca, passive.reference, log_xp)
+                      > opt._ROOT_TOL * abs(active.level) and g_a > 0.0)
+
+    def along(theta):
+        """The passive gap along the floor x_a = K/theta."""
+        return gap(passive, log_cp, theta, log_k - math.log(theta))
+
+    log_x = opt._smallest_threshold(search)
+    lo, hi = 0.0, 1.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if along(mid) > 0.0 else (mid, hi)
+    assert math.exp(log_k - log_x) == pytest.approx(hi, rel=1e-12)
+    assert log_x == pytest.approx(log_k - math.log(hi), rel=1e-12, abs=1e-12)
+    try:
+        root, _ = opt._predicted_root(along, passive.reference, along(passive.reference), 1.0,
+                                      g_a, passive.reference, 1.0)
+    except opt._NoPrediction:  # no bracket to compare with
+        return
+    cap = params.r_b - 1e-12
+    for step in (0.01, 0.0005, 1e-3 * params.r_b):
+        got = opt._predicted_bracket(search, step, cap)
+        with mock.patch.object(opt, "_smallest_threshold", lambda _: log_k - math.log(root)):
+            assert got == opt._predicted_bracket(search, step, cap)
+
+
 @given(extreme_scenarios(), st.sampled_from(opt.ALGORITHMS), st.floats(0.0, 1.0))
 def test_feasible_interval_is_the_full_intersection_at_float_extremes(params, algorithm,
                                                                       rate_share):

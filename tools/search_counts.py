@@ -33,7 +33,7 @@ def sweep_counts(path: Path) -> list[tuple[int, int, dict]]:
     evals = 0
     rows = []
     kernel, maximize = cf.log_sf_at, opt.maximize_for
-    predict, solve = opt._predicted_bracket, opt._feasible_theta
+    predict, solve = opt._predicted_bracket, opt._Search.theta
     phases = dict.fromkeys(PHASES, 0)
 
     def counting_kernel(*args):
@@ -61,7 +61,7 @@ def sweep_counts(path: Path) -> list[tuple[int, int, dict]]:
         (cf, "log_sf_at"): counting_kernel,
         (opt, "maximize_for"): counting_maximize,
         (opt, "_predicted_bracket"): counted(lambda _: "pred", predict),
-        (opt, "_feasible_theta"): counted(
+        (opt._Search, "theta"): counted(
             lambda theta: "infeas" if theta is None else "feas", solve),
     }
     saved = {key: getattr(*key) for key in patched}
