@@ -116,7 +116,7 @@ def _operating_point(cfg: dict, pa_mode: str):
     p_a = cfg["p_a"] if "p_a" in cfg else cf.min_pa(params, pa_mode)
     if p_a > params.p_max:
         raise AlphaZero(f"required Alice power {p_a:.6g} exceeds p_max={params.p_max:.6g}")
-    theta = cfg.get("theta", params.m_active / (params.n_antennas - 1))
+    theta = cfg.get("theta", opt._theta_reference(params, cf.scenario_kinds(params)[1]))
     r_s = cfg.get("r_s", params.r_b / 2.0)
     if not 0.0 <= r_s <= params.r_b:
         raise ConfigError(f"r_s must lie in [0, r_b={params.r_b:.6g}], got {r_s!r}")
@@ -150,10 +150,7 @@ def cmd_eval(cfg: dict, pa_mode: str) -> tuple[int, str]:
     active_iv, passive_iv = (opt.theta_interval(k, params, p_a, r_s) for k in kinds)
     row = [p_a, split.theta, r_s, ratios.alpha, ratios.beta, ratios.lambda_cap,
            metrics.p_to, metrics.p_so1, metrics.p_so2, d_active, d_passive, floor,
-           nan if active_iv.empty else active_iv.lo,
-           nan if active_iv.empty else active_iv.hi,
-           nan if passive_iv.empty else passive_iv.lo,
-           nan if passive_iv.empty else passive_iv.hi]
+           active_iv.lo, active_iv.hi, passive_iv.lo, passive_iv.hi]
     return 0, _csv(EVAL_HEADER, [row])
 
 
@@ -231,8 +228,7 @@ def cmd_verify(cfg: dict, trials: int, seed: int, pa_mode: str,
         raise ConfigError("verification needs at least 10000 trials")
     params, split, r_s = _operating_point(cfg, pa_mode)
     rows = mc.verification_rows(params, split, r_s, trials, seed, corrupt=corrupt)
-    table = [[r["name"], r["kind"], r["closed_form"], r["estimate"], r["std_err"],
-              r["z_score"], r["ks_stat"], r["threshold"], r["passed"]] for r in rows]
+    table = [[r[key] for key in VERIFY_HEADER] for r in rows]
     ok = all(r["passed"] for r in rows)
     return (0 if ok else 4), _csv(VERIFY_HEADER, table)
 

@@ -51,8 +51,10 @@ from .model import PowerSplit, SystemParams
 _PHILOX_BLOCK = 4  # Philox advances by 128-bit blocks = 4 uint64 outputs
 _DEN_FLOOR = 1e-300
 _CHUNK_TRIALS = 4096
-# the most uniform slots one draw may take (1 GiB of uint64): a 4096-trial
-# chunk of the largest shipped verify case (M = 3) takes 1.6e6
+# the most uniform slots one draw may take (1 GiB of uint64), and the most
+# SNR samples one snr_samples call may return (1 GiB of float64): a 4096-trial
+# chunk of the largest shipped verify case (M = 3) takes 1.6e6 slots, and its
+# 1e5 trials 7e5 samples
 _MAX_DRAW_SLOTS = 2 ** 27
 
 
@@ -386,12 +388,17 @@ def snr_samples(params: SystemParams, split: PowerSplit, trials: int, seed: int,
     limited as :func:`secrate.closedform.bob_regime` says. Active and
     passive columns share each trial's channels (the physical coupling);
     independent-branch selection combining is handled by
-    :func:`estimate_outages`.
+    :func:`estimate_outages`. A RangeError, before anything is drawn, when
+    the samples, 1 + M + K per trial, would be more than _MAX_DRAW_SLOTS.
     """
     if not isinstance(trials, Integral):
         raise RangeError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise RangeError("need at least one trial")
+    samples = trials * (1 + params.m_active + params.k_passive)
+    if samples > _MAX_DRAW_SLOTS:
+        raise RangeError(f"{trials} trials at N = {params.n_antennas}, K = {params.k_passive} "
+                         f"need {samples} SNR samples, more than {_MAX_DRAW_SLOTS} (1 GiB)")
 
     def chunk(start, stop):
         batch = draw_batch(params, seed, start, stop)

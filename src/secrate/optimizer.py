@@ -54,15 +54,15 @@ imperfect-estimate prediction's roots in log s and in theta, to _ROOT_TOL).
 
 A probe of one rate (:meth:`_Search.theta`) solves only the crossings
 that clip reads. Both minima are checked, and None returned if either is
-above its level, before any crossing is solved
-(:meth:`_Search.constraints`). The passive interval holds the reference, so
-c = max(reference, lo) reads only the active lower end, and that only where
-it can lie above the reference; theta = min(c, hi) reads an upper end only
-where a neighbour a bisection tolerance past c does not settle it
-(:func:`_meet`). With a closed-form floor at or below the reference no
-crossing is solved at all. The result is the same float as the clip of
-:func:`_feasible_interval`, the plain intersection of the two intervals
-solved in full on the same set-up, which the tests hold the probe to.
+above its level, before any crossing is solved. The passive interval holds
+the reference, so c = max(reference, lo) reads only the active lower end,
+and that only where it can lie above the reference; theta = min(c, hi)
+reads an upper end only where a neighbour a bisection tolerance past c
+does not settle it (:func:`_meet`). With a closed-form floor at or below
+the reference no crossing is solved at all. The result is the same float
+as the reference clipped into the intersection of the two kinds'
+:func:`theta_interval`, each solved in full, which the tests hold the
+probe to.
 
 ``grid_search_oracle`` is the brute-force cross-check used by the tests; it
 shares only the closed-form grid kernels with the sweep, not its interval
@@ -472,21 +472,17 @@ class _Search:
         self.active = _Constraint(kinds[0], params, p_req)
         self.passive = _Constraint(kinds[1], params, p_req)
 
-    def constraints(self, r_s: float):
-        """(the active constraint, the passive one) at ``r_s``
-        (:meth:`_Constraint.at`), alpha and beta formed from one threshold x.
-        The passive one is None where either minimum is above its level, so
-        that no crossing is solved: the closed-form floor or the
-        imperfect-estimate gap at its minimizer is checked first, then the
-        passive gap at the reference."""
-        x = cf.rate_gap_threshold(self.params.r_b, r_s)
-        active = self.active.at(x)
-        return active, active and self.passive.at(x)
-
     def theta(self, r_s: float):
-        """The probe of one rate: _feasible_interval(...).clip(reference), the
-        same float, or None where that interval is empty, solving only the
-        crossings the clip reads.
+        """The probe of one rate: the reference clipped into the intersection
+        of the two kinds' :func:`theta_interval`, the same float, or None
+        where that intersection is empty, solving only the crossings the
+        clip reads.
+
+        Both constraints are formed from one threshold x
+        (:meth:`_Constraint.at`), the active one first; None, before any
+        crossing is solved, where the active minimum (the closed-form floor,
+        or the imperfect-estimate gap at its minimizer) or then the passive
+        gap at the reference is above its level.
 
         The passive interval holds its minimizer, the reference, so
         c = max(reference, lo) reads only the active lower end, solved where
@@ -498,7 +494,9 @@ class _Search:
         or, c being the reference and theta the active upper end, the
         passive lower end lies above theta.
         """
-        active, passive = self.constraints(r_s)
+        x = cf.rate_gap_threshold(self.params.r_b, r_s)
+        active = self.active.at(x)
+        passive = active and self.passive.at(x)
         if not passive:
             return None
         ref, fixed = passive[2], isinstance(active, float)
@@ -508,22 +506,6 @@ class _Search:
         theta = _meet(passive, c, 1.0)
         theta = theta if fixed else _meet(active, theta, 1.0)
         return None if theta < c and (c > ref or _meet(passive, theta, 0.0) > theta) else theta
-
-
-def _feasible_theta(params: SystemParams, p_a: float, r_s: float, kinds: tuple[str, str]):
-    """The probe of ``r_s`` (:meth:`_Search.theta`) on a set-up of its own."""
-    return _Search(params, p_a, kinds).theta(r_s)
-
-
-def _feasible_interval(params: SystemParams, p_a: float, r_s: float,
-                       kinds: tuple[str, str]) -> ThetaInterval:
-    """theta_interval(active) & theta_interval(passive): the plain
-    intersection of the two intervals, each solved in full on the probe's
-    set-up, kept as the reference whose clip the tests hold the probe to."""
-    active, passive = map(_interval, _Search(params, p_a, kinds).constraints(r_s))
-    lo, hi = max(active.lo, passive.lo), min(active.hi, passive.hi)
-    empty = active.empty or passive.empty or lo > hi
-    return ThetaInterval.nothing() if empty else ThetaInterval(lo=lo, hi=hi)
 
 
 def _meet(curve, end: float, edge: float) -> float:

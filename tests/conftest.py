@@ -84,14 +84,23 @@ def mp_log_survival(mp, kind: str, params: SystemParams, w_beam, w_pas, s):
 
 def full_intersection(params: SystemParams, p_a: float, r_s: float,
                       kinds: tuple[str, str]) -> opt.ThetaInterval:
-    """The intersection of the two theta-intervals, each solved in full: what
-    ``_feasible_interval``, whose clip the rate search's probe returns, must
-    return."""
+    """The intersection of the two kinds' theta_interval, each solved in
+    full: the reference of the rate search's probe, which solves only the
+    crossings that the clip of the passive minimizer into it reads
+    (:func:`clipped_reference`)."""
     active, passive = (opt.theta_interval(kind, params, p_a, r_s) for kind in kinds)
     lo, hi = max(active.lo, passive.lo), min(active.hi, passive.hi)
     if active.empty or passive.empty or lo > hi:
         return opt.ThetaInterval.nothing()
     return opt.ThetaInterval(lo=lo, hi=hi)
+
+
+def clipped_reference(params: SystemParams, p_a: float, r_s: float, kinds: tuple[str, str]):
+    """The passive minimizer M/(N-1) clipped into :func:`full_intersection`,
+    or None where it is empty: what the probe of r_s,
+    ``opt._Search(params, p_a, kinds).theta(r_s)``, must return, the same float."""
+    interval = full_intersection(params, p_a, r_s, kinds)
+    return None if interval.empty else interval.clip(opt._theta_reference(params, kinds[1]))
 
 
 def assert_same_interval(got, want, context) -> None:

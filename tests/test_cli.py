@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import time
 
 import numpy as np
 import pytest
@@ -171,6 +172,17 @@ def test_verify_trial_floor(tmp_path, capsys):
     code, _, err = _run(["verify", "--config", path, "--trials", "500"], capsys)
     assert code == 2
     assert "10000" in err
+
+
+def test_verify_oversized_trial_count_exits_2(tmp_path, capsys):
+    # 1e12 trials would list about 2.4e8 chunks and exhaust memory: the
+    # count is refused at once, as a range error
+    path = _write(tmp_path, BASE_CFG)
+    began = time.perf_counter()
+    code, out, err = _run(["verify", "--config", path, "--trials", str(10 ** 12)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"secrate: {10 ** 12} trials at N = 6, K = 1 need")
+    assert time.perf_counter() - began < 1.0
 
 
 def test_out_file_written_with_lf(tmp_path, capsys):

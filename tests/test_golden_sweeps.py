@@ -132,10 +132,10 @@ def test_probe_with_failing_passive_minimum_solves_no_crossing(monkeypatch, path
         return kernel(*args)
 
     monkeypatch.setattr(cf, "log_sf_at", counting_kernel)
-    for args in failing:
+    for params, p_a, r_s, kinds in failing:
         evals = 0
-        assert opt._feasible_theta(*args) is None
-        assert evals <= 3, (args[2], args[3], evals)
+        assert opt._Search(params, p_a, kinds).theta(r_s) is None
+        assert evals <= 3, (r_s, kinds, evals)
 
 
 def test_perfect_estimates_predict_the_boundary_without_a_root(monkeypatch):

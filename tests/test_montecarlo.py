@@ -668,6 +668,20 @@ def test_an_oversized_draw_is_a_range_error_before_drawing():
     assert mc.slots_per_trial(params) <= mc._MAX_DRAW_SLOTS
 
 
+def test_an_oversized_trial_count_is_a_range_error_before_sampling():
+    # 1e12 trials would list about 2.4e8 chunk bounds and then 4e12 SNR
+    # samples (1 + M + K = 4 per trial); that count, and one trial past the
+    # 1 GiB bound, are refused at once, before any chunk is listed or drawn
+    params = _params()
+    split = make_split(params, 150.0, 0.25)
+    columns = 1 + params.m_active + params.k_passive
+    for trials in (10 ** 12, mc._MAX_DRAW_SLOTS // columns + 1):
+        began = time.perf_counter()
+        with pytest.raises(RangeError, match=rf"^{trials} trials at N = 5, K = 2 need"):
+            mc.snr_samples(params, split, trials, 1)
+        assert time.perf_counter() - began < 1.0
+
+
 def test_removed_modes_are_type_errors_and_noise_is_keyword_only():
     # a stale positional mode string must not bind to include_noise
     params = _params(m_active=2, n_antennas=6, rho_b=0.8)

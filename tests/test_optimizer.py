@@ -9,7 +9,7 @@ import secrate.optimizer as opt
 from secrate.errors import AlphaZero, RangeError
 from secrate.model import SystemParams, make_split, validate
 
-from conftest import (MIN_PA_UNDERFLOW, assert_same_interval, full_intersection,
+from conftest import (MIN_PA_UNDERFLOW, clipped_reference, full_intersection,
                       log_sf_minimizer, random_params, random_point)
 
 KINDS = ("active", "active_imperfect", "active_multi", "passive", "passive_multi")
@@ -381,7 +381,7 @@ def test_theta_star_tracks_active_minimizer_when_passive_slack():
     assert result.feasible
     profile = cf.active_sop_theta_profile(params, result.p_a_star, result.r_s_star)
     kinds = cf.scenario_kinds(params, "imperfect")
-    interval = opt._feasible_interval(params, result.p_a_star, result.r_s_star, kinds)
+    interval = full_intersection(params, result.p_a_star, result.r_s_star, kinds)
     lo, hi = interval.lo, interval.hi
     # the admissible window collapses onto the active-SOP minimizer as the
     # rate step shrinks, and always straddles it
@@ -448,7 +448,7 @@ def _linear_walk(params, algorithm, step, pa_mode):
     steps = i = 0
     while i * step < params.r_b - 1e-12:
         steps += 1
-        interval = opt._feasible_interval(params, p_req, i * step, kinds)
+        interval = full_intersection(params, p_req, i * step, kinds)
         if interval.empty:
             break
         best = (i * step, interval)
@@ -476,9 +476,11 @@ def _criterion_5_scenario(rng, algorithm):
     return random_params(rng, r_b_lo=2.0, r_b_hi=6.0)
 
 
-def test_feasible_interval_is_the_full_intersection():
-    # the probe solves only the crossings the intersection reads, at the
-    # rates the search probes (around its answer) and across the grid
+def test_probe_is_the_clip_of_the_full_intersection():
+    # the probe solves only the crossings the clip of the reference into the
+    # intersection reads, and returns the same float, or None exactly where
+    # the intersection is empty: at the rates the search probes (around its
+    # answer) and across the grid
     rng = np.random.default_rng(1613)
     seen = {"empty": 0, "interior": 0}
     for index in range(90):
@@ -492,7 +494,8 @@ def test_feasible_interval_is_the_full_intersection():
         for r_s in rates:
             args = (params, p_a, r_s, kinds)
             want = full_intersection(*args)
-            assert_same_interval(opt._feasible_interval(*args), want, args)
+            got = opt._Search(params, p_a, kinds).theta(r_s)
+            assert repr(got) == repr(clipped_reference(*args)), args
             seen["empty" if want.empty else "interior"] += (
                 want.empty or 0.0 < want.lo or want.hi < 1.0)
     assert min(seen.values()) > 30, seen
@@ -532,17 +535,20 @@ def _near_tie_cases(baseline):
         yield params, p_a, r_s, kinds, (upper(hi), passive.hi)
 
 
-def test_feasible_interval_keeps_the_floats_at_near_ties(baseline_params):
+def test_probe_keeps_the_floats_at_near_ties(baseline_params):
     # an end of one interval within about 1e-13 of the other's crossing: the
-    # probe skips the crossing where a tolerance outward certifies it (2e-13
-    # away here) and solves it otherwise; either way the floats are the same
+    # probe returns the float of the reference clipped into the intersection
+    # solved in full. Each tie lies on an end that this clip does not read
+    # (the reference 0.2 lies inside both intervals), so the probe solves no
+    # crossing here
     cases = list(_near_tie_cases(baseline_params))
     assert len(cases) == 10
     for params, p_a, r_s, kinds, (end, crossing) in cases:
         assert abs(end - crossing) <= 3e-13, (kinds, end, crossing)
         want = full_intersection(params, p_a, r_s, kinds)
         assert not want.empty
-        assert repr(opt._feasible_interval(params, p_a, r_s, kinds)) == repr(want)
+        got = opt._Search(params, p_a, kinds).theta(r_s)
+        assert repr(got) == repr(clipped_reference(params, p_a, r_s, kinds))
 
 
 def test_band_margin_bounds_the_rounding_of_the_gap(baseline_params):
@@ -1108,8 +1114,8 @@ def test_trace_holds_what_the_search_saw(baseline_params):
             assert result.trace == start
             continue
         assert result.trace == {**start, "theta_reference": 1 / 5}
-        interval = opt._feasible_interval(params, result.p_a_star, result.r_s_star,
-                                          cf.scenario_kinds(params, "perfect"))
+        interval = full_intersection(params, result.p_a_star, result.r_s_star,
+                                     cf.scenario_kinds(params, "perfect"))
         assert interval.lo <= result.theta_star <= interval.hi
 
 

@@ -26,7 +26,8 @@ from secrate.errors import (  # noqa: E402
 from secrate.model import SystemParams, make_split, validate  # noqa: E402
 
 from conftest import (  # noqa: E402
-    assert_same_interval, full_intersection, log_sf_minimizer, mp_log_survival,
+    assert_same_interval, clipped_reference, full_intersection, log_sf_minimizer,
+    mp_log_survival,
 )
 
 KINDS = ("active", "active_imperfect", "active_multi", "passive", "passive_multi")
@@ -76,7 +77,7 @@ def test_feasible_rates_form_a_prefix_of_the_grid(params, algorithm):
     kinds = cf.scenario_kinds(params, algorithm)
 
     def feasible(r_s):
-        return r_s < params.r_b and not opt._feasible_interval(params, p_a, r_s, kinds).empty
+        return r_s < params.r_b and not full_intersection(params, p_a, r_s, kinds).empty
 
     pattern = [feasible(r_s) for r_s in np.linspace(0.0, params.r_b, 40, endpoint=False)]
     assert pattern == sorted(pattern, reverse=True)
@@ -188,12 +189,38 @@ def test_closed_form_boundary_matches_a_bisection_along_the_floor(params, algori
             assert got == opt._predicted_bracket(search, step, cap)
 
 
+def _bisected_interval(kind: str, params: SystemParams, p_a: float,
+                       r_s: float) -> opt.ThetaInterval:
+    """The AN ratios where the log-survival of ``kind`` is at most its level,
+    by a plain bisection: from the minimizer (conftest.log_sf_minimizer) to
+    each edge whose log-survival is above the level, every midpoint
+    evaluated, down to the solver's tolerance; empty where the minimum is
+    above the level. It reads the log-survival scale, since at these
+    magnitudes an SOP can round to 0 or 1."""
+    curve, level = cf.log_sf_theta_curve(kind, params, p_a, r_s, params.epsilon)
+    inner = log_sf_minimizer(kind, params, p_a, r_s)
+    if curve(inner) > level:
+        return opt.ThetaInterval.nothing()
+
+    def end(edge: float) -> float:
+        if curve(edge) <= level:
+            return edge
+        lo, hi = sorted((inner, edge))
+        while hi - lo > opt._BISECT_TOL:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if (curve(mid) > level) == (edge == 0.0) else (lo, mid)
+        return 0.5 * (lo + hi)
+
+    return opt.ThetaInterval(lo=end(0.0), hi=end(1.0))
+
+
 @given(extreme_scenarios(), st.sampled_from(opt.ALGORITHMS), st.floats(0.0, 1.0))
-def test_feasible_interval_is_the_full_intersection_at_float_extremes(params, algorithm,
-                                                                      rate_share):
+def test_theta_interval_matches_a_plain_bisection_at_float_extremes(params, algorithm,
+                                                                    rate_share):
     # at a random rate and at the rates the search's answer is decided by,
-    # the probe returns the intersection of the two intervals solved in full,
-    # or the same typed error
+    # each kind's interval, whose crossings the solver bisects only inside
+    # the band its secant steps certify, has the ends of a bisection that
+    # evaluates every midpoint, or the same typed error
     kinds = cf.scenario_kinds(params, algorithm)
     p_a = min(cf.min_pa(params, "noise_limited"), params.p_max) or params.p_max
     rates = [rate_share * params.r_b]
@@ -204,46 +231,46 @@ def test_feasible_interval_is_the_full_intersection_at_float_extremes(params, al
     except SecrateError:
         pass
 
-    def solve(fn, r_s):
+    def solve(fn, kind, r_s):
         try:
-            return fn(params, p_a, r_s, kinds)
+            return fn(kind, params, p_a, r_s)
         except SecrateError as error:
             return repr(error)
 
     for r_s in rates:
-        want, got = solve(full_intersection, r_s), solve(opt._feasible_interval, r_s)
-        if isinstance(want, str) or isinstance(got, str):
-            assert got == want
-        else:
-            assert_same_interval(got, want, r_s)
+        for kind in kinds:
+            want = solve(_bisected_interval, kind, r_s)
+            got = solve(opt.theta_interval, kind, r_s)
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want
+            else:
+                assert_same_interval(got, want, (r_s, kind))
 
 
 @given(scenarios() | extreme_scenarios(), st.sampled_from(opt.ALGORITHMS),
        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
        | _log_uniform(-16.0, -2.0).map(lambda u: 1.0 - u),
        st.none() | _log_uniform(-12.0, -1.0), st.floats(0.0, 1.0))
-def test_feasible_theta_is_the_clip_of_the_feasible_interval(params, algorithm, rho_ea, epsilon,
-                                                             rate_share):
-    # the search's probe returns the reference clipped into the feasible
-    # interval, the same float, and None exactly where that interval is
-    # empty (or the same typed error): at a random rate and at every rate
-    # of a bisection onto the feasibility boundary, where the ends of the
-    # two intervals cross
+def test_probe_is_the_reference_clipped_into_the_full_intersection(params, algorithm, rho_ea,
+                                                                   epsilon, rate_share):
+    # the search's probe returns the reference clipped into the intersection
+    # of the two intervals solved in full, the same float, and None exactly
+    # where that intersection is empty (or the same typed error): at a random
+    # rate and at every rate of a bisection onto the feasibility boundary,
+    # where the ends of the two intervals cross
     params = replace(params, epsilon=epsilon or params.epsilon,
                      rho_ea=rho_ea if params.m_active == 1 else 1.0)
     kinds = cf.scenario_kinds(params, algorithm)
-    reference = opt._theta_reference(params, kinds[1])
     p_a = min(cf.min_pa(params, "noise_limited"), params.p_max) or params.p_max
 
     def feasible(r_s) -> bool | None:
-        """Whether r_s is feasible, once the probe agrees with the interval."""
+        """Whether r_s is feasible, once the probe agrees with the intersection."""
         try:
-            interval = opt._feasible_interval(params, p_a, r_s, kinds)
-            want = None if interval.empty else interval.clip(reference)
+            want = clipped_reference(params, p_a, r_s, kinds)
         except SecrateError as error:
             want = repr(error)
         try:
-            got = opt._feasible_theta(params, p_a, r_s, kinds)
+            got = opt._Search(params, p_a, kinds).theta(r_s)
         except SecrateError as error:
             got = repr(error)
         assert repr(got) == repr(want), (r_s, kinds, got, want)
